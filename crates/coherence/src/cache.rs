@@ -9,11 +9,11 @@
 use crate::array::{CacheArray, Line, LineState};
 use crate::config::CacheConfig;
 use crate::msg::{AgentId, HitLevel, MemOp, Msg, MsgKind, ReqId};
+use crate::pending::{PendingList, PendingSlab};
 use crate::profile::DepthHist;
 use crate::topology::HomeId;
 use sim_core::{FxHashMap, Link, Tick};
 use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
 
 /// Messages and completions produced while handling one event.
 #[derive(Debug, Default)]
@@ -36,12 +36,20 @@ impl Outbox {
 
 #[derive(Debug)]
 struct Mshr {
-    /// Requests waiting on this line, in arrival order.
-    waiting: VecDeque<(ReqId, MemOp)>,
-    /// Whether we asked for ownership.
-    for_own: bool,
+    /// Requests waiting on this line, in arrival order (nodes live in
+    /// the agent's `waiters` slab).
+    waiting: PendingList,
     /// Whether this MSHR tracks an NC-P push rather than a fill.
     ncp: bool,
+}
+
+impl Mshr {
+    /// A fresh MSHR whose only waiter is the request that opened it.
+    fn open(waiters: &mut PendingSlab<(ReqId, MemOp)>, first: (ReqId, MemOp), ncp: bool) -> Self {
+        let mut waiting = PendingList::default();
+        waiters.push_back(&mut waiting, first);
+        Mshr { waiting, ncp }
+    }
 }
 
 #[derive(Debug)]
@@ -72,6 +80,9 @@ pub struct CacheAgent {
     array: CacheArray,
     /// Line-keyed transaction tables; Fx-hashed (hit on every message).
     mshrs: FxHashMap<u64, Mshr>,
+    /// Node arena of every MSHR's waiter list: a miss links a recycled
+    /// node instead of allocating a queue.
+    waiters: PendingSlab<(ReqId, MemOp)>,
     evictions: FxHashMap<u64, EvictState>,
     pub(crate) link: Link,
     next_accept: Tick,
@@ -89,6 +100,7 @@ impl CacheAgent {
             cfg,
             array,
             mshrs: FxHashMap::default(),
+            waiters: PendingSlab::new(),
             evictions: FxHashMap::default(),
             link,
             next_accept: Tick::ZERO,
@@ -185,7 +197,7 @@ impl CacheAgent {
         let occupancy = self.mshrs.len() as u64;
         let vacant = match self.mshrs.entry(line_key) {
             Entry::Occupied(mut o) => {
-                o.get_mut().waiting.push_back((req, op));
+                self.waiters.push_back(&mut o.get_mut().waiting, (req, op));
                 return;
             }
             Entry::Vacant(v) => v,
@@ -197,11 +209,7 @@ impl CacheAgent {
                 // push) and send the full line to the LLC.
                 self.array.remove(addr);
                 self.mshr_occupancy.record(occupancy);
-                vacant.insert(Mshr {
-                    waiting: VecDeque::from([(req, op)]),
-                    for_own: false,
-                    ncp: true,
-                });
+                vacant.insert(Mshr::open(&mut self.waiters, (req, op), true));
                 self.send(t, MsgKind::ItoMWr, addr, out);
             }
             MemOp::Load | MemOp::Prefetch => {
@@ -212,11 +220,7 @@ impl CacheAgent {
                 } else {
                     self.stats.misses += 1;
                     self.mshr_occupancy.record(occupancy);
-                    vacant.insert(Mshr {
-                        waiting: VecDeque::from([(req, op)]),
-                        for_own: false,
-                        ncp: false,
-                    });
+                    vacant.insert(Mshr::open(&mut self.waiters, (req, op), false));
                     self.send(t, MsgKind::RdShared, addr, out);
                 }
             }
@@ -238,21 +242,13 @@ impl CacheAgent {
                         // Shared: upgrade via RdOwn.
                         self.stats.misses += 1;
                         self.mshr_occupancy.record(occupancy);
-                        vacant.insert(Mshr {
-                            waiting: VecDeque::from([(req, op)]),
-                            for_own: true,
-                            ncp: false,
-                        });
+                        vacant.insert(Mshr::open(&mut self.waiters, (req, op), false));
                         self.send(t, MsgKind::RdOwn, addr, out);
                     }
                 } else {
                     self.stats.misses += 1;
                     self.mshr_occupancy.record(occupancy);
-                    vacant.insert(Mshr {
-                        waiting: VecDeque::from([(req, op)]),
-                        for_own: true,
-                        ncp: false,
-                    });
+                    vacant.insert(Mshr::open(&mut self.waiters, (req, op), false));
                     self.send(t, MsgKind::RdOwn, addr, out);
                 }
             }
@@ -351,7 +347,7 @@ impl CacheAgent {
     ) {
         let level = level.expect("data grant carries a hit level");
         let key = addr.raw();
-        let mut mshr = self
+        let mshr = self
             .mshrs
             .remove(&key)
             .unwrap_or_else(|| panic!("fill for {addr} without MSHR"));
@@ -363,7 +359,7 @@ impl CacheAgent {
             let line = self.array.get_mut(addr).expect("resident");
             line.state = state;
         }
-        self.drain_waiting(&mut mshr, addr, level, now, out);
+        self.drain_waiting(mshr.waiting, addr, level, now, out);
     }
 
     fn upgrade_grant(
@@ -374,7 +370,7 @@ impl CacheAgent {
         out: &mut Outbox,
     ) {
         let level = level.unwrap_or(HitLevel::Llc);
-        let mut mshr = self
+        let mshr = self
             .mshrs
             .remove(&addr.raw())
             .unwrap_or_else(|| panic!("upgrade grant for {addr} without MSHR"));
@@ -388,7 +384,7 @@ impl CacheAgent {
                 self.start_eviction(victim, now, out);
             }
         }
-        self.drain_waiting(&mut mshr, addr, level, now, out);
+        self.drain_waiting(mshr.waiting, addr, level, now, out);
     }
 
     fn ncp_done(
@@ -398,29 +394,29 @@ impl CacheAgent {
         now: Tick,
         out: &mut Outbox,
     ) {
-        let mshr = self
+        let mut mshr = self
             .mshrs
             .remove(&addr.raw())
             .unwrap_or_else(|| panic!("GoNcp for {addr} without MSHR"));
         debug_assert!(mshr.ncp);
         let level = level.unwrap_or(HitLevel::Llc);
-        for (i, (req, _op)) in mshr.waiting.iter().enumerate() {
-            let done = now + self.cfg.accept_gap * i as u64;
-            out.completions.push((done, *req, level));
+        let mut done = now;
+        while let Some((req, _op)) = self.waiters.pop_front(&mut mshr.waiting) {
+            out.completions.push((done, req, level));
+            done += self.cfg.accept_gap;
         }
     }
 
     fn drain_waiting(
         &mut self,
-        mshr: &mut Mshr,
+        mut waiting: PendingList,
         addr: simcxl_mem::PhysAddr,
         level: HitLevel,
         now: Tick,
         out: &mut Outbox,
     ) {
-        let _ = mshr.for_own;
         let mut t = now;
-        while let Some((req, op)) = mshr.waiting.pop_front() {
+        while let Some((req, op)) = self.waiters.pop_front(&mut waiting) {
             let line = self
                 .array
                 .get_mut(addr)
@@ -430,11 +426,11 @@ impl CacheAgent {
                     out.completions.push((t, req, level));
                 }
                 MemOp::NcPush { .. } => {
-                    // An NC-P queued behind a fill: reissue it as a fresh
-                    // request so it follows the normal push path.
-                    mshr.waiting.push_front((req, op));
-                    let remaining: VecDeque<_> = mshr.waiting.drain(..).collect();
-                    for (r, o) in remaining {
+                    // An NC-P queued behind a fill: reissue it, and
+                    // everything behind it, as fresh requests so it
+                    // follows the normal push path.
+                    self.handle_request(req, op, addr, t, out);
+                    while let Some((r, o)) = self.waiters.pop_front(&mut waiting) {
                         self.handle_request(r, o, addr, t, out);
                     }
                     return;
@@ -450,13 +446,11 @@ impl CacheAgent {
                     } else {
                         // Only S was granted but this op needs ownership:
                         // put it back and upgrade.
-                        mshr.waiting.push_front((req, op));
-                        let waiting = mshr.waiting.drain(..).collect();
+                        self.waiters.push_front(&mut waiting, (req, op));
                         self.mshrs.insert(
                             addr.raw(),
                             Mshr {
                                 waiting,
-                                for_own: true,
                                 ncp: false,
                             },
                         );

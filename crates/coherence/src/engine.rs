@@ -697,14 +697,22 @@ impl ProtocolEngine {
     }
 
     /// Dispatches the earliest pending event *and everything else at the
-    /// same tick*, returning the completions produced; `None` if the
-    /// queue is empty.
+    /// same tick*, leaving the completions produced in `done`; returns
+    /// `false` (with `done` empty) if the queue is empty.
+    ///
+    /// `done` is cleared, then swapped with the engine's internal
+    /// completion buffer, so a driver that passes the same `Vec` on
+    /// every call ping-pongs two buffers and never allocates once both
+    /// have grown to the largest tick batch.
     ///
     /// Exactly equivalent to `next_event()` followed by
     /// `run_until(next)`, but fused into a single queue traversal per
     /// event (no O(buckets) peek).
-    pub fn run_next(&mut self) -> Option<Vec<Completion>> {
-        let (tick, ev) = self.queue.pop()?;
+    pub fn run_next(&mut self, done: &mut Vec<Completion>) -> bool {
+        done.clear();
+        let Some((tick, ev)) = self.queue.pop() else {
+            return false;
+        };
         debug_assert!(tick >= self.now, "time went backwards");
         self.now = tick;
         self.events += 1;
@@ -714,7 +722,8 @@ impl ProtocolEngine {
             self.events += 1;
             self.dispatch(ev.unpack());
         }
-        Some(std::mem::take(&mut self.completions))
+        std::mem::swap(done, &mut self.completions);
+        true
     }
 
     /// Runs until the queue is exhausted; returns completions in
@@ -1490,8 +1499,9 @@ mod tests {
         let mut b = ProtocolEngine::builder().build();
         build(&mut a);
         build(&mut b);
+        let mut done = Vec::new();
         loop {
-            let stepped = a.run_next();
+            let stepped = a.run_next(&mut done).then(|| done.clone());
             let reference = b.next_event().map(|t| b.run_until(t));
             assert_eq!(stepped, reference);
             assert_eq!(a.now(), b.now());

@@ -69,8 +69,9 @@ impl PendingList {
     }
 }
 
-/// The shared node arena: one per home agent, one allocation for every
-/// pending list of every line it serializes.
+/// The shared node arena: one per home agent (for every pending list of
+/// every line it serializes) and one per cache agent (for every MSHR's
+/// waiter list).
 #[derive(Debug, Default)]
 pub(crate) struct PendingSlab<T> {
     nodes: Vec<Node<T>>,
@@ -125,6 +126,21 @@ impl<T: Copy> PendingSlab<T> {
             self.nodes[list.tail as usize].next = idx;
         }
         list.tail = idx;
+        list.len += 1;
+    }
+
+    /// Prepends `item` to the front of `list`. O(1), allocation-free
+    /// once the slab has warmed up (a requeue right after a
+    /// [`pop_front`](Self::pop_front) reuses the node just freed).
+    pub(crate) fn push_front(&mut self, list: &mut PendingList, item: T) {
+        let idx = self.alloc(item);
+        let node = &mut self.nodes[idx as usize];
+        node.next = list.head;
+        list.head = idx;
+        list.head_gen = node.gen;
+        if list.tail == NIL {
+            list.tail = idx;
+        }
         list.len += 1;
     }
 
@@ -221,13 +237,14 @@ mod tests {
         /// home agent produces under dense same-line contention — must
         /// make the shared slab behave exactly like one independent
         /// `VecDeque` per line. Each step is (line, value, kind); kinds
-        /// are biased toward pushes so queues actually get deep, and the
-        /// drain-all kind mirrors the retire path replaying a whole
-        /// queue.
+        /// are biased toward pushes so queues actually get deep, the
+        /// push-front kind mirrors a cache MSHR requeueing the op it
+        /// just popped, and the drain-all kind mirrors the retire path
+        /// replaying a whole queue.
         #[test]
         fn slab_matches_vecdeque_reference_under_contention(
             script in proptest::collection::vec(
-                (0usize..LINES, proptest::arbitrary::any::<u32>(), 0u8..8),
+                (0usize..LINES, proptest::arbitrary::any::<u32>(), 0u8..9),
                 1..400,
             ),
         ) {
@@ -240,6 +257,10 @@ mod tests {
                     0..=4 => {
                         slab.push_back(&mut lists[line], value);
                         model[line].push_back(value);
+                    }
+                    8 => {
+                        slab.push_front(&mut lists[line], value);
+                        model[line].push_front(value);
                     }
                     5 | 6 => proptest::prop_assert_eq!(
                         slab.pop_front(&mut lists[line]),
@@ -289,6 +310,25 @@ mod tests {
         slab.push_back(&mut other, 2u32);
         // ...then drain through the stale copy.
         let mut stale = stale;
+        let _ = slab.pop_front(&mut stale);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale PendingList handle")]
+    fn stale_handle_after_push_front_is_detected() {
+        // A front push re-tags the list with the new head's generation,
+        // so the canary must still catch a copy taken afterwards.
+        let mut slab = PendingSlab::new();
+        let mut live = PendingList::default();
+        slab.push_back(&mut live, 1u32);
+        slab.push_front(&mut live, 0u32);
+        let mut stale = live;
+        assert_eq!(slab.pop_front(&mut live), Some(0));
+        assert_eq!(slab.pop_front(&mut live), Some(1));
+        let mut other = PendingList::default();
+        slab.push_back(&mut other, 2u32);
+        slab.push_back(&mut other, 3u32);
         let _ = slab.pop_front(&mut stale);
     }
 }

@@ -131,6 +131,7 @@ pub fn cxl_load_bandwidth(profile: &DeviceProfile, tier: Tier) -> f64 {
     let mut issued = 0usize;
     let mut done = 0usize;
     let mut first_issue = None;
+    let mut comps = Vec::new();
     while done < reqs.len() {
         while issued - done < window && issued < reqs.len() {
             let at = eng.now();
@@ -140,10 +141,10 @@ pub fn cxl_load_bandwidth(profile: &DeviceProfile, tier: Tier) -> f64 {
             eng.issue(hmc, MemOp::Load, reqs[issued].addr, at);
             issued += 1;
         }
-        match eng.run_next() {
-            Some(comps) => done += comps.len(),
-            None => break,
+        if !eng.run_next(&mut comps) {
+            break;
         }
+        done += comps.len();
     }
     let span = eng.now() - first_issue.unwrap_or(Tick::ZERO);
     (reqs.len() as u64 * CACHELINE_BYTES) as f64 / span.as_secs_f64() / 1e9

@@ -111,6 +111,7 @@ impl CxlRaoNic {
         let mut issued = 0usize;
         let mut done = 0usize;
         let mut now = Tick::ZERO;
+        let mut comps = Vec::new();
         while done < n {
             while issued - done < self.pes && issued < n {
                 let op = ops[issued];
@@ -127,13 +128,11 @@ impl CxlRaoNic {
                 );
                 issued += 1;
             }
-            match self.engine.run_next() {
-                Some(comps) => {
-                    done += comps.len();
-                    now = now.max(self.engine.now());
-                }
-                None => break,
+            if !self.engine.run_next(&mut comps) {
+                break;
             }
+            done += comps.len();
+            now = now.max(self.engine.now());
         }
         let comps = self.engine.run_to_quiescence();
         done += comps.len();

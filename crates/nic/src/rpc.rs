@@ -330,6 +330,7 @@ impl RpcNicModel {
         // (prefetch completions are dropped on the floor).
         let mut completed: std::collections::HashMap<ReqId, Tick> =
             std::collections::HashMap::new();
+        let mut comps = Vec::new();
         let mut arena = StreamArena::new(PhysAddr::new(0x1_0000_0000), 1);
         for msg in &w.messages {
             let wire = protowire::encode::encoded_len(msg) as u64;
@@ -368,15 +369,13 @@ impl RpcNicModel {
                     if let Some(d) = completed.remove(&want) {
                         break d;
                     }
-                    match eng.run_next() {
-                        Some(comps) => {
-                            for c in comps {
-                                if matches!(c.op, MemOp::Load) {
-                                    completed.insert(c.req, c.done);
-                                }
-                            }
+                    if !eng.run_next(&mut comps) {
+                        break eng.now();
+                    }
+                    for c in &comps {
+                        if matches!(c.op, MemOp::Load) {
+                            completed.insert(c.req, c.done);
                         }
-                        None => break eng.now(),
                     }
                 };
                 issue_clock = issue_clock.max(done);

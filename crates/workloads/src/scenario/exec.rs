@@ -4,13 +4,16 @@
 //! Logical clients are lightweight [`Session`] records; only their
 //! coherent accesses touch the protocol engine, issued through
 //! `spec.agents` real [`CacheAgent`](simcxl_coherence::cache::CacheAgent)s
-//! (client `c` rides agent `c % agents`). Client wakeups (arrivals,
-//! think-time expiries) live in the scenario's own calendar queue; the
-//! executor interleaves the two event streams by time:
+//! (client `c` rides agent `c % agents`). Open-loop arrivals come from
+//! an [`Arrivals`] cursor that computes each one when it is due; think
+//! timers and closed-loop admissions live in the scenario's own calendar
+//! queue, so resident state scales with live sessions, not with the
+//! population. The executor interleaves the two event streams by time:
 //!
-//! * if the earliest wakeup is no later than the engine's next event,
-//!   pop the wakeup batch and step those sessions (issuing at the
-//!   wakeup tick — never before the engine's `now`);
+//! * if the earliest wakeup (arrival or queued) is no later than the
+//!   engine's next event, run the wakeup batch at that tick — due
+//!   arrivals first, then queued wakeups — and step those sessions
+//!   (issuing at the wakeup tick — never before the engine's `now`);
 //! * otherwise dispatch one engine tick-batch and step the sessions
 //!   whose accesses completed, at their completion ticks.
 //!
@@ -18,6 +21,7 @@
 //! completion-stream checksum is too.
 
 use super::machine::{Action, StepCtx, TransitionTable};
+use super::phase::PhaseSpec;
 use super::report::{PhaseAcc, ScenarioOutcome};
 use super::session::{Session, SessionSlab};
 use super::spec::{Arrival, ScenarioSpec};
@@ -26,12 +30,90 @@ use sim_core::{EventQueue, FxHashMap, SimRng, Tick};
 use simcxl_coherence::{AgentId, Completion, MemOp, ProtocolEngine, ReqId};
 use simcxl_mem::PhysAddr;
 
-/// A scenario-side wakeup.
+/// A queued scenario-side wakeup.
 enum Wake {
-    /// A logical client enters the system.
+    /// A closed-loop client is admitted.
     Arrive { client: u64, phase: u16 },
     /// A session's think timer fired.
     Think { slot: u32 },
+}
+
+/// The open-loop arrival schedule, produced lazily in client order.
+///
+/// Each phase places its quota by inverting its traffic shape, and
+/// [`Traffic::arrival_offset`](super::Traffic::arrival_offset) is
+/// non-decreasing in the arrival index, so client order is tick order:
+/// the cursor yields exactly the `(tick, client, phase)` sequence an
+/// eagerly filled queue would pop, from a `(phase, j, phase_start)`
+/// position instead of one queue entry per client. The premise is asserted on every step,
+/// so a shape that broke it fails loudly instead of reordering arrivals.
+struct Arrivals<'a> {
+    phases: &'a [PhaseSpec],
+    quotas: &'a [u64],
+    /// Phase of the next arrival, and its index within the phase.
+    phase: usize,
+    j: u64,
+    phase_start: Tick,
+    client: u64,
+    /// The next arrival `(tick, client, phase)`, if any remain.
+    next: Option<(Tick, u64, u16)>,
+}
+
+impl<'a> Arrivals<'a> {
+    /// The schedule of `phases` with `quotas` clients each, starting at
+    /// `t0`. Empty phase lists (closed loop) yield nothing.
+    fn new(phases: &'a [PhaseSpec], quotas: &'a [u64], t0: Tick) -> Self {
+        let mut cursor = Arrivals {
+            phases,
+            quotas,
+            phase: 0,
+            j: 0,
+            phase_start: t0,
+            client: 0,
+            next: None,
+        };
+        cursor.next = cursor.compute(t0);
+        cursor
+    }
+
+    /// Tick of the next arrival.
+    fn peek(&self) -> Option<Tick> {
+        self.next.map(|(at, _, _)| at)
+    }
+
+    /// Takes the next arrival if it is due at or before `t`.
+    fn pop_before(&mut self, t: Tick) -> Option<(u64, u16)> {
+        let (at, client, phase) = self.next.filter(|&(at, _, _)| at <= t)?;
+        self.next = self.compute(at);
+        Some((client, phase))
+    }
+
+    /// Computes the arrival at the cursor and advances past it; `prev`
+    /// is the tick of the arrival before it.
+    fn compute(&mut self, prev: Tick) -> Option<(Tick, u64, u16)> {
+        let phases = self.phases;
+        let (p, n) = loop {
+            let p = phases.get(self.phase)?;
+            let n = self.quotas[self.phase];
+            if self.j < n {
+                break (p, n);
+            }
+            self.phase_start += p.duration;
+            self.phase += 1;
+            self.j = 0;
+        };
+        let at = self.phase_start + p.traffic.arrival_offset(self.j, n, p.duration);
+        assert!(
+            at >= prev,
+            "arrival schedule went backwards: client {} of phase `{}` at {at} after {prev}",
+            self.client,
+            p.name
+        );
+        let next = (at, self.client, self.phase as u16);
+        self.j += 1;
+        self.client += 1;
+        Some(next)
+    }
 }
 
 /// Folds one completion into the order-sensitive digest — the same
@@ -111,6 +193,11 @@ fn run_inner(
         "agent roster must match the spec"
     );
     let quotas = spec.phase_quotas();
+    // Never schedule into the engine's past: a chained segment starts
+    // no earlier than where its predecessor left the clock.
+    let t0 = start.max(eng.now());
+    let closed = matches!(spec.arrival, Arrival::Closed { .. });
+    let mut arrivals = Arrivals::new(if closed { &[] } else { &spec.phases }, &quotas, t0);
     let mut exec = Exec {
         spec,
         table,
@@ -134,7 +221,7 @@ fn run_inner(
             })
             .collect(),
         next_client: 0,
-        closed: matches!(spec.arrival, Arrival::Closed { .. }),
+        closed,
         completed: 0,
         capped: 0,
         accesses: 0,
@@ -142,56 +229,42 @@ fn run_inner(
         elapsed: Tick::ZERO,
     };
 
-    // Never schedule into the engine's past: a chained segment starts
-    // no earlier than where its predecessor left the clock.
-    let t0 = start.max(eng.now());
-    match spec.arrival {
-        Arrival::Open => {
-            // The whole arrival schedule is computable upfront: each
-            // phase places its quota by inverting its traffic shape.
-            let mut client = 0u64;
-            let mut phase_start = t0;
-            for (pi, phase) in spec.phases.iter().enumerate() {
-                for j in 0..quotas[pi] {
-                    let at =
-                        phase_start + phase.traffic.arrival_offset(j, quotas[pi], phase.duration);
-                    exec.wakeups.push(
-                        at,
-                        Wake::Arrive {
-                            client,
-                            phase: pi as u16,
-                        },
-                    );
-                    client += 1;
-                }
-                phase_start += phase.duration;
-            }
-            exec.next_client = client;
+    if let Arrival::Closed { concurrency } = spec.arrival {
+        // Admit the first window ns-staggered from t0; every
+        // completion admits the next queued client. Phases label
+        // population shares and key skew, not wall-clock windows.
+        let first = concurrency.min(spec.clients);
+        for c in 0..first {
+            let phase = exec.phase_of(c);
+            exec.wakeups
+                .push(t0 + Tick::from_ns(c), Wake::Arrive { client: c, phase });
         }
-        Arrival::Closed { concurrency } => {
-            // Admit the first window ns-staggered from t0; every
-            // completion admits the next queued client. Phases label
-            // population shares and key skew, not wall-clock windows.
-            let first = concurrency.min(spec.clients);
-            for c in 0..first {
-                let phase = exec.phase_of(c);
-                exec.wakeups
-                    .push(t0 + Tick::from_ns(c), Wake::Arrive { client: c, phase });
-            }
-            exec.next_client = first;
-        }
+        exec.next_client = first;
     }
 
     let events0 = eng.events_dispatched();
+    let mut done = Vec::new();
     loop {
-        let tw = exec.wakeups.peek_tick();
+        let tw = arrivals
+            .peek()
+            .into_iter()
+            .chain(exec.wakeups.peek_tick())
+            .min();
         let te = eng.next_event();
         match (tw, te) {
             (None, None) => break,
             (Some(tw), te) if te.is_none_or(|te| tw <= te) => {
                 // Wakeup batch first: issues land at tw >= eng.now().
-                while exec.wakeups.peek_tick() == Some(tw) {
-                    let (_, wake) = exec.wakeups.pop().expect("peeked wakeup");
+                // Arrivals at tw run before queued wakeups at tw, as
+                // they would if every arrival had been queued upfront
+                // (with the lowest sequence numbers). Nothing in the
+                // batch schedules before tw, so the bounded pops drain
+                // exactly the tw batch and leave the queue's peek hint
+                // set for the next round.
+                while let Some((client, phase)) = arrivals.pop_before(tw) {
+                    exec.arrive(eng, client, phase, tw);
+                }
+                while let Some((_, wake)) = exec.wakeups.pop_before(tw) {
                     match wake {
                         Wake::Arrive { client, phase } => exec.arrive(eng, client, phase, tw),
                         Wake::Think { slot } => exec.step(eng, slot, tw),
@@ -199,7 +272,7 @@ fn run_inner(
                 }
             }
             _ => {
-                let done = eng.run_next().expect("engine had a next event");
+                assert!(eng.run_next(&mut done), "engine had a next event");
                 for c in &done {
                     exec.on_completion(eng, c);
                 }
@@ -262,7 +335,6 @@ impl Exec<'_> {
             phase,
             state: self.table.start(),
             steps: 0,
-            started: now,
             last_key: 0,
             last_value: 0,
         });
@@ -348,5 +420,90 @@ impl Exec<'_> {
             let phase = self.phase_of(client);
             self.wakeups.push(now, Wake::Arrive { client, phase });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{hot_key_storm, ramp_then_burst, PhaseSpec, Traffic};
+
+    /// The schedule as it used to be built: every arrival queued
+    /// upfront in client order, then popped by `(tick, push order)`.
+    fn eager(spec: &ScenarioSpec, t0: Tick) -> Vec<(Tick, u64, u16)> {
+        let quotas = spec.phase_quotas();
+        let mut q = EventQueue::new();
+        let (mut client, mut phase_start) = (0u64, t0);
+        for (pi, p) in spec.phases.iter().enumerate() {
+            for j in 0..quotas[pi] {
+                let at = phase_start + p.traffic.arrival_offset(j, quotas[pi], p.duration);
+                q.push(at, (client, pi as u16));
+                client += 1;
+            }
+            phase_start += p.duration;
+        }
+        std::iter::from_fn(|| q.pop().map(|(at, (c, p))| (at, c, p))).collect()
+    }
+
+    fn lazy(spec: &ScenarioSpec, t0: Tick) -> Vec<(Tick, u64, u16)> {
+        let quotas = spec.phase_quotas();
+        let mut cursor = Arrivals::new(&spec.phases, &quotas, t0);
+        std::iter::from_fn(|| {
+            let at = cursor.peek()?;
+            let (c, p) = cursor.pop_before(at).expect("peeked arrival is due");
+            Some((at, c, p))
+        })
+        .collect()
+    }
+
+    #[test]
+    fn cursor_yields_the_eager_schedule() {
+        // Squeezed into nanoseconds, so many arrivals share a tick and
+        // the tie order is exercised too.
+        let diurnal = ScenarioSpec {
+            name: "diurnal".into(),
+            clients: 50_000,
+            phases: vec![
+                PhaseSpec::new(
+                    "cool_down",
+                    Tick::from_ns(4),
+                    Traffic::Ramp { from: 3.0, to: 0.5 },
+                ),
+                PhaseSpec::new(
+                    "day_night",
+                    Tick::from_ns(30),
+                    Traffic::Diurnal {
+                        low: 0.0,
+                        high: 4.0,
+                        cycles: 3,
+                    },
+                ),
+            ],
+            ..ramp_then_burst(0, 1)
+        };
+        for (spec, t0) in [
+            (ramp_then_burst(120_000, 1), Tick::ZERO),
+            (hot_key_storm(90_000, 2), Tick::from_ns(12_345)),
+            (diurnal, Tick::from_us(7)),
+        ] {
+            let want = eager(&spec, t0);
+            assert_eq!(want.len() as u64, spec.clients, "{}", spec.name);
+            if spec.name == "diurnal" {
+                assert!(want.windows(2).any(|w| w[0].0 == w[1].0));
+            }
+            assert_eq!(lazy(&spec, t0), want, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn cursor_holds_back_arrivals_not_yet_due() {
+        let spec = ramp_then_burst(1_000, 3);
+        let quotas = spec.phase_quotas();
+        let mut cursor = Arrivals::new(&spec.phases, &quotas, Tick::ZERO);
+        let first = cursor.peek().expect("nonempty schedule");
+        assert_eq!(cursor.pop_before(first - Tick::from_ps(1)), None);
+        assert_eq!(cursor.pop_before(first), Some((0, 0)));
+        assert!(cursor.peek().expect("more arrivals") >= first);
+        assert_eq!(Arrivals::new(&[], &[], Tick::ZERO).peek(), None);
     }
 }

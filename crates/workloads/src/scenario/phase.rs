@@ -281,6 +281,83 @@ mod tests {
         }
     }
 
+    /// A shape from integer draws: `kind` picks the variant, `a`/`b`
+    /// are rates in hundredths (either may be the larger, so ramps and
+    /// diurnal sweeps run both ways), `cycles` feeds `Diurnal`.
+    fn shape(kind: u8, a: u32, b: u32, cycles: u32) -> Traffic {
+        let (a, b) = (f64::from(a) / 100.0, f64::from(b) / 100.0);
+        match kind {
+            0 => Traffic::Ramp { from: a, to: b },
+            1 => Traffic::Steady { rate: a + 0.01 },
+            2 => Traffic::Burst { rate: a + 0.01 },
+            3 => Traffic::HotKey {
+                rate: a + 0.01,
+                hot_keys: 8,
+                hot_fraction: 0.9,
+            },
+            _ => Traffic::Diurnal {
+                low: a,
+                high: b,
+                cycles,
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The scenario executor yields open-loop arrivals in client
+        /// order and relies on that being tick order, so every shape's
+        /// offsets must be non-decreasing in `j` (and stay inside the
+        /// phase). Small populations are scanned whole; large ones at
+        /// both ends and around every diurnal half-cycle boundary, where
+        /// one ramp inversion hands over to the next.
+        #[test]
+        fn arrival_offsets_are_non_decreasing(
+            kind in 0u8..5,
+            rates in (1u32..=1_000, 1u32..=1_000),
+            zero in 0u8..4,
+            cycles in 1u32..=6,
+            n_small in 1u64..=2_000,
+            n_large in 2_000u64..=5_000_000,
+            d_ns in 1u64..=20_000_000,
+        ) {
+            // One time in four, a zero-rate end (ramps from or to
+            // silence, diurnal troughs at zero).
+            let (a, b) = match zero {
+                0 => (0, rates.1),
+                1 => (rates.0, 0),
+                _ => rates,
+            };
+            let t = shape(kind, a, b, cycles);
+            let d = Tick::from_ns(d_ns);
+            let segments = 2 * u64::from(cycles);
+            for n in [n_small, n_large] {
+                let mut js: Vec<u64> = if n == n_small {
+                    (0..n).collect()
+                } else {
+                    (0..=segments)
+                        .flat_map(|k| {
+                            let b = k * n / segments;
+                            b.saturating_sub(3)..(b + 3).min(n)
+                        })
+                        .collect()
+                };
+                js.dedup();
+                for w in js.windows(2) {
+                    let (lo, hi) = (w[0], w[1]);
+                    let (x, y) = (t.arrival_offset(lo, n, d), t.arrival_offset(hi, n, d));
+                    proptest::prop_assert!(
+                        x <= y,
+                        "{t:?}: offset({lo}/{n}) = {x:?} > offset({hi}/{n}) = {y:?} over {d:?}"
+                    );
+                }
+                let last = t.arrival_offset(n - 1, n, d);
+                proptest::prop_assert!(last <= d, "{t:?}: last arrival {last:?} past {d:?}");
+            }
+        }
+    }
+
     #[test]
     fn mean_rates_weight_phases() {
         assert_eq!(Traffic::Ramp { from: 0.0, to: 4.0 }.mean_rate(), 2.0);

@@ -7,7 +7,6 @@
 //! the closed-loop concurrency), not the total population.
 
 use super::machine::State;
-use sim_core::Tick;
 
 /// One live logical client session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,8 +19,6 @@ pub struct Session {
     pub state: State,
     /// Steps executed (compared against the machine's safety cap).
     pub steps: u32,
-    /// Arrival time.
-    pub started: Tick,
     /// Key touched by the most recent access.
     pub last_key: u64,
     /// Value observed by the most recent access.
@@ -99,7 +96,6 @@ mod tests {
             phase: 0,
             state: State(0),
             steps: 0,
-            started: Tick::ZERO,
             last_key: 0,
             last_value: 0,
         }
