@@ -52,12 +52,10 @@ fn bench(c: &mut Criterion) {
     g.bench_function("stress_weighted", |b| {
         b.iter(|| hotpath::stress(&weighted_cfg))
     });
-    // The same multihome workload as one upfront batch on the parallel
-    // executor (stream-identical to sequential; wall time depends on the
-    // host's core count, recorded as hw_threads in the JSON report).
-    let threads = hotpath::report_threads(multihome_cfg.homes);
-    g.bench_function("stress_parallel", |b| {
-        b.iter(|| hotpath::stress_upfront(&multihome_cfg, threads))
+    // The same multihome workload as one dense upfront batch: deep
+    // pending lists and the far-future queue tier.
+    g.bench_function("stress_upfront", |b| {
+        b.iter(|| hotpath::stress_upfront(&multihome_cfg))
     });
     let queue_cfg = StressConfig {
         requests: if q { 5_000 } else { 20_000 },

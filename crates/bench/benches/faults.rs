@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
             clients /= 4;
         }
         g.bench_function(case.name(), |b| {
-            b.iter(|| case.run(clients, faults::BENCH_SEED, faults::BENCH_THREADS))
+            b.iter(|| case.run(clients, faults::BENCH_SEED, 1))
         });
     }
     g.finish();

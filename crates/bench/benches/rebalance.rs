@@ -26,7 +26,7 @@ fn bench(c: &mut Criterion) {
     // its static control).
     for (case, clients) in rebalance::populations(true) {
         g.bench_function(case.name(), |b| {
-            b.iter(|| case.run(clients, rebalance::BENCH_SEED, rebalance::BENCH_THREADS))
+            b.iter(|| case.run(clients, rebalance::BENCH_SEED, 1))
         });
     }
     g.finish();

@@ -16,11 +16,6 @@ use crate::hotpath::{extract_scalar, extract_section};
 use cohet::faults::FaultCase;
 use cohet::FaultOutcome;
 
-/// Worker shards the bench runs on. The outcome is bit-identical at
-/// every thread count (the engine's determinism contract), so this
-/// only changes wall-clock time — the pins hold on any runner.
-pub const BENCH_THREADS: usize = 4;
-
 /// The fixed seed: these runs exist to be reproduced, not sampled.
 pub const BENCH_SEED: u64 = 0xFA17;
 
@@ -145,12 +140,11 @@ pub fn report_json(quick: bool) -> String {
         "  \"mode\": \"{}\",\n",
         if quick { "quick" } else { "full" }
     ));
-    out.push_str(&format!("  \"threads\": {BENCH_THREADS},\n"));
     out.push_str(&format!("  \"seed\": {BENCH_SEED},\n"));
     let n = pops.len();
     for (i, (case, clients)) in pops.into_iter().enumerate() {
         let start = std::time::Instant::now();
-        let r = case.run(clients, BENCH_SEED, BENCH_THREADS);
+        let r = case.run(clients, BENCH_SEED, 1);
         let wall = start.elapsed().as_secs_f64();
         r.assert_gates(!quick);
         push_case(&mut out, clients, &r, wall, i + 1 == n);
@@ -306,7 +300,7 @@ mod tests {
             .into_iter()
             .zip(PINNED_FAULT_CHECKSUMS_QUICK)
         {
-            let out = case.run(clients, BENCH_SEED, BENCH_THREADS);
+            let out = case.run(clients, BENCH_SEED, 1);
             out.assert_gates(false);
             assert_eq!(out.name, name);
             assert_eq!(

@@ -9,21 +9,17 @@
 //! headline simulator-performance metric; the JSON report seeds the perf
 //! trajectory tracked across PRs.
 //!
-//! Four variants (see the README for the full `simcxl-hotpath/v6`
+//! Four variants (see the README for the full `simcxl-hotpath/v7`
 //! schema): `stress` (single home, wave driver — its checksum is the
 //! repo's oldest determinism anchor), `multihome` (the same waves over a
 //! four-home line interleave), `multihome_weighted` (the waves over a
 //! skewed 4:2:1:1 weighted interleave, reporting how closely per-home
 //! directory traffic tracks the weights as `balance_error`), and
-//! `stress_parallel` (the multihome workload as one upfront batch on the
-//! parallel executor, whose stream is asserted equal to its own
-//! sequential run before being reported). Since v5 every variant also
-//! embeds a `profile` block — the engine's always-on hot-path counters
-//! (busy-hit/fast-path/general split plus depth histograms), rendered
-//! standalone by `simcxl-report hotpath --profile`. v6 adds the
-//! persistent-worker-pool counters (`pool`: windows, widened windows,
-//! barrier waits, messages crossed) to every profile block — zero for
-//! sequential-only variants, live for `stress_parallel`.
+//! `stress_upfront` (the multihome workload as one dense upfront
+//! batch). Every variant embeds a `profile` block — the engine's
+//! always-on hot-path counters (busy-hit/fast-path/general split plus
+//! depth histograms), rendered standalone by
+//! `simcxl-report hotpath --profile`.
 
 use cohet::experiments;
 use cohet::DeviceProfile;
@@ -54,14 +50,14 @@ pub const PINNED_STRESS_CHECKSUM_FULL: u64 = 0x8b604ff32e480de3;
 pub const PINNED_STRESS_CHECKSUM_QUICK: u64 = 0xb1e18caf05b4d6a4;
 
 /// The pinned full-mode checksum of the dense upfront batch — the
-/// `stress_parallel` entry's stream (the whole multihome workload issued
+/// `stress_upfront` entry's stream (the whole multihome workload issued
 /// ~1 ns apart and drained in one `run_to_quiescence`). This is the
 /// stream the dense-contention hot path (pending slab, snoop batching,
 /// fast path) reshapes internally, so it is pinned separately from the
 /// wave-driven `stress` anchor: [`check_determinism`] verifies both.
 pub const PINNED_UPFRONT_CHECKSUM_FULL: u64 = 0x09b49727d30b6680;
 /// The pinned quick-mode upfront-batch checksum (also pinned by
-/// `parallel_quick_stress_checksum_pinned`).
+/// `upfront_quick_stress_checksum_pinned`).
 pub const PINNED_UPFRONT_CHECKSUM_QUICK: u64 = 0x0c896c524bd5265a;
 
 /// Parameters of the stress workload.
@@ -340,17 +336,12 @@ pub fn stress(cfg: &StressConfig) -> StressResult {
 /// Issues the whole workload up front — `requests` mixed operations
 /// spaced ~1 ns apart — and drains it with a single `run_to_quiescence`.
 ///
-/// This is the driver shape for the parallel executor: one big batch
-/// amortizes the per-run thread spawn and lets tick windows carry many
-/// events between barriers. With `threads <= 1` the engine runs the
-/// identical workload sequentially, which is the reference stream the
-/// parallel run must reproduce bit-for-bit (asserted by
-/// [`stress_parallel_pair`] and the determinism tests).
-pub fn stress_upfront(cfg: &StressConfig, threads: usize) -> StressResult {
+/// The dense batch keeps far more requests in flight per cache than
+/// the wave driver (MSHR occupancy mean ~48 vs ~3), so it exercises
+/// deep pending lists, snoop batching and the far-future queue tier
+/// harder.
+pub fn stress_upfront(cfg: &StressConfig) -> StressResult {
     let (mut eng, agents) = build_engine(cfg);
-    if threads > 1 {
-        eng.set_parallel(Some(simcxl_coherence::ParallelConfig::new(threads)));
-    }
     let mut rng = SimRng::new(cfg.seed);
     let start = Instant::now();
     for i in 0..cfg.requests {
@@ -368,12 +359,6 @@ pub fn stress_upfront(cfg: &StressConfig, threads: usize) -> StressResult {
     }
     let wall_secs = start.elapsed().as_secs_f64();
     eng.verify_invariants();
-    if threads > 1 {
-        assert!(
-            eng.parallel_runs() > 0,
-            "parallel stress never engaged the parallel executor"
-        );
-    }
     StressResult {
         events: eng.events_dispatched(),
         completions,
@@ -382,54 +367,6 @@ pub fn stress_upfront(cfg: &StressConfig, threads: usize) -> StressResult {
         per_home: eng.home_stats_view(),
         profile: eng.profile(),
     }
-}
-
-/// Runs the upfront workload sequentially and on `threads` shards and
-/// checks the streams agree; returns `(sequential, parallel)`.
-///
-/// The sequential reference gets the same best-of-two treatment as the
-/// wave variants (`best_of_two`): two runs, checksum-asserted equal,
-/// faster wall clock kept — so the reported `sequential` numbers carry
-/// the same noise resistance as every other entry in the file.
-///
-/// # Panics
-///
-/// Panics if the two sequential runs disagree, or if the parallel run's
-/// completion checksum, event count or completion count diverges from
-/// the sequential run — the determinism canary the report publishes.
-pub fn stress_parallel_pair(cfg: &StressConfig, threads: usize) -> (StressResult, StressResult) {
-    let seq_a = stress_upfront(cfg, 1);
-    let seq_b = stress_upfront(cfg, 1);
-    assert_eq!(
-        seq_a.checksum, seq_b.checksum,
-        "upfront stress workload is nondeterministic"
-    );
-    let seq = if seq_b.wall_secs < seq_a.wall_secs {
-        seq_b
-    } else {
-        seq_a
-    };
-    let par = stress_upfront(cfg, threads);
-    assert_eq!(
-        seq.checksum, par.checksum,
-        "parallel completion stream diverged from sequential"
-    );
-    assert_eq!(seq.events, par.events, "parallel event count diverged");
-    assert_eq!(seq.completions, par.completions);
-    (seq, par)
-}
-
-/// Worker-shard count the report's `stress_parallel` entry uses: all
-/// hardware threads, at least 2 (so the parallel path is exercised even
-/// on a single-core CI container), at most one shard per home.
-pub fn report_threads(homes: usize) -> usize {
-    hw_threads().clamp(2, homes.max(2))
-}
-
-/// The host's available hardware parallelism (recorded in the report so
-/// single-core container numbers are interpretable).
-pub fn hw_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Wall-clock timings of the per-figure regenerators (quick trial counts:
@@ -462,12 +399,12 @@ pub fn figure_timings(quick: bool) -> Vec<(&'static str, f64)> {
     rows
 }
 
-/// Runs a stress config twice (determinism check) and keeps the
+/// Runs a stress driver twice (determinism check) and keeps the
 /// faster run — wall-clock minimum is the standard noise-resistant
 /// statistic (matches the vendored criterion's min column).
-fn best_of_two(cfg: &StressConfig) -> StressResult {
-    let first = stress(cfg);
-    let second = stress(cfg);
+fn best_of_two(cfg: &StressConfig, run: fn(&StressConfig) -> StressResult) -> StressResult {
+    let first = run(cfg);
+    let second = run(cfg);
     assert_eq!(
         first.checksum, second.checksum,
         "stress workload is nondeterministic"
@@ -479,12 +416,10 @@ fn best_of_two(cfg: &StressConfig) -> StressResult {
     }
 }
 
-// The v6 `profile` block: the engine's always-on hot-path counters for
+// The `profile` block: the engine's always-on hot-path counters for
 // this run (see README for field-by-field docs). Histograms are
 // summarized as count/mean/max — the committed numbers a perf PR argues
 // from; the full bucket vectors stay available via the library API.
-// v6 appends the parallel-executor `pool` counters (all zero when every
-// run in the variant stayed sequential).
 fn push_profile(out: &mut String, r: &StressResult) {
     let p = &r.profile;
     out.push_str("    \"profile\": {\n");
@@ -506,18 +441,15 @@ fn push_profile(out: &mut String, r: &StressResult) {
         ("snoop_fanout", &p.snoop_fanout),
         ("mshr_occupancy", &p.mshr_occupancy),
     ];
-    for (name, h) in hists.iter() {
+    for (i, (name, h)) in hists.iter().enumerate() {
         out.push_str(&format!(
-            "      \"{name}\": {{\"count\": {}, \"mean\": {:.2}, \"max\": {}}},\n",
+            "      \"{name}\": {{\"count\": {}, \"mean\": {:.2}, \"max\": {}}}{}\n",
             h.count,
             h.mean(),
             h.max,
+            if i + 1 < hists.len() { "," } else { "" }
         ));
     }
-    out.push_str(&format!(
-        "      \"pool\": {{\"windows\": {}, \"widened_windows\": {}, \"barrier_waits\": {}, \"msgs_crossed\": {}}}\n",
-        p.pool.windows, p.pool.widened_windows, p.pool.barrier_waits, p.pool.msgs_crossed,
-    ));
     out.push_str("    },\n");
 }
 
@@ -596,58 +528,6 @@ fn push_weighted_section(out: &mut String, cfg: &StressConfig, r: &StressResult)
     out.push_str("  },\n");
 }
 
-/// The `stress_parallel` report section: the upfront-batch multihome
-/// workload run on worker shards, with its sequential reference run and
-/// both speedup ratios (`vs_sequential`: same workload, threads as the
-/// only variable; `vs_multihome`: against the wave-driven `multihome`
-/// entry, the ROADMAP's baseline-to-beat).
-fn push_parallel_section(
-    out: &mut String,
-    cfg: &StressConfig,
-    threads: usize,
-    seq: &StressResult,
-    par: &StressResult,
-    multihome_events_per_sec: f64,
-) {
-    out.push_str(&format!("    \"caches\": {},\n", cfg.caches));
-    out.push_str(&format!("    \"homes\": {},\n", cfg.homes));
-    out.push_str(&format!("    \"threads\": {threads},\n"));
-    out.push_str(&format!("    \"hw_threads\": {},\n", hw_threads()));
-    out.push_str(&format!("    \"requests\": {},\n", cfg.requests));
-    out.push_str(&format!("    \"events\": {},\n", par.events));
-    out.push_str(&format!("    \"completions\": {},\n", par.completions));
-    out.push_str(&format!("    \"wall_secs\": {:.4},\n", par.wall_secs));
-    out.push_str(&format!(
-        "    \"events_per_sec\": {:.0},\n",
-        par.events_per_sec()
-    ));
-    out.push_str(&format!(
-        "    \"ns_per_event\": {:.1},\n",
-        par.ns_per_event()
-    ));
-    out.push_str(&format!("    \"checksum\": \"{:#018x}\",\n", par.checksum));
-    // `stress_parallel_pair` asserted checksum/event equality, so this
-    // field is a recorded fact, not an aspiration.
-    out.push_str("    \"matches_sequential_stream\": true,\n");
-    out.push_str(&format!(
-        "    \"sequential\": {{\"wall_secs\": {:.4}, \"events_per_sec\": {:.0}, \"ns_per_event\": {:.1}}},\n",
-        seq.wall_secs,
-        seq.events_per_sec(),
-        seq.ns_per_event()
-    ));
-    out.push_str(&format!(
-        "    \"speedup_vs_sequential\": {:.2},\n",
-        par.events_per_sec() / seq.events_per_sec()
-    ));
-    out.push_str(&format!(
-        "    \"speedup_vs_multihome\": {:.2},\n",
-        par.events_per_sec() / multihome_events_per_sec
-    ));
-    push_profile(out, par);
-    push_per_home(out, par);
-    out.push_str("  },\n");
-}
-
 /// Renders the hot-path report as JSON (see README for the schema).
 pub fn report_json(quick: bool) -> String {
     let (cfg, mh_cfg, w_cfg) = if quick {
@@ -663,24 +543,23 @@ pub fn report_json(quick: bool) -> String {
             StressConfig::multihome_weighted(),
         )
     };
-    let r = best_of_two(&cfg);
-    let mh = best_of_two(&mh_cfg);
-    let wt = best_of_two(&w_cfg);
+    let r = best_of_two(&cfg, stress);
+    let mh = best_of_two(&mh_cfg, stress);
+    let wt = best_of_two(&w_cfg, stress);
     if !quick {
         // The acceptance gate on the committed entry: the full-size
         // weighted run must track its weights or the report refuses to
-        // exist (mirrors stress_parallel's stream-equality assert).
+        // exist.
         let err = wt.per_home.balance_error();
         assert!(
             err <= BALANCE_ERROR_GATE,
             "weighted stress balance_error {err:.4} exceeds the {BALANCE_ERROR_GATE} gate"
         );
     }
-    let threads = report_threads(mh_cfg.homes);
-    let (p_seq, p_par) = stress_parallel_pair(&mh_cfg, threads);
+    let up = best_of_two(&mh_cfg, stress_upfront);
     let figs = figure_timings(quick);
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"simcxl-hotpath/v6\",\n");
+    out.push_str("  \"schema\": \"simcxl-hotpath/v7\",\n");
     out.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if quick { "quick" } else { "full" }
@@ -691,15 +570,8 @@ pub fn report_json(quick: bool) -> String {
     push_stress_section(&mut out, &mh_cfg, &mh);
     out.push_str("  \"multihome_weighted\": {\n");
     push_weighted_section(&mut out, &w_cfg, &wt);
-    out.push_str("  \"stress_parallel\": {\n");
-    push_parallel_section(
-        &mut out,
-        &mh_cfg,
-        threads,
-        &p_seq,
-        &p_par,
-        mh.events_per_sec(),
-    );
+    out.push_str("  \"stress_upfront\": {\n");
+    push_stress_section(&mut out, &mh_cfg, &up);
     out.push_str("  \"figures\": [\n");
     for (i, (name, secs)) in figs.iter().enumerate() {
         out.push_str(&format!(
@@ -797,7 +669,7 @@ pub fn summary(json: &str) -> String {
         "stress",
         "multihome",
         "multihome_weighted",
-        "stress_parallel",
+        "stress_upfront",
     ] {
         match extract_section(json, key) {
             Some(sec) => out.push_str(&format!("\"{key}\": {sec}\n")),
@@ -812,9 +684,8 @@ pub fn summary(json: &str) -> String {
 
 /// Renders a GitHub-flavored markdown digest of a `BENCH_hotpath.json`
 /// for `$GITHUB_STEP_SUMMARY`: one table row per stress variant
-/// (events/sec, ns/event, checksum), then the parallel-executor
-/// headline (threads, speedups, pool counters) and the weighted-stress
-/// balance gate. Pure report-reading — safe to call on any v6 file.
+/// (events/sec, ns/event, checksum), then the weighted-stress balance
+/// gate. Pure report-reading — safe to call on any v7 file.
 pub fn github_summary(json: &str) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -828,7 +699,7 @@ pub fn github_summary(json: &str) -> String {
         "stress",
         "multihome",
         "multihome_weighted",
-        "stress_parallel",
+        "stress_upfront",
     ] {
         let sec = extract_section(json, key);
         let field = |name: &str| {
@@ -843,20 +714,6 @@ pub fn github_summary(json: &str) -> String {
             field("checksum"),
         ));
     }
-    if let Some(sec) = extract_section(json, "stress_parallel") {
-        let field = |name: &str| extract_scalar(sec, name).unwrap_or("?").to_owned();
-        out.push_str(&format!(
-            "\nparallel: {} threads ({} hw), speedup vs sequential {}, vs multihome {}\n",
-            field("threads"),
-            field("hw_threads"),
-            field("speedup_vs_sequential"),
-            field("speedup_vs_multihome"),
-        ));
-        if let Some(pool) = extract_section(sec, "profile").and_then(|p| extract_section(p, "pool"))
-        {
-            out.push_str(&format!("pool counters: `{pool}`\n"));
-        }
-    }
     if let Some(err) =
         extract_section(json, "multihome_weighted").and_then(|s| extract_scalar(s, "balance_error"))
     {
@@ -869,7 +726,7 @@ pub fn github_summary(json: &str) -> String {
 
 /// Checks the determinism canaries of a `BENCH_hotpath.json`: the
 /// wave-driven `stress` checksum and the dense upfront-batch
-/// `stress_parallel` checksum must both equal their pinned values for
+/// `stress_upfront` checksum must both equal their pinned values for
 /// the report's mode ([`PINNED_STRESS_CHECKSUM_FULL`] /
 /// [`PINNED_UPFRONT_CHECKSUM_FULL`] and the `_QUICK` pair). Returns the
 /// verified `stress` checksum, or a description of the drift.
@@ -908,11 +765,11 @@ pub fn check_determinism(json: &str) -> Result<u64, String> {
              crates/bench/src/hotpath.rs"
         ));
     }
-    let upfront = section_checksum("stress_parallel")?;
+    let upfront = section_checksum("stress_upfront")?;
     if upfront != pinned_upfront {
         return Err(format!(
             "dense upfront-batch checksum drifted: got {upfront:#018x}, pinned \
-             {pinned_upfront:#018x} ({mode} mode) — the stress_parallel completion stream \
+             {pinned_upfront:#018x} ({mode} mode) — the stress_upfront completion stream \
              changed; if intentional, update the pins in crates/bench/src/hotpath.rs"
         ));
     }
@@ -933,20 +790,12 @@ pub fn profile_summary(json: &str) -> String {
         "stress",
         "multihome",
         "multihome_weighted",
-        "stress_parallel",
+        "stress_upfront",
     ] {
         match extract_section(json, key).and_then(|sec| extract_section(sec, "profile")) {
             Some(p) => out.push_str(&format!("\"{key}\": {p}\n")),
             None => out.push_str(&format!("\"{key}\": <no profile block (pre-v5 report?)>\n")),
         }
-    }
-    // The v6 pool counters of the parallel variant, pulled up as a
-    // headline line so the CI log shows executor behaviour at a glance.
-    if let Some(pool) = extract_section(json, "stress_parallel")
-        .and_then(|sec| extract_section(sec, "profile"))
-        .and_then(|p| extract_section(p, "pool"))
-    {
-        out.push_str(&format!("stress_parallel pool: {pool}\n"));
     }
     out
 }
@@ -1005,7 +854,7 @@ mod tests {
     #[test]
     fn report_json_is_well_formed() {
         let json = report_json(true);
-        assert!(json.contains("\"schema\": \"simcxl-hotpath/v6\""));
+        assert!(json.contains("\"schema\": \"simcxl-hotpath/v7\""));
         assert!(json.contains("\"profile\""));
         assert!(json.contains("\"fast_path_rate\""));
         assert!(json.contains("\"pending_depth\""));
@@ -1015,10 +864,8 @@ mod tests {
         assert!(json.contains("\"multihome_weighted\""));
         assert!(json.contains("\"weights\": [4, 2, 1, 1]"));
         assert!(json.contains("\"balance_error\""));
-        assert!(json.contains("\"stress_parallel\""));
-        assert!(json.contains("\"pool\": {\"windows\""));
-        assert!(json.contains("\"matches_sequential_stream\": true"));
-        assert!(json.contains("\"speedup_vs_multihome\""));
+        assert!(json.contains("\"stress_upfront\""));
+        assert!(!json.contains("\"pool\""));
         assert!(json.contains("\"per_home\""));
         // Crude balance check in lieu of a JSON parser.
         assert_eq!(
@@ -1032,7 +879,7 @@ mod tests {
         assert!(s.contains("\"multihome_weighted\": {"));
         assert!(!s.contains("<missing>"), "summary lost a section:\n{s}");
         let p = profile_summary(&json);
-        assert!(p.contains("\"stress_parallel\": {"));
+        assert!(p.contains("\"stress_upfront\": {"));
         assert!(p.contains("\"busy_hit_rate\""));
         assert!(
             !p.contains("<no profile"),
@@ -1107,28 +954,12 @@ mod tests {
         assert!(extract_section(&json, "no_such_key").is_none());
     }
 
-    /// The parallel executor must reproduce the sequential stream for
-    /// the report's own workload; `stress_parallel_pair` panics on any
-    /// divergence.
+    /// Pins the quick multihome upfront-batch stream — the committed
+    /// regression anchor for the dense-contention hot path (the
+    /// full-size `BENCH_hotpath.json` entry carries the full pin).
     #[test]
-    fn parallel_stress_reproduces_sequential_stream() {
-        let cfg = StressConfig {
-            requests: 4_000,
-            ..StressConfig::multihome_quick()
-        };
-        let (seq, par) = stress_parallel_pair(&cfg, 4);
-        assert_eq!(seq.checksum, par.checksum);
-        assert_eq!(seq.per_home, par.per_home);
-    }
-
-    /// Pins the quick multihome upfront-batch stream under `threads > 1`
-    /// — the committed regression anchor for the parallel engine
-    /// (recorded from the sequential engine, which the full-size
-    /// `BENCH_hotpath.json` entry also validates against on every
-    /// refresh).
-    #[test]
-    fn parallel_quick_stress_checksum_pinned() {
-        let r = stress_upfront(&StressConfig::multihome_quick(), 2);
+    fn upfront_quick_stress_checksum_pinned() {
+        let r = stress_upfront(&StressConfig::multihome_quick());
         assert_eq!(
             r.checksum, PINNED_UPFRONT_CHECKSUM_QUICK,
             "completion stream diverged"
@@ -1147,7 +978,7 @@ mod tests {
                 requests: req,
                 ..StressConfig::multihome()
             };
-            let up = stress_upfront(&cfg, 1);
+            let up = stress_upfront(&cfg);
             let wave = stress(&cfg);
             println!(
                 "{:>4}k req: upfront {:.2}M ev/s ({} events)   wave {:.2}M ev/s ({} events)",
@@ -1168,7 +999,7 @@ mod tests {
     #[ignore = "manual perf probe; run with --ignored --nocapture in release"]
     fn upfront_sequential_probe() {
         for i in 0..3 {
-            let up = stress_upfront(&StressConfig::multihome(), 1);
+            let up = stress_upfront(&StressConfig::multihome());
             let wave = stress(&StressConfig::full());
             println!(
                 "upfront {:.2}M ev/s ({} events)   wave {:.2}M ev/s ({} events)",

@@ -36,7 +36,7 @@
 //!   the pinned checksums for the report's mode and exits 1 on drift —
 //!   the gating determinism canaries of the CI perf job (`hotpath` pins
 //!   the wave-driven `stress` checksum *and* the dense upfront-batch
-//!   `stress_parallel` checksum; `scenarios`, `faults`, and `rebalance`
+//!   `stress_upfront` checksum; `scenarios`, `faults`, and `rebalance`
 //!   pin all three of their case checksums). `all --check-determinism`
 //!   verifies all four suite reports in one gating invocation — the
 //!   consolidated CI determinism gate — failing with every drifted

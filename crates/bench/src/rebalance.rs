@@ -19,11 +19,6 @@ use crate::hotpath::{extract_scalar, extract_section};
 use cohet::rebalance::RebalanceCase;
 use cohet::RebalanceOutcome;
 
-/// Worker shards the bench runs on. The outcome is bit-identical at
-/// every thread count (the engine's determinism contract), so this
-/// only changes wall-clock time — the pins hold on any runner.
-pub const BENCH_THREADS: usize = 4;
-
 /// The fixed seed: these runs exist to be reproduced, not sampled.
 pub const BENCH_SEED: u64 = 0x5EBA;
 
@@ -155,12 +150,11 @@ pub fn report_json(quick: bool) -> String {
         "  \"mode\": \"{}\",\n",
         if quick { "quick" } else { "full" }
     ));
-    out.push_str(&format!("  \"threads\": {BENCH_THREADS},\n"));
     out.push_str(&format!("  \"seed\": {BENCH_SEED},\n"));
     let n = pops.len();
     for (i, (case, clients)) in pops.into_iter().enumerate() {
         let start = std::time::Instant::now();
-        let r = case.run(clients, BENCH_SEED, BENCH_THREADS);
+        let r = case.run(clients, BENCH_SEED, 1);
         let wall = start.elapsed().as_secs_f64();
         r.assert_gates();
         push_case(&mut out, &r, wall, i + 1 == n);
@@ -332,7 +326,7 @@ mod tests {
             .into_iter()
             .zip(PINNED_REBALANCE_CHECKSUMS_QUICK)
         {
-            let out = case.run(clients, BENCH_SEED, BENCH_THREADS);
+            let out = case.run(clients, BENCH_SEED, 1);
             out.assert_gates();
             assert_eq!(out.name, name);
             assert_eq!(

@@ -94,66 +94,6 @@ impl Default for HomeConfig {
     }
 }
 
-/// Policy for the engine's parallel per-shard executor.
-///
-/// The executor is only *engaged* for a [`run_until`] call when all of
-/// the following hold — otherwise the call runs on the (always
-/// equivalent) sequential path:
-///
-/// * `threads >= 2`,
-/// * at least `min_queue` events are pending when the run starts (a
-///   window-synchronized run is all overhead for tiny batches), and
-/// * the engine's configuration has a positive *lookahead* (minimum
-///   cross-shard message latency) to derive the barrier window from.
-///
-/// Because the parallel executor reproduces the sequential completion
-/// stream bit-for-bit, this per-call engagement decision is invisible
-/// to simulation results; it only affects wall-clock time.
-///
-/// [`run_until`]: crate::ProtocolEngine::run_until
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker shard count. Homes and peer caches are distributed over
-    /// the shards round-robin; `threads - 1` OS threads are spawned (the
-    /// calling thread doubles as shard 0 plus the merge coordinator).
-    pub threads: usize,
-    /// Minimum pending events before a run engages the parallel path.
-    pub min_queue: usize,
-}
-
-impl ParallelConfig {
-    /// Default engagement threshold: below this many pending events a
-    /// windowed parallel run is dominated by barrier overhead.
-    ///
-    /// Re-tuned for the persistent worker pool: workers are spawned once
-    /// per engine and parked between runs, so a `run_until` call no
-    /// longer pays a per-call thread-spawn bill and only the phase
-    /// synchronization cost has to be amortized. The old threshold (512,
-    /// sized to amortize `thread::scope` spawns) kept wave-style drivers
-    /// — scenario, fault, and rebalance loops issuing hundreds of small
-    /// `run_until` calls — permanently sequential; 128 lets those waves
-    /// engage while still skipping truly tiny batches.
-    pub const DEFAULT_MIN_QUEUE: usize = 128;
-
-    /// Policy for `threads` shards with the default engagement
-    /// threshold.
-    pub fn new(threads: usize) -> Self {
-        ParallelConfig {
-            threads,
-            min_queue: Self::DEFAULT_MIN_QUEUE,
-        }
-    }
-
-    /// Engage regardless of queue depth (used by determinism tests that
-    /// drive small workloads through the parallel path).
-    pub fn always(threads: usize) -> Self {
-        ParallelConfig {
-            threads,
-            min_queue: 0,
-        }
-    }
-}
-
 /// Engine-wide configuration.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineConfig {
@@ -181,16 +121,6 @@ mod tests {
         assert!(l1.link.latency < hmc.link.latency);
         assert_eq!(hmc.size_bytes, 128 * 1024);
         assert_eq!(hmc.ways, 4);
-    }
-
-    #[test]
-    fn min_queue_default_tuned_for_persistent_pool() {
-        // The pool-world threshold: small enough that a 256-request wave
-        // (the scenario drivers' canonical batch) clears it, large enough
-        // that per-request trickles stay sequential.
-        assert_eq!(ParallelConfig::DEFAULT_MIN_QUEUE, 128);
-        assert_eq!(ParallelConfig::new(4).min_queue, 128);
-        assert_eq!(ParallelConfig::always(4).min_queue, 0);
     }
 
     #[test]

@@ -3,19 +3,19 @@
 
 use crate::array::LineState;
 use crate::cache::{CacheAgent, CacheStats, Outbox};
-use crate::config::{CacheConfig, EngineConfig, HomeConfig, ParallelConfig};
+use crate::config::{CacheConfig, EngineConfig, HomeConfig};
 use crate::fault::{self, FaultPlan, FaultState, FaultStatsView, Hop, RehomeStats};
 use crate::funcmem::FuncMem;
 use crate::home::{DirEntry, HomeAgent, HomeOutbox, HomeStats};
 use crate::msg::{AgentId, HitLevel, MemOp, Msg, MsgKind, ReqId};
 use crate::topology::{HomeId, Topology};
-use sim_core::{EventQueue, Link, LinkConfig, SimRng, Tick};
+use sim_core::{EventQueue, Link, SimRng, Tick};
 use simcxl_mem::{AddrRange, DramConfig, DramKind, MemoryInterface, PhysAddr};
 
 pub use crate::msg::Completion;
 
 #[derive(Debug)]
-pub(crate) enum Ev {
+enum Ev {
     /// An external request reaches its cache agent.
     Issue { req: ReqId },
     /// A protocol message arrives at `dst`. `level` piggybacks the hit
@@ -43,7 +43,7 @@ pub(crate) enum Ev {
 /// variant tag, hit level, message kind + dirty flag, and the home / from
 /// / dst indices.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PackedEv {
+struct PackedEv {
     a: u64,
     b: u64,
 }
@@ -131,7 +131,7 @@ fn code_kind(code: u64, dirty: bool) -> MsgKind {
 }
 
 impl Ev {
-    pub(crate) fn pack(self) -> PackedEv {
+    fn pack(self) -> PackedEv {
         match self {
             Ev::Issue { req } => PackedEv {
                 a: req.0,
@@ -165,7 +165,7 @@ impl Ev {
 }
 
 impl PackedEv {
-    pub(crate) fn unpack(self) -> Ev {
+    fn unpack(self) -> Ev {
         let field = |shift: u32, bits: u32| (self.b >> shift) & ((1 << bits) - 1);
         match self.b & 0b11 {
             EV_TAG_ISSUE => Ev::Issue { req: ReqId(self.a) },
@@ -189,10 +189,10 @@ impl PackedEv {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Request {
-    pub(crate) agent: AgentId,
-    pub(crate) op: MemOp,
-    pub(crate) addr: PhysAddr,
+struct Request {
+    agent: AgentId,
+    op: MemOp,
+    addr: PhysAddr,
     issued: Tick,
 }
 
@@ -250,7 +250,6 @@ pub struct ProtocolEngineBuilder {
     config: EngineConfig,
     memory: Option<MemoryInterface>,
     jitter_ns: Option<(u64, f64)>,
-    parallel: Option<ParallelConfig>,
     fault: Option<FaultPlan>,
     fast_path: Option<bool>,
 }
@@ -320,32 +319,11 @@ impl ProtocolEngineBuilder {
         self
     }
 
-    /// Enables parallel per-shard execution on `threads` worker shards
-    /// (see [`ParallelConfig`]; this uses its default engagement
-    /// threshold). `threads <= 1` leaves the engine sequential.
-    ///
-    /// The parallel executor is *stream-preserving*: any run produces
-    /// the byte-identical completion stream the sequential engine
-    /// produces, at every thread count — see the
-    /// [`parallel`](crate::parallel) module docs for how.
-    pub fn parallel(mut self, threads: usize) -> Self {
-        self.parallel = Some(ParallelConfig::new(threads));
-        self
-    }
-
-    /// Enables parallel execution with full control over the engagement
-    /// policy (thread count and minimum queue depth).
-    pub fn parallel_config(mut self, cfg: ParallelConfig) -> Self {
-        self.parallel = Some(cfg);
-        self
-    }
-
     /// Arms a deterministic fault-injection plan (see
     /// [`fault`] module). Fault decisions are pure functions of
     /// the plan's seed and each message's own coordinates, so the same
-    /// plan reproduces bit-identical completion streams at any thread
-    /// count; they only ever *add* latency, preserving the parallel
-    /// executor's lookahead bound. An empty plan is equivalent to none.
+    /// plan reproduces bit-identical completion streams on every rerun.
+    /// An empty plan is equivalent to none.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -419,7 +397,6 @@ impl ProtocolEngineBuilder {
         });
         ProtocolEngine {
             queue: EventQueue::new(),
-            next_seq: 0,
             now: Tick::ZERO,
             topology,
             homes,
@@ -433,11 +410,6 @@ impl ProtocolEngineBuilder {
             jitter: self.jitter_ns.map(|(seed, sd)| (SimRng::new(seed), sd)),
             outbox: Outbox::default(),
             home_outbox: HomeOutbox::default(),
-            parallel: self.parallel,
-            parallel_runs: 0,
-            pool: None,
-            pool_counters: crate::profile::PoolCounters::default(),
-            pool_widen: 1,
             fault,
         }
     }
@@ -449,50 +421,29 @@ impl ProtocolEngineBuilder {
 /// end-to-end example.
 #[derive(Debug)]
 pub struct ProtocolEngine {
-    pub(crate) queue: EventQueue<PackedEv>,
-    /// Global tie-break counter: every scheduled event gets the next
-    /// value, whether it is pushed into the sequential queue or routed
-    /// through the parallel executor's per-shard queues. One counter for
-    /// both paths is what makes them produce identical streams.
-    pub(crate) next_seq: u64,
-    pub(crate) now: Tick,
+    queue: EventQueue<PackedEv>,
+    now: Tick,
     /// Which home owns which address; routes every request, snoop
     /// response, writeback and replay.
     topology: Topology,
     /// One directory shard per home in the topology; `homes[h.index()]`
     /// owns exactly the lines with `topology.home_for(addr) == h`.
-    pub(crate) homes: Vec<HomeAgent>,
+    homes: Vec<HomeAgent>,
     mem: MemAgent,
-    pub(crate) caches: Vec<CacheAgent>,
+    caches: Vec<CacheAgent>,
     /// Outstanding-request slab, indexed by the slot half of [`ReqId`].
     /// Completed slots go on the free list, so long runs stay bounded by
     /// the peak number of *concurrent* requests, not the total issued.
     requests: Vec<ReqSlot>,
     free_slots: Vec<u32>,
-    pub(crate) events: u64,
+    events: u64,
     func: FuncMem,
-    pub(crate) completions: Vec<Completion>,
+    completions: Vec<Completion>,
     jitter: Option<(SimRng, f64)>,
     outbox: Outbox,
     home_outbox: HomeOutbox,
-    pub(crate) parallel: Option<ParallelConfig>,
-    /// How many runs actually engaged the parallel executor.
-    pub(crate) parallel_runs: u64,
-    /// The persistent worker pool backing parallel runs. Created lazily
-    /// on the first `run_until` that engages and reused by every later
-    /// one (workers park between windows and between runs); dropped —
-    /// joining its threads — when the engine drops or the executor is
-    /// disabled via [`set_parallel`](Self::set_parallel).
-    pub(crate) pool: Option<sim_core::WorkerPool>,
-    /// Cumulative parallel-executor counters (see
-    /// [`PoolCounters`](crate::profile::PoolCounters)).
-    pub(crate) pool_counters: crate::profile::PoolCounters,
-    /// Current adaptive window-widening factor (power of two, ≥ 1).
-    /// Persists across `run_until` calls so wave-style drivers keep the
-    /// width they converged to.
-    pub(crate) pool_widen: u64,
     /// Armed fault-injection plan and its counters, if any.
-    pub(crate) fault: Option<FaultState>,
+    fault: Option<FaultState>,
 }
 
 impl ProtocolEngine {
@@ -584,7 +535,6 @@ impl ProtocolEngine {
         for c in &self.caches {
             p.mshr_occupancy += c.mshr_occupancy();
         }
-        p.pool = self.pool_counters;
         p
     }
 
@@ -664,26 +614,15 @@ impl ProtocolEngine {
 
     /// Looks up a live request; panics if the id was never issued or has
     /// already completed (a stale generation).
-    pub(crate) fn request(&self, req: ReqId) -> Request {
+    fn request(&self, req: ReqId) -> Request {
         let slot = &self.requests[req.slot()];
         assert_eq!(slot.gen, req.gen(), "stale request id {req}");
         slot.req.expect("request slot vacant")
     }
 
-    /// Schedules an event under the next global tie-break sequence
-    /// number (the only way events enter the sequential queue).
-    pub(crate) fn push_ev(&mut self, tick: Tick, ev: Ev) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push_at_seq(tick, seq, ev.pack());
-    }
-
-    /// Claims the next global sequence number for an event the parallel
-    /// executor routes itself.
-    pub(crate) fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
+    /// Schedules an event; same-tick events dispatch in push order.
+    fn push_ev(&mut self, tick: Tick, ev: Ev) {
+        self.queue.push(tick, ev.pack());
     }
 
     /// Time of the next pending event.
@@ -733,17 +672,7 @@ impl ProtocolEngine {
     }
 
     /// Runs all events up to and including `t`; returns completions.
-    ///
-    /// When a [`ParallelConfig`] is set (builder
-    /// [`parallel`](ProtocolEngineBuilder::parallel) /
-    /// [`set_parallel`](Self::set_parallel)) and the pending batch is
-    /// large enough, the run executes on per-shard worker threads; the
-    /// returned completion stream is byte-identical either way (see the
-    /// [`parallel`](crate::parallel) module).
     pub fn run_until(&mut self, t: Tick) -> Vec<Completion> {
-        if let Some(shards) = self.parallel_shards(t) {
-            return self.run_until_parallel(t, shards);
-        }
         // `pop_before` fuses the old peek-then-pop pair into a single
         // queue traversal — the dispatch loop is the simulator's hottest
         // path.
@@ -757,96 +686,6 @@ impl ProtocolEngine {
             self.now = t;
         }
         std::mem::take(&mut self.completions)
-    }
-
-    /// Enables (`threads >= 2`) or disables (`None` / `threads <= 1`)
-    /// the parallel executor on an already-built engine.
-    ///
-    /// Disabling drops the persistent worker pool (joining its threads);
-    /// re-enabling later re-creates it lazily on the next engaging run.
-    /// Changing the thread count keeps an already-spawned pool when it is
-    /// large enough and grows it (once) otherwise.
-    pub fn set_parallel(&mut self, cfg: Option<ParallelConfig>) {
-        self.parallel = cfg;
-        if cfg.is_none_or(|c| c.threads < 2) {
-            self.pool = None;
-        }
-    }
-
-    /// How many runs engaged the parallel executor so far (perf
-    /// accounting; the streams are identical either way).
-    pub fn parallel_runs(&self) -> u64 {
-        self.parallel_runs
-    }
-
-    /// Cumulative parallel-executor counters (all zero while every run
-    /// stayed sequential). Also folded into [`profile`](Self::profile).
-    pub fn pool_counters(&self) -> crate::profile::PoolCounters {
-        self.pool_counters
-    }
-
-    /// OS thread ids of the persistent worker pool, in worker order;
-    /// `None` until a run has engaged the parallel executor (the pool is
-    /// spawned lazily). Stable across runs — the spawn-once contract
-    /// tests assert on exactly this.
-    pub fn pool_thread_ids(&self) -> Option<Vec<std::thread::ThreadId>> {
-        self.pool.as_ref().map(|p| p.thread_ids())
-    }
-
-    /// Shard count to engage for a run bounded at `t`, or `None` to
-    /// stay on the sequential path. See [`ParallelConfig`] for the
-    /// policy.
-    fn parallel_shards(&self, t: Tick) -> Option<usize> {
-        let cfg = self.parallel?;
-        if cfg.threads < 2 || self.queue.len() < cfg.min_queue.max(1) {
-            return None;
-        }
-        // A bounded run with nothing due by `t` would pay the whole
-        // distribute/spawn/reassemble cycle to execute zero events.
-        if self.queue.peek_tick().is_none_or(|next| next > t) {
-            return None;
-        }
-        if self.parallel_lookahead() == Tick::ZERO {
-            return None;
-        }
-        // More shards than agents would only add idle workers.
-        Some(cfg.threads.min(self.homes.len().max(self.caches.len()))).filter(|&n| n >= 2)
-    }
-
-    /// The engine's cross-shard lookahead: a lower bound on the delay
-    /// between dispatching any event and the earliest event it can
-    /// schedule on *another* shard (or that memory can schedule on a
-    /// shard). The parallel executor's barrier window must not exceed
-    /// this, so that everything produced inside a window lands in a
-    /// later one. Self-shard paths (snoop deferrals on locked lines) are
-    /// exempt: the shard replays those locally within the window.
-    ///
-    /// `Tick::ZERO` (possible only with zero-latency link configs) means
-    /// no window exists and the engine stays sequential.
-    pub(crate) fn parallel_lookahead(&self) -> Tick {
-        let floor = |l: &LinkConfig| l.latency + l.serialize_time(16);
-        let mut w = Tick::MAX;
-        // cache -> home: WbData/evictions send with no added latency, so
-        // only the link itself bounds the hop.
-        for c in &self.caches {
-            w = w.min(floor(&c.config().link));
-        }
-        // home -> cache: every grant/snoop pays at least the smaller of
-        // the lookup/refill pipeline latencies plus the response link.
-        for h in &self.homes {
-            w = w.min(h.reply_floor(floor));
-        }
-        // memory -> home: replies pay the controller front latency plus
-        // the home's memory port link. (home -> memory needs no bound:
-        // the memory agent is coordinator-owned.)
-        for (link, front) in &self.mem.ports {
-            w = w.min(*front + floor(link.config()));
-        }
-        if w == Tick::MAX {
-            Tick::ZERO
-        } else {
-            w
-        }
     }
 
     fn dispatch(&mut self, ev: Ev) {
@@ -881,10 +720,8 @@ impl ProtocolEngine {
 
     /// Retires a request at time `now`: recycles its slab slot, applies
     /// the operation to functional memory and appends the
-    /// [`Completion`]. Shared by the sequential dispatcher and the
-    /// parallel coordinator (completions are merge-ordered there, which
-    /// is what keeps the reported stream identical).
-    pub(crate) fn apply_complete(&mut self, now: Tick, req: ReqId, level: HitLevel) {
+    /// [`Completion`].
+    fn apply_complete(&mut self, now: Tick, req: ReqId, level: HitLevel) {
         let slot = &mut self.requests[req.slot()];
         assert_eq!(slot.gen, req.gen(), "completion for stale request {req}");
         let r = slot.req.take().expect("completion for unknown request");
@@ -988,25 +825,10 @@ impl ProtocolEngine {
         self.home_outbox = out;
     }
 
+    /// Services a memory-agent message: reads schedule the `MemData`
+    /// reply, writes are posted.
     fn handle_mem(&mut self, msg: Msg) {
-        if let Some((arrival, reply)) = self.handle_mem_at(msg, self.now) {
-            self.push_ev(
-                arrival,
-                Ev::Deliver {
-                    dst: AgentId::HOME,
-                    msg: reply,
-                    level: None,
-                },
-            );
-        }
-    }
-
-    /// Services a memory-agent message at time `now`; returns the
-    /// `MemData` reply (arrival tick and message) for reads, `None` for
-    /// posted writes. Shared by the sequential dispatcher (which pushes
-    /// the reply) and the parallel coordinator (which routes it to the
-    /// destination home's shard).
-    pub(crate) fn handle_mem_at(&mut self, msg: Msg, now: Tick) -> Option<(Tick, Msg)> {
+        let now = self.now;
         let extra = self.mem.extra_for(msg.addr);
         // `msg.home` names the requesting home; replies return through
         // that home's memory port.
@@ -1036,15 +858,19 @@ impl ProtocolEngine {
                         msg.addr,
                     );
                 }
-                Some((
+                self.push_ev(
                     arrival,
-                    Msg {
-                        kind: MsgKind::MemData,
-                        addr: msg.addr,
-                        from: AgentId::MEMORY,
-                        home: msg.home,
+                    Ev::Deliver {
+                        dst: AgentId::HOME,
+                        msg: Msg {
+                            kind: MsgKind::MemData,
+                            addr: msg.addr,
+                            from: AgentId::MEMORY,
+                            home: msg.home,
+                        },
+                        level: None,
                     },
-                ))
+                );
             }
             MsgKind::MemWr => {
                 let mut start = now + front + extra;
@@ -1055,7 +881,6 @@ impl ProtocolEngine {
                     .mem
                     .mi
                     .write(start, msg.addr, simcxl_mem::CACHELINE_BYTES);
-                None
             }
             other => panic!("memory agent received {:?}", other),
         }
@@ -1217,9 +1042,7 @@ impl ProtocolEngine {
     /// sides of the swap.
     ///
     /// The home count cannot change: a drained home simply ends up
-    /// owning no addresses (and the parallel executor's shard map,
-    /// rebuilt from [`Topology::home_weights`] on the next run, stops
-    /// scheduling it alongside hot shards).
+    /// owning no addresses.
     ///
     /// # Panics
     ///

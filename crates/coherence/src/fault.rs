@@ -8,12 +8,7 @@
 //! address, and the active window), never of processing order:
 //!
 //! * the same seed and plan reproduce bit-identical completion streams
-//!   on every rerun **at any thread count** — the parallel executor's
-//!   shards evaluate the same predicate on the same coordinates and
-//!   reach the same verdict without coordination;
-//! * faults only ever *add* latency. A delivery is never pulled
-//!   earlier, so the parallel engine's conservative lookahead window
-//!   (a lower bound on cross-shard message latency) remains valid;
+//!   on every rerun;
 //! * delivery stays FIFO per (channel, line). The coherence protocol
 //!   relies on send order for messages about one line on one channel;
 //!   a retry penalty that varied per transfer could let a later send
@@ -43,7 +38,6 @@ use crate::topology::HomeId;
 use sim_core::{mix64, Tick, Window};
 use simcxl_mem::PhysAddr;
 use std::ops::AddAssign;
-use std::sync::Arc;
 
 /// Which link class a [`FaultKind::LinkDegrade`] event targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -306,9 +300,8 @@ struct StallRule {
     watchdog: Tick,
 }
 
-/// The compiled, immutable decision core of a plan. Shared (via `Arc`)
-/// between the sequential engine and every parallel shard; all methods
-/// are pure functions, so concurrent evaluation is trivially safe.
+/// The compiled, immutable decision core of a plan; all methods are
+/// pure functions of the seed and a message's coordinates.
 #[derive(Debug)]
 pub(crate) struct FaultCore {
     seed: u64,
@@ -354,11 +347,6 @@ impl FaultCore {
             }
         }
         core
-    }
-
-    /// Whether any rule touches link timing (fast-path skip).
-    pub(crate) fn affects_links(&self) -> bool {
-        !self.link.is_empty()
     }
 
     /// Retry count and delivery penalty for a transfer taking `hop`
@@ -547,11 +535,11 @@ impl FaultStatsView {
     }
 }
 
-/// Engine-side fault state: the shared decision core plus the mutable
+/// Engine-side fault state: the decision core plus the mutable
 /// counters the hooks update.
 #[derive(Debug)]
 pub(crate) struct FaultState {
-    pub(crate) core: Arc<FaultCore>,
+    pub(crate) core: FaultCore,
     pub(crate) link: LinkFaultStats,
     pub(crate) ports: Vec<PortFaultStats>,
 }
@@ -559,7 +547,7 @@ pub(crate) struct FaultState {
 impl FaultState {
     pub(crate) fn new(plan: &FaultPlan, nhomes: usize) -> Self {
         FaultState {
-            core: Arc::new(FaultCore::new(plan)),
+            core: FaultCore::new(plan),
             link: LinkFaultStats::default(),
             ports: vec![PortFaultStats::default(); nhomes],
         }
@@ -572,8 +560,6 @@ impl FaultState {
 
 /// Applies any link fault to a transfer that would arrive at `at`,
 /// returning the (possibly later) delivery tick and updating `stats`.
-/// Shared by the sequential drains and the parallel shards so both
-/// paths make bit-identical decisions.
 pub(crate) fn perturb_link(
     core: &FaultCore,
     stats: &mut LinkFaultStats,

@@ -390,19 +390,6 @@ impl HomeAgent {
         self.busy.is_empty()
     }
 
-    /// Lower bound on the delay between any message arriving here and
-    /// the earliest reply this agent can put on a cache link, used for
-    /// the parallel executor's lookahead. `link_floor` maps a link
-    /// config to its own minimum traversal time.
-    pub(crate) fn reply_floor(&self, link_floor: impl Fn(&sim_core::LinkConfig) -> Tick) -> Tick {
-        let base = self.cfg.lookup_latency.min(self.cfg.refill_latency);
-        self.links
-            .iter()
-            .map(|l| base + link_floor(l.config()))
-            .min()
-            .unwrap_or(Tick::MAX)
-    }
-
     fn send_to_cache(
         &mut self,
         now: Tick,

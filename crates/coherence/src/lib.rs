@@ -54,13 +54,12 @@ pub mod funcmem;
 pub mod hierarchy;
 pub mod home;
 pub mod msg;
-pub mod parallel;
 pub(crate) mod pending;
 pub mod profile;
 pub mod rebalance;
 pub mod topology;
 
-pub use config::{CacheConfig, EngineConfig, HomeConfig, ParallelConfig};
+pub use config::{CacheConfig, EngineConfig, HomeConfig};
 pub use engine::{Completion, ProtocolEngine, ProtocolEngineBuilder};
 pub use fault::{
     FaultEvent, FaultKind, FaultPlan, FaultStatsView, LinkClass, LinkFaultStats, PortFaultStats,
@@ -69,7 +68,7 @@ pub use fault::{
 pub use funcmem::{AtomicKind, FuncMem};
 pub use home::{HomeStats, HomeStatsView};
 pub use msg::{AgentId, HitLevel, MemOp, ReqId};
-pub use profile::{DepthHist, EngineProfile, PoolCounters};
+pub use profile::{DepthHist, EngineProfile};
 pub use rebalance::{RebalanceController, RebalanceDecision, RebalanceSpec};
 pub use topology::{HomeId, Topology};
 

@@ -86,52 +86,6 @@ impl AddAssign for DepthHist {
     }
 }
 
-/// Always-on counters for the persistent-pool parallel executor.
-///
-/// Maintained by the coordinator side of
-/// [`ProtocolEngine::run_until`](crate::engine::ProtocolEngine::run_until)
-/// whenever the parallel path engages, cumulative since engine
-/// construction, and zero when every run stayed sequential. All four are
-/// derived from *merge-time* state (planned vs. truncated window bounds,
-/// routed message counts), so they are deterministic for a given
-/// simulation content and shard count — they do not depend on thread
-/// scheduling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolCounters {
-    /// Macro-windows executed (both shard-parallel and coordinator-only).
-    pub windows: u64,
-    /// Macro-windows that were opened wider than one lookahead because
-    /// the previous window crossed no shard boundary.
-    pub widened_windows: u64,
-    /// Synchronization episodes paid: one per parallel phase round plus
-    /// one per shard per interior sub-window boundary inside a widened
-    /// window.
-    pub barrier_waits: u64,
-    /// Cross-shard messages routed at merges: deliveries that left their
-    /// producing shard (mailboxed to another shard or bound for the
-    /// coordinator-owned memory agents).
-    pub msgs_crossed: u64,
-}
-
-impl AddAssign for PoolCounters {
-    fn add_assign(&mut self, rhs: Self) {
-        self.windows += rhs.windows;
-        self.widened_windows += rhs.widened_windows;
-        self.barrier_waits += rhs.barrier_waits;
-        self.msgs_crossed += rhs.msgs_crossed;
-    }
-}
-
-impl fmt::Display for PoolCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "windows {} (widened {}) | barrier-waits {} | msgs-crossed {}",
-            self.windows, self.widened_windows, self.barrier_waits, self.msgs_crossed,
-        )
-    }
-}
-
 /// Aggregated hot-path counters for one engine run.
 ///
 /// Summed across all home agents and caches by
@@ -155,8 +109,6 @@ pub struct EngineProfile {
     pub snoop_fanout: DepthHist,
     /// MSHR-map occupancy observed at each cache-miss allocation.
     pub mshr_occupancy: DepthHist,
-    /// Parallel-executor counters (all zero for sequential-only runs).
-    pub pool: PoolCounters,
 }
 
 impl EngineProfile {
@@ -196,7 +148,6 @@ impl AddAssign for EngineProfile {
         self.replay_chain += rhs.replay_chain;
         self.snoop_fanout += rhs.snoop_fanout;
         self.mshr_occupancy += rhs.mshr_occupancy;
-        self.pool += rhs.pool;
     }
 }
 
@@ -223,9 +174,6 @@ impl fmt::Display for EngineProfile {
                 h.mean(),
                 h.max
             )?;
-        }
-        if self.pool != PoolCounters::default() {
-            writeln!(f, "  pool: {}", self.pool)?;
         }
         Ok(())
     }
@@ -283,28 +231,5 @@ mod tests {
         assert_eq!(a.pending_depth.count, 1);
         assert_eq!(a.requests(), 100);
         assert_eq!(EngineProfile::default().busy_hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn pool_counters_merge_and_render() {
-        let mut a = PoolCounters {
-            windows: 10,
-            widened_windows: 4,
-            barrier_waits: 12,
-            msgs_crossed: 3,
-        };
-        a += PoolCounters {
-            windows: 1,
-            widened_windows: 0,
-            barrier_waits: 2,
-            msgs_crossed: 5,
-        };
-        assert_eq!(a.windows, 11);
-        assert_eq!(a.barrier_waits, 14);
-        assert_eq!(a.msgs_crossed, 8);
-        let mut p = EngineProfile::default();
-        assert!(!format!("{p}").contains("pool:"));
-        p.pool = a;
-        assert!(format!("{p}").contains("windows 11 (widened 4)"));
     }
 }

@@ -16,8 +16,7 @@
 //!   to homes proportionally to an integer weight vector via
 //!   [`simcxl_mem::WeightedInterleave`] — the skewed host-pool +
 //!   expander-pool case where a big host DRAM should own more of the
-//!   directory (and of the parallel executor's work) than a small
-//!   expander. Equal weights degenerate to the pow2 interleave,
+//!   directory than a small expander. Equal weights degenerate to the pow2 interleave,
 //!   structurally.
 //! * **Range table** ([`Topology::ranges`]): explicit `[range] -> home`
 //!   claims with an interleaved fallback for unclaimed addresses. This
@@ -314,15 +313,13 @@ impl Topology {
     }
 
     /// Relative directory-load weight of each home, indexed by
-    /// [`HomeId`]: the stripe share a home owns under the policy. The
-    /// parallel executor balances shard assignment on these, so a
-    /// weighted topology's heavy homes do not pile onto one worker.
-    /// Interleaves are uniform (`1` each); range tables derive each
-    /// home's weight from the bytes it owns — claimed homes from their
-    /// claims' total size, fallback homes from equal shares of the
-    /// unclaimed span below the lowest claim (the host-pool proxy) — so
-    /// LPT shard assignment no longer stacks a small expander home onto
-    /// the same worker as a hot host home under the old uniform report.
+    /// [`HomeId`]: the stripe share a home owns under the policy.
+    /// [`HomeStatsView`](crate::HomeStatsView) measures load balance
+    /// against these. Interleaves are uniform (`1` each); range tables
+    /// derive each home's weight from the bytes it owns — claimed homes
+    /// from their claims' total size, fallback homes from equal shares
+    /// of the unclaimed span below the lowest claim (the host-pool
+    /// proxy).
     ///
     /// ```
     /// use simcxl_coherence::{HomeId, Topology};
@@ -535,8 +532,7 @@ mod tests {
         );
         assert_eq!(t.home_weights(), vec![2, 2, 1]);
         // A big expander dominates: 2G host span over two hosts vs. a
-        // 4G claim -> 1:1:4, so LPT puts the expander home on its own
-        // shard instead of stacking it with a host home.
+        // 4G claim -> 1:1:4.
         let t = Topology::ranges(
             3,
             vec![(AddrRange::new(PhysAddr::new(2 * G), 4 * G), HomeId(2))],
@@ -566,7 +562,7 @@ mod tests {
     fn range_weights_claim_at_zero_keeps_fallback_homes_reachable() {
         const G: u64 = 1 << 30;
         // A claim at base 0 leaves no fallback span; the fallback homes
-        // must still weigh >= 1 so shard assignment can schedule them.
+        // must still weigh >= 1 so their balance share stays defined.
         let t = Topology::ranges(
             3,
             vec![(AddrRange::new(PhysAddr::new(0), G), HomeId(2))],

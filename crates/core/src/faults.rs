@@ -21,8 +21,8 @@
 //!
 //! Every segment boundary asserts the engine's coherence invariants,
 //! and every fault decision is a pure function of the plan's seed and
-//! the message's own coordinates, so a case reruns bit-identically at
-//! any thread count — [`FaultOutcome::checksum`] is a pinnable
+//! the message's own coordinates, so a case reruns bit-identically —
+//! [`FaultOutcome::checksum`] is a pinnable
 //! artifact, exactly like the hotpath and scenario checksums.
 
 use crate::system::CohetSystem;
@@ -235,18 +235,20 @@ impl FaultCase {
     }
 
     /// Runs the case with `clients` total logical sessions split across
-    /// its segments, on `threads` engine shards. Same arguments → a
-    /// bit-identical [`FaultOutcome`] at any `threads` value.
+    /// its segments. Same arguments → a bit-identical [`FaultOutcome`].
+    ///
+    /// `_threads` has no effect: the engine is sequential. The parameter
+    /// stays until the callers that still pass it are updated.
     ///
     /// # Panics
     ///
     /// Panics if a segment boundary fails `verify_invariants` (a fault
     /// path corrupted coherence state).
-    pub fn run(&self, clients: u64, seed: u64, threads: usize) -> FaultOutcome {
+    pub fn run(&self, clients: u64, seed: u64, _threads: usize) -> FaultOutcome {
         match self {
-            FaultCase::FlakyLink => flaky_link(clients, seed, threads),
-            FaultCase::StallingExpander => stalling_expander(clients, seed, threads),
-            FaultCase::DrainUnderLoad => drain_under_load(clients, seed, threads),
+            FaultCase::FlakyLink => flaky_link(clients, seed),
+            FaultCase::StallingExpander => stalling_expander(clients, seed),
+            FaultCase::DrainUnderLoad => drain_under_load(clients, seed),
         }
     }
 }
@@ -393,7 +395,7 @@ impl Acc {
 
 /// Case 1: every cache↔home transfer on a four-home host directory
 /// retries with exponential backoff during the degraded window.
-fn flaky_link(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
+fn flaky_link(clients: u64, seed: u64) -> FaultOutcome {
     let machine = MachineSpec::GetPut {
         get_ratio: 0.6,
         think: Tick::from_ns(150),
@@ -474,7 +476,6 @@ fn flaky_link(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
             homes: 4,
             stride: PAGE_SIZE,
         })
-        .parallel(threads)
         .fault_plan(plan)
         .build();
     let fabric = sys.fabric();
@@ -490,7 +491,7 @@ fn flaky_link(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
 /// Case 2: the expander's memory port runs 2µs slow for a whole
 /// window, then stalls outright mid-window; every access is a cold
 /// expander read so the port is on the critical path of every request.
-fn stalling_expander(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
+fn stalling_expander(clients: u64, seed: u64) -> FaultOutcome {
     let machine = MachineSpec::GetPut {
         get_ratio: 1.0,
         think: Tick::from_ns(1),
@@ -575,7 +576,6 @@ fn stalling_expander(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
             stride: PAGE_SIZE,
         })
         .expander_memory(expander_bytes)
-        .parallel(threads)
         .fault_plan(plan)
         .build();
     let fabric = sys.fabric();
@@ -595,7 +595,7 @@ fn stalling_expander(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
 /// both modeled), the range is re-homed onto the host homes via
 /// [`TopologySpec::Ranges`], and traffic continues against the moved
 /// directory state.
-fn drain_under_load(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
+fn drain_under_load(clients: u64, seed: u64) -> FaultOutcome {
     let machine = MachineSpec::GetPut {
         get_ratio: 0.7,
         think: Tick::from_ns(120),
@@ -679,7 +679,6 @@ fn drain_under_load(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
         })
         .host_memory(host_mem)
         .expander_memory(128 << 20)
-        .parallel(threads)
         .fault_plan(plan)
         .build();
     let fabric = sys.fabric();
@@ -730,8 +729,7 @@ fn drain_under_load(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
     }
 
     // Re-home the expander's range onto the host homes (split evenly)
-    // while its agent stays attached owning nothing; the shard map
-    // rebuilds from the post-drain weights on the next parallel run.
+    // while its agent stays attached owning nothing.
     let half = range.size() / 2;
     let drained = TopologySpec::Ranges {
         homes: 3,
@@ -782,15 +780,13 @@ mod tests {
     }
 
     #[test]
-    fn stalling_expander_flags_starvation_and_matches_parallel() {
+    fn stalling_expander_flags_starvation() {
         let a = FaultCase::StallingExpander.run(800, 5, 1);
         a.assert_gates(false);
         assert!(a.port_slowed > 0);
         assert!(a.port_stalled > 0);
         assert!(a.port_starved > 0, "500ns watchdog must trip");
         assert!(a.port_stall_time > Tick::ZERO);
-        let b = FaultCase::StallingExpander.run(800, 5, 4);
-        assert_eq!(a, b, "thread count must not change the outcome");
     }
 
     #[test]

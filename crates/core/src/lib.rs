@@ -62,5 +62,4 @@ pub mod prelude {
     pub use crate::topo::TopologySpec;
     pub use cohet_os::VirtAddr;
     pub use simcxl_coherence::fault::{FaultKind, FaultPlan, LinkClass};
-    pub use simcxl_coherence::ParallelConfig;
 }

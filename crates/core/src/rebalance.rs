@@ -362,20 +362,22 @@ impl RebalanceCase {
         }
     }
 
-    /// Runs the case with `clients` background sessions per run, on
-    /// `threads` engine shards, twice — adaptive and static — over the
-    /// identical traffic program. Same arguments → a bit-identical
-    /// [`RebalanceOutcome`] at any `threads` value.
+    /// Runs the case with `clients` background sessions per run, twice
+    /// — adaptive and static — over the identical traffic program. Same
+    /// arguments → a bit-identical [`RebalanceOutcome`].
+    ///
+    /// `_threads` has no effect: the engine is sequential. The parameter
+    /// stays until the callers that still pass it are updated.
     ///
     /// # Panics
     ///
     /// Panics if an epoch boundary fails `verify_invariants` (a remap
     /// corrupted coherence state).
-    pub fn run(&self, clients: u64, seed: u64, threads: usize) -> RebalanceOutcome {
+    pub fn run(&self, clients: u64, seed: u64, _threads: usize) -> RebalanceOutcome {
         let spec = self.spec();
         let regimes = self.regimes();
-        let adaptive = run_epochs(&regimes, clients, seed, threads, &spec, true);
-        let static_run = run_epochs(&regimes, clients, seed, threads, &spec, false);
+        let adaptive = run_epochs(&regimes, clients, seed, &spec, true);
+        let static_run = run_epochs(&regimes, clients, seed, &spec, false);
         let checksum = adaptive
             .checksum
             .rotate_left(7)
@@ -441,7 +443,6 @@ fn run_epochs(
     regimes: &[Regime],
     clients: u64,
     seed: u64,
-    threads: usize,
     spec: &RebalanceSpec,
     adaptive: bool,
 ) -> RebalanceRun {
@@ -451,7 +452,6 @@ fn run_epochs(
             weights: initial.clone(),
             stride: STRIDE,
         })
-        .parallel(threads)
         .rebalance(spec.clone())
         .build();
     // The driver consumes the spec the builder armed, not a copy the
@@ -688,12 +688,10 @@ mod tests {
     }
 
     #[test]
-    fn outcome_is_bit_identical_across_reruns_and_threads() {
+    fn outcome_is_bit_identical_across_reruns() {
         let one = RebalanceCase::StationaryHotSet.run(240, 7, 1);
-        for threads in [1, 2, 4] {
-            let again = RebalanceCase::StationaryHotSet.run(240, 7, threads);
-            assert_eq!(one, again, "threads={threads}");
-        }
+        let again = RebalanceCase::StationaryHotSet.run(240, 7, 1);
+        assert_eq!(one, again);
     }
 
     fn engine_over(weights: &[u64]) -> ProtocolEngine {

@@ -5,7 +5,7 @@ use crate::topo::TopologySpec;
 use cohet_os::{AccessKind, Accessor, NodeId, NodeKind, NumaTopology, OsError, Process, VirtAddr};
 use sim_core::Tick;
 use simcxl_coherence::prelude::*;
-use simcxl_coherence::{AtomicKind, ParallelConfig, RebalanceSpec};
+use simcxl_coherence::{AtomicKind, RebalanceSpec};
 use simcxl_cxl::{Atc, AtcConfig, IommuConfig};
 use simcxl_mem::{AddrRange, DramConfig, DramKind, MemoryInterface, PhysAddr};
 use simcxl_workloads::scenario::{self, ScenarioOutcome, ScenarioSpec};
@@ -46,8 +46,6 @@ pub struct CohetSystem {
     xpu_mem: u64,
     expander_mem: Option<u64>,
     topo: TopologySpec,
-    parallel_threads: usize,
-    parallel_cfg: Option<ParallelConfig>,
     fault: Option<FaultPlan>,
     rebalance: Option<RebalanceSpec>,
 }
@@ -55,11 +53,7 @@ pub struct CohetSystem {
 /// Builder for [`CohetSystem`].
 ///
 /// The directory layout is declared with one
-/// [`topology`](Self::topology) call taking a
-/// [`TopologySpec`]; the pre-spec knobs
-/// ([`homes`](Self::homes), [`interleave`](Self::interleave),
-/// [`interleave_weighted`](Self::interleave_weighted)) survive as
-/// deprecated shims that fold into the equivalent spec.
+/// [`topology`](Self::topology) call taking a [`TopologySpec`].
 #[derive(Debug, Clone)]
 pub struct CohetSystemBuilder {
     profile: DeviceProfile,
@@ -67,13 +61,7 @@ pub struct CohetSystemBuilder {
     host_mem: u64,
     xpu_mem: u64,
     expander_mem: Option<u64>,
-    topo: Option<TopologySpec>,
-    // Deprecated-shim state, folded into a TopologySpec by build().
-    legacy_homes: Option<usize>,
-    legacy_stride: Option<u64>,
-    legacy_weights: Option<Vec<u64>>,
-    parallel_threads: usize,
-    parallel_cfg: Option<ParallelConfig>,
+    topo: TopologySpec,
     fault: Option<FaultPlan>,
     rebalance: Option<RebalanceSpec>,
 }
@@ -86,12 +74,7 @@ impl Default for CohetSystemBuilder {
             host_mem: 256 << 20,
             xpu_mem: 256 << 20,
             expander_mem: None,
-            topo: None,
-            legacy_homes: None,
-            legacy_stride: None,
-            legacy_weights: None,
-            parallel_threads: 1,
-            parallel_cfg: None,
+            topo: TopologySpec::SingleHome,
             fault: None,
             rebalance: None,
         }
@@ -160,128 +143,10 @@ impl CohetSystemBuilder {
     ///
     /// # Panics
     ///
-    /// [`build`](Self::build) panics if the deprecated knobs
-    /// ([`homes`](Self::homes) / [`interleave`](Self::interleave) /
-    /// [`interleave_weighted`](Self::interleave_weighted)) were also
-    /// set, and on invalid spec parameters (see
-    /// [`TopologySpec::resolve`]).
+    /// Spawning a process or scenario panics on invalid spec parameters
+    /// (see [`TopologySpec::resolve`]).
     pub fn topology(mut self, spec: TopologySpec) -> Self {
-        self.topo = Some(spec);
-        self
-    }
-
-    /// Interleaves the directory across `n` host-socket home agents.
-    ///
-    /// Deprecated shim: equivalent to
-    /// [`topology`](Self::topology)`(TopologySpec::Interleaved { homes: n, .. })`,
-    /// with the stride from [`interleave`](Self::interleave) (default
-    /// one OS page) and the expander auto-homing described on
-    /// [`TopologySpec::Interleaved`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n` is a nonzero power of two (the interleave uses
-    /// shift/mask routing).
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare the layout with CohetSystemBuilder::topology(TopologySpec::Interleaved { homes, stride })"
-    )]
-    pub fn homes(mut self, n: usize) -> Self {
-        assert!(n >= 1 && n.is_power_of_two(), "home count must be pow2");
-        self.legacy_homes = Some(n);
-        self
-    }
-
-    /// Sets the byte stride of the host-home interleave.
-    ///
-    /// Deprecated shim: the stride is now a field of the
-    /// [`TopologySpec`] variant passed to
-    /// [`topology`](Self::topology).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `stride` is a power of two of at least one
-    /// cacheline.
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare the stride on the TopologySpec variant passed to CohetSystemBuilder::topology"
-    )]
-    pub fn interleave(mut self, stride: u64) -> Self {
-        assert!(
-            stride.is_power_of_two() && stride >= simcxl_mem::CACHELINE_BYTES,
-            "interleave stride must be pow2 and >= one cacheline"
-        );
-        self.legacy_stride = Some(stride);
-        self
-    }
-
-    /// Stripes the directory across the host-socket homes with
-    /// capacity-proportional *weights* instead of the uniform
-    /// interleave.
-    ///
-    /// Deprecated shim: equivalent to
-    /// [`topology`](Self::topology)`(TopologySpec::Weighted { weights, .. })`,
-    /// with the stride from [`interleave`](Self::interleave) and the
-    /// expander auto-weighting described on
-    /// [`TopologySpec::Weighted`]. The weight count must match
-    /// [`homes`](Self::homes).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty weight vector; [`build`](Self::build) panics
-    /// if the weight count differs from the home count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare the layout with CohetSystemBuilder::topology(TopologySpec::Weighted { weights, stride })"
-    )]
-    pub fn interleave_weighted(mut self, weights: Vec<u64>) -> Self {
-        assert!(!weights.is_empty(), "need at least one weight");
-        self.legacy_weights = Some(weights);
-        self
-    }
-
-    /// Runs the coherence engine's event loop on `threads` parallel
-    /// worker shards (default 1: sequential). Simulation results are
-    /// *identical* at every thread count — the parallel executor
-    /// reproduces the sequential completion stream bit-for-bit (see
-    /// `simcxl_coherence::parallel`) — so this knob only changes
-    /// wall-clock time. It pays off for batch-style drivers that keep
-    /// many requests in flight; the interactive one-access-at-a-time
-    /// path never reaches the engagement threshold and stays sequential.
-    ///
-    /// ```
-    /// use cohet::prelude::*;
-    ///
-    /// let mut proc = CohetSystem::builder()
-    ///     .topology(TopologySpec::Interleaved {
-    ///         homes: 4,
-    ///         stride: 4096,
-    ///     })
-    ///     .parallel(4)
-    ///     .build()
-    ///     .spawn_process();
-    /// // Same programming model, same results.
-    /// let x = proc.malloc(4096)?;
-    /// proc.write_u64(x, 7)?;
-    /// assert_eq!(proc.read_u64(x)?, 7);
-    /// # Ok::<(), cohet::CohetError>(())
-    /// ```
-    pub fn parallel(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one thread");
-        self.parallel_threads = threads;
-        self
-    }
-
-    /// Like [`parallel`](Self::parallel), but passes a full
-    /// [`ParallelConfig`] through to the engine — shard count *and*
-    /// engagement threshold. Use this to force small batches through the
-    /// persistent worker pool (`ParallelConfig::always(n)`) or to raise
-    /// `min_queue` above [`ParallelConfig::DEFAULT_MIN_QUEUE`] for
-    /// latency-sensitive interactive drivers. Overrides any earlier
-    /// `parallel(threads)` call.
-    pub fn parallel_config(mut self, cfg: ParallelConfig) -> Self {
-        assert!(cfg.threads >= 1, "need at least one thread");
-        self.parallel_cfg = Some(cfg);
+        self.topo = spec;
         self
     }
 
@@ -289,8 +154,7 @@ impl CohetSystemBuilder {
     /// every process or scenario this system spawns runs with the
     /// plan's timed link-degradation / slow-port / stall-port windows
     /// active (see `simcxl_coherence::fault`). Same plan + same seed →
-    /// bit-identical results at any [`parallel`](Self::parallel)
-    /// thread count.
+    /// bit-identical results.
     ///
     /// ```
     /// use cohet::prelude::*;
@@ -331,53 +195,15 @@ impl CohetSystemBuilder {
         self
     }
 
-    /// Finishes the description, folding any deprecated topology knobs
-    /// into the equivalent [`TopologySpec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`topology`](Self::topology) was mixed with the
-    /// deprecated knobs, or if
-    /// [`interleave_weighted`](Self::interleave_weighted)'s weight
-    /// count differs from [`homes`](Self::homes).
+    /// Finishes the description.
     pub fn build(self) -> CohetSystem {
-        let topo = match self.topo {
-            Some(spec) => {
-                assert!(
-                    self.legacy_homes.is_none()
-                        && self.legacy_stride.is_none()
-                        && self.legacy_weights.is_none(),
-                    "topology(spec) replaces homes()/interleave()/interleave_weighted(); \
-                     set one or the other, not both"
-                );
-                spec
-            }
-            None => {
-                let stride = self.legacy_stride.unwrap_or(cohet_os::PAGE_SIZE);
-                let homes = self.legacy_homes.unwrap_or(1);
-                if let Some(weights) = self.legacy_weights {
-                    assert_eq!(
-                        weights.len(),
-                        homes,
-                        "interleave_weighted needs one weight per host home"
-                    );
-                    TopologySpec::Weighted { weights, stride }
-                } else if homes == 1 {
-                    TopologySpec::SingleHome
-                } else {
-                    TopologySpec::Interleaved { homes, stride }
-                }
-            }
-        };
         CohetSystem {
             profile: self.profile,
             xpus: self.xpus,
             host_mem: self.host_mem,
             xpu_mem: self.xpu_mem,
             expander_mem: self.expander_mem,
-            topo,
-            parallel_threads: self.parallel_threads,
-            parallel_cfg: self.parallel_cfg,
+            topo: self.topo,
             fault: self.fault,
             rebalance: self.rebalance,
         }
@@ -390,8 +216,7 @@ impl CohetSystem {
         CohetSystemBuilder::default()
     }
 
-    /// The declared directory topology (after any deprecated-knob
-    /// folding).
+    /// The declared directory topology.
     pub fn topology_spec(&self) -> &TopologySpec {
         &self.topo
     }
@@ -462,11 +287,6 @@ impl CohetSystem {
             .home(self.profile.home.clone())
             .memory(mi)
             .topology(topology);
-        if let Some(cfg) = self.parallel_cfg {
-            builder = builder.parallel_config(cfg);
-        } else if self.parallel_threads > 1 {
-            builder = builder.parallel(self.parallel_threads);
-        }
         if let Some(plan) = &self.fault {
             builder = builder.fault_plan(plan.clone());
         }
@@ -499,8 +319,8 @@ impl CohetSystem {
     }
 
     /// Runs a declarative client [`scenario`] on this system: same
-    /// memory fabric, directory topology, and
-    /// parallel configuration as [`spawn_process`](Self::spawn_process),
+    /// memory fabric, directory topology, and fault plan as
+    /// [`spawn_process`](Self::spawn_process),
     /// but driven batch-style by `spec.agents` cache agents multiplexing
     /// the scenario's logical client population. The key table occupies
     /// host memory from physical address 0.
@@ -953,70 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_knob_preserves_results() {
-        // The interactive access path stays below the parallel
-        // engagement threshold, and results are identical regardless —
-        // both claims checked here.
-        let run = |threads: usize| {
-            let mut p = CohetSystem::builder()
-                .topology(TopologySpec::Interleaved {
-                    homes: 2,
-                    stride: cohet_os::PAGE_SIZE,
-                })
-                .parallel(threads)
-                .build()
-                .spawn_process();
-            let buf = p.malloc(8 * 4096).unwrap();
-            for i in 0..8u64 {
-                p.write_u64(buf + i * 4096, i * 3).unwrap();
-            }
-            p.launch_kernel(0, 8, move |ctx, i| {
-                let v = ctx.load(buf + i * 4096)?;
-                ctx.store(buf + i * 4096, v + 1)
-            })
-            .unwrap();
-            let vals: Vec<u64> = (0..8u64)
-                .map(|i| p.read_u64(buf + i * 4096).unwrap())
-                .collect();
-            (vals, p.elapsed())
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn parallel_config_passthrough_forces_pool_engagement() {
-        // `parallel(n)` keeps the default engagement threshold, so the
-        // interactive path never reaches the worker pool; a full
-        // ParallelConfig with min_queue 0 forces even tiny batches
-        // through it. Results stay identical either way.
-        let run = |cfg: Option<ParallelConfig>| {
-            let mut b = CohetSystem::builder().topology(TopologySpec::Interleaved {
-                homes: 2,
-                stride: cohet_os::PAGE_SIZE,
-            });
-            if let Some(cfg) = cfg {
-                b = b.parallel_config(cfg);
-            }
-            let mut p = b.build().spawn_process();
-            let buf = p.malloc(8 * 4096).unwrap();
-            for i in 0..8u64 {
-                p.write_u64(buf + i * 4096, i * 7).unwrap();
-            }
-            let vals: Vec<u64> = (0..8u64)
-                .map(|i| p.read_u64(buf + i * 4096).unwrap())
-                .collect();
-            let engaged = p.engine().parallel_runs();
-            (vals, p.elapsed(), engaged)
-        };
-        let (seq_vals, seq_t, seq_engaged) = run(None);
-        assert_eq!(seq_engaged, 0);
-        let (par_vals, par_t, par_engaged) = run(Some(ParallelConfig::always(3)));
-        assert_eq!(seq_vals, par_vals);
-        assert_eq!(seq_t, par_t);
-        assert!(par_engaged > 0, "min_queue 0 must engage the pool");
-    }
-
-    #[test]
     fn single_home_with_expander_keeps_legacy_shape() {
         let p = CohetSystem::builder()
             .expander_memory(8 << 20)
@@ -1106,117 +862,6 @@ mod tests {
             .build()
             .spawn_process();
         assert_eq!(solo.engine().num_homes(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per host home")]
-    #[allow(deprecated)]
-    fn weighted_count_mismatch_rejected() {
-        let _ = CohetSystem::builder()
-            .homes(4)
-            .interleave_weighted(vec![1, 2])
-            .build()
-            .spawn_process();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_knobs_fold_to_equivalent_spec() {
-        // Each legacy knob combination must fold to the TopologySpec
-        // that resolves to the same routing Topology.
-        let sys = CohetSystem::builder().homes(4).interleave(8192).build();
-        assert_eq!(
-            *sys.topology_spec(),
-            TopologySpec::Interleaved {
-                homes: 4,
-                stride: 8192
-            }
-        );
-        let sys = CohetSystem::builder()
-            .homes(2)
-            .interleave_weighted(vec![3, 1])
-            .build();
-        assert_eq!(
-            *sys.topology_spec(),
-            TopologySpec::Weighted {
-                weights: vec![3, 1],
-                stride: cohet_os::PAGE_SIZE
-            }
-        );
-        assert_eq!(
-            *CohetSystem::builder().build().topology_spec(),
-            TopologySpec::SingleHome
-        );
-        assert_eq!(
-            *CohetSystem::builder().homes(1).build().topology_spec(),
-            TopologySpec::SingleHome
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_knobs_reproduce_spec_built_system() {
-        // The shim path and the spec path must yield bit-identical
-        // simulations: same routing topology, same values, same
-        // simulated time for the same access pattern.
-        let drive = |sys: CohetSystem| {
-            let mut p = sys.spawn_process();
-            let buf = p.malloc(8 * 4096).unwrap();
-            for i in 0..8u64 {
-                p.write_u64(buf + i * 4096, i * 7).unwrap();
-            }
-            p.launch_kernel(0, 8, move |ctx, i| {
-                let v = ctx.load(buf + i * 4096)?;
-                ctx.store(buf + i * 4096, v + 1)
-            })
-            .unwrap();
-            let vals: Vec<u64> = (0..8u64)
-                .map(|i| p.read_u64(buf + i * 4096).unwrap())
-                .collect();
-            (p.engine().topology().clone(), vals, p.elapsed())
-        };
-        let legacy = drive(
-            CohetSystem::builder()
-                .homes(2)
-                .interleave(4096)
-                .expander_memory(8 << 20)
-                .build(),
-        );
-        let spec = drive(
-            CohetSystem::builder()
-                .topology(TopologySpec::Interleaved {
-                    homes: 2,
-                    stride: 4096,
-                })
-                .expander_memory(8 << 20)
-                .build(),
-        );
-        assert_eq!(legacy, spec);
-        let legacy = drive(
-            CohetSystem::builder()
-                .homes(2)
-                .interleave_weighted(vec![3, 1])
-                .build(),
-        );
-        let spec = drive(
-            CohetSystem::builder()
-                .topology(TopologySpec::Weighted {
-                    weights: vec![3, 1],
-                    stride: cohet_os::PAGE_SIZE,
-                })
-                .build(),
-        );
-        assert_eq!(legacy, spec);
-    }
-
-    #[test]
-    #[should_panic(expected = "not both")]
-    #[allow(deprecated)]
-    fn mixing_spec_and_deprecated_knobs_rejected() {
-        let _ = CohetSystem::builder()
-            .homes(2)
-            .topology(TopologySpec::SingleHome)
-            .build();
     }
 
     #[test]

@@ -1,14 +1,9 @@
 //! Declarative directory-topology specification for
 //! [`CohetSystemBuilder`](crate::system::CohetSystemBuilder).
 //!
-//! PRs 3–5 grew the builder three independent topology knobs
-//! (`.homes(n)`, `.interleave(stride)`, `.interleave_weighted(vec)`)
-//! whose interactions — and in particular what happens when a CXL
-//! expander is attached — were implicit in `spawn_process`. A scenario
-//! frontend programming against that surface would have to reproduce
-//! those interactions; [`TopologySpec`] replaces them with one value
-//! that states the whole directory layout, including the expander
-//! auto-homing/auto-weighting rule, explicitly (see
+//! One [`TopologySpec`] value states the whole directory layout —
+//! host-home count, stride, weights, and what happens when a CXL
+//! expander is attached (the auto-homing/auto-weighting rule; see
 //! [`TopologySpec::resolve`]).
 
 use simcxl_coherence::{HomeId, Topology};

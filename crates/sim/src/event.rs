@@ -107,7 +107,7 @@ pub struct EventQueue<E> {
     /// kept as a lazily-sorted stack (descending by `(tick, seq)`, so
     /// migration pops the minimum from the back with sequential memory
     /// access) instead of a binary heap: a deep upfront batch — the
-    /// `stress_parallel` driver queues hundreds of thousands of events
+    /// `stress_upfront` driver queues hundreds of thousands of events
     /// past the ~33 µs ring horizon — costs one adaptive sort instead
     /// of per-event heap sifts over a cache-hostile array. Pushes
     /// append and mark the stack dirty; `ensure_overflow_sorted`
@@ -119,9 +119,9 @@ pub struct EventQueue<E> {
     next_seq: u64,
     /// Exact tick of the earliest queued event, when known. Set when a
     /// bounded pop refuses (it just located that event), min-merged on
-    /// push, invalidated by any successful pop. Lets the window loops
-    /// of sharded schedulers call [`peek_tick`](Self::peek_tick) right
-    /// after draining a window without paying the bucket scan.
+    /// push, invalidated by any successful pop. Lets a driver call
+    /// [`peek_tick`](Self::peek_tick) right after a bounded run without
+    /// paying the bucket scan.
     next_hint: Option<u64>,
 }
 
@@ -148,31 +148,7 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at `tick`.
     pub fn push(&mut self, tick: Tick, payload: E) {
         let seq = self.next_seq;
-        self.push_at_seq(tick, seq, payload);
-    }
-
-    /// Schedules `payload` at `tick` with an explicit tie-break sequence
-    /// number instead of the queue's internal counter.
-    ///
-    /// This is the sharding primitive: a scheduler that distributes
-    /// events over several per-shard queues can assign sequence numbers
-    /// from one global counter, so every queue pops its slice of the
-    /// event stream in exactly the order a single merged queue would
-    /// have used. The internal counter is bumped past `seq`, so mixing
-    /// `push` and `push_at_seq` keeps later plain pushes ordered after
-    /// every explicitly numbered event.
-    ///
-    /// ```
-    /// use sim_core::{EventQueue, Tick};
-    /// let mut q = EventQueue::new();
-    /// // Same tick, explicit seqs: pops in seq order, not push order.
-    /// q.push_at_seq(Tick::from_ns(3), 7, 'b');
-    /// q.push_at_seq(Tick::from_ns(3), 2, 'a');
-    /// assert_eq!(q.pop_seq(), Some((Tick::from_ns(3), 2, 'a')));
-    /// assert_eq!(q.pop_seq(), Some((Tick::from_ns(3), 7, 'b')));
-    /// ```
-    pub fn push_at_seq(&mut self, tick: Tick, seq: u64, payload: E) {
-        self.next_seq = self.next_seq.max(seq.saturating_add(1));
+        self.next_seq += 1;
         if let Some(h) = self.next_hint {
             self.next_hint = Some(h.min(tick.as_ps()));
         }
@@ -243,7 +219,7 @@ impl<E> EventQueue<E> {
     /// Advances to the next candidate event; returns `None` when empty.
     /// With `bound`, stops (leaving the event queued) once the earliest
     /// event is later than the bound.
-    fn pop_bounded(&mut self, bound: Option<u64>) -> Option<(Tick, u64, E)> {
+    fn pop_bounded(&mut self, bound: Option<u64>) -> Option<(Tick, E)> {
         loop {
             if self.ring_len == 0 {
                 // Ring drained: re-anchor the calendar at the overflow's
@@ -302,7 +278,7 @@ impl<E> EventQueue<E> {
                 };
                 self.ring_len -= 1;
                 self.next_hint = None;
-                return Some((Tick::from_ps(e.tick), e.seq, e.payload));
+                return Some((Tick::from_ps(e.tick), e.payload));
             }
             // Cursor bucket empty: advance one bucket. The horizon moves
             // with it, so check the overflow for newly-near events.
@@ -315,24 +291,7 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Tick, E)> {
-        self.pop_bounded(None).map(|(t, _, e)| (t, e))
-    }
-
-    /// Removes and returns the earliest event together with its
-    /// tie-break sequence number.
-    ///
-    /// Pairs with [`push_at_seq`](Self::push_at_seq): popping with the
-    /// sequence number lets a sharding scheduler move events between
-    /// queues (or hand them back to a global queue) without disturbing
-    /// the deterministic tie-break order.
-    pub fn pop_seq(&mut self) -> Option<(Tick, u64, E)> {
         self.pop_bounded(None)
-    }
-
-    /// Like [`pop_before`](Self::pop_before), but also returns the
-    /// event's tie-break sequence number.
-    pub fn pop_seq_before(&mut self, t: Tick) -> Option<(Tick, u64, E)> {
-        self.pop_bounded(Some(t.as_ps()))
     }
 
     /// Removes and returns the earliest event if its tick is `<= t`;
@@ -353,7 +312,7 @@ impl<E> EventQueue<E> {
     /// assert_eq!(q.len(), 1);
     /// ```
     pub fn pop_before(&mut self, t: Tick) -> Option<(Tick, E)> {
-        self.pop_bounded(Some(t.as_ps())).map(|(t, _, e)| (t, e))
+        self.pop_bounded(Some(t.as_ps()))
     }
 
     /// The timestamp of the earliest pending event.
@@ -553,67 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_seqs_control_tie_break() {
-        let mut q = EventQueue::new();
-        q.push_at_seq(Tick::from_ns(1), 10, 'c');
-        q.push_at_seq(Tick::from_ns(1), 3, 'b');
-        q.push_at_seq(Tick::from_ns(1), 1, 'a');
-        // A later plain push must order after every explicit seq.
-        q.push(Tick::from_ns(1), 'd');
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c', 'd']);
-    }
-
-    #[test]
-    fn pop_seq_round_trips_between_queues() {
-        // Splitting a stream across two queues and merging by (tick, seq)
-        // reproduces the single-queue order — the sharding invariant.
-        let mut global = EventQueue::new();
-        for i in 0..100u64 {
-            global.push(Tick::from_ns(i % 7), i);
-        }
-        let reference: Vec<u64> = {
-            let mut g = EventQueue::new();
-            for i in 0..100u64 {
-                g.push(Tick::from_ns(i % 7), i);
-            }
-            std::iter::from_fn(|| g.pop().map(|(_, e)| e)).collect()
-        };
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        while let Some((t, seq, e)) = global.pop_seq() {
-            if e % 2 == 0 {
-                a.push_at_seq(t, seq, e);
-            } else {
-                b.push_at_seq(t, seq, e);
-            }
-        }
-        // Merge back and drain.
-        let mut merged = EventQueue::new();
-        while let Some((t, seq, e)) = a.pop_seq() {
-            merged.push_at_seq(t, seq, e);
-        }
-        while let Some((t, seq, e)) = b.pop_seq() {
-            merged.push_at_seq(t, seq, e);
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| merged.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, reference);
-    }
-
-    #[test]
-    fn pop_seq_before_bounds_like_pop_before() {
-        let mut q = EventQueue::new();
-        q.push(Tick::from_ns(10), 'a');
-        q.push(Tick::from_ns(20), 'b');
-        assert_eq!(
-            q.pop_seq_before(Tick::from_ns(15)),
-            Some((Tick::from_ns(10), 0, 'a'))
-        );
-        assert_eq!(q.pop_seq_before(Tick::from_ns(15)), None);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn peek_after_refusal_is_exact_across_pushes_and_pops() {
         // A bounded-pop refusal caches the next tick; pushes min-merge
         // into it and pops invalidate it. (`peek_tick` cross-checks the
@@ -685,7 +583,7 @@ mod tests {
 
     #[test]
     fn dense_upfront_batch_drains_in_order() {
-        // The stress_parallel driver shape: thousands of ~1 ns-spaced
+        // The stress_upfront driver shape: thousands of ~1 ns-spaced
         // events, pushed upfront and drained while follow-on events keep
         // landing in the cursor bucket.
         let mut q = EventQueue::new();

@@ -25,9 +25,7 @@ pub mod clock;
 pub mod event;
 pub mod fxhash;
 pub mod link;
-pub mod pool;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 
@@ -35,8 +33,6 @@ pub use clock::Clock;
 pub use event::EventQueue;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use link::{Link, LinkConfig};
-pub use pool::WorkerPool;
 pub use rng::{mix64, SimRng};
-pub use shard::PhaseBarrier;
 pub use stats::{mape, Counter, Summary};
 pub use time::{Freq, Tick, Window};

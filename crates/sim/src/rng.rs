@@ -10,8 +10,7 @@ use rand::{Rng, SeedableRng};
 /// how many other callers hashed in between. That makes it the right
 /// primitive for *order-independent* pseudo-randomness — e.g. deciding
 /// per-message fault outcomes from `(seed, timestamp, address)` so the
-/// decision is identical whether the message is processed by a
-/// sequential engine or any shard of a parallel one.
+/// decision does not depend on the order messages are processed in.
 ///
 /// ```
 /// use sim_core::mix64;

@@ -162,8 +162,7 @@ impl fmt::Display for Tick {
 /// Timed effects (fault-injection windows, measurement intervals) are
 /// scheduled against windows rather than single ticks so that "is this
 /// event affected?" is a pure predicate of the event's own timestamp —
-/// the foundation of order-independent (and therefore parallel-safe)
-/// fault injection.
+/// the foundation of order-independent fault injection.
 ///
 /// ```
 /// use sim_core::{Tick, Window};

@@ -25,8 +25,7 @@
 //! Everything downstream of the spec is deterministic: arrival times
 //! are computed by inverting traffic-shape integrals (no sampling), and
 //! every random draw comes from one [`sim_core::SimRng`] seeded by the
-//! spec. Identical specs reproduce identical checksums at any
-//! `parallel` thread count.
+//! spec. Identical specs reproduce identical checksums.
 
 mod exec;
 mod machine;

@@ -303,17 +303,16 @@ proptest! {
         eng.verify_invariants();
     }
 
-    /// The parallel executor is stream-preserving: for random
-    /// topologies (pow2 interleaves and asymmetric range tables),
-    /// random mixed traffic, and random shard counts, the parallel
-    /// engine's completion stream equals the sequential engine's —
-    /// completion by completion, including timestamps and values.
+    /// For random topologies (pow2 interleaves, asymmetric range
+    /// tables and skewed weighted stripes) and random mixed traffic,
+    /// the engine reaches quiescence with its invariants intact, and a
+    /// rerun reproduces the completion stream — completion by
+    /// completion, including timestamps and values.
     #[test]
-    fn parallel_stream_equals_sequential_for_random_topologies(
+    fn random_topologies_keep_invariants_and_rerun_identically(
         homes_log2 in 0u32..3,
         topo_kind in 0u8..3,
         weights in prop::collection::vec(1u64..5, 4),
-        threads in 2usize..5,
         ops in prop::collection::vec((0u8..5, 0u64..24, any::<u16>()), 1..120)
     ) {
         let homes = 1usize << homes_log2;
@@ -324,16 +323,12 @@ proptest! {
                 let claim = simcxl_mem::AddrRange::new(PhysAddr::new(0x4000), 8 * 64);
                 Topology::ranges(homes, vec![(claim, HomeId(homes - 1))], homes, 64)
             }
-            // Skewed weighted stripes (the weight-balanced shard map).
+            // Skewed weighted stripes.
             2 => Topology::weighted(&weights[..homes], 64),
             _ => Topology::line_interleaved(homes),
         };
-        let build = |parallel: bool| {
-            let mut b = ProtocolEngine::builder().topology(topology.clone());
-            if parallel {
-                b = b.parallel_config(simcxl_coherence::ParallelConfig::always(threads));
-            }
-            let mut eng = b.build();
+        let build = || {
+            let mut eng = ProtocolEngine::builder().topology(topology.clone()).build();
             let a = eng.add_cache(CacheConfig::cpu_l1());
             let c = eng.add_cache(CacheConfig::hmc_128k());
             (eng, a, c)
@@ -359,92 +354,24 @@ proptest! {
             }
             eng.run_to_quiescence()
         };
-        let (mut seq, a1, b1) = build(false);
-        let (mut par, a2, b2) = build(true);
-        let s = drive(&mut seq, a1, b1);
-        let p = drive(&mut par, a2, b2);
-        prop_assert_eq!(s, p, "parallel stream diverged from sequential");
-        prop_assert_eq!(seq.events_dispatched(), par.events_dispatched());
-        prop_assert_eq!(seq.now(), par.now());
-        par.verify_invariants();
-        prop_assert_eq!(seq.home_stats(), par.home_stats());
-    }
-
-    /// Wave-driven engagement through the persistent pool: many small
-    /// `run_until` calls (random wave sizes, random inter-wave gaps,
-    /// some waves empty) must produce the same cumulative completion
-    /// stream as one sequential engine driven identically. This is the
-    /// driver shape the persistent pool exists for — the executor
-    /// engages, parks, and re-engages across calls, carrying its
-    /// window-widening state between runs — and the shape the old
-    /// spawn-per-call executor never saw at proptest scale.
-    #[test]
-    fn wave_driven_run_until_stream_equals_sequential(
-        threads in 2usize..5,
-        waves in prop::collection::vec(
-            (0usize..40, 1u64..4000, any::<u16>()), 1..12),
-    ) {
-        let topology = Topology::line_interleaved(4);
-        let build = |parallel: bool| {
-            let mut b = ProtocolEngine::builder().topology(topology.clone());
-            if parallel {
-                b = b.parallel_config(simcxl_coherence::ParallelConfig::always(threads));
-            }
-            let mut eng = b.build();
-            let a = eng.add_cache(CacheConfig::cpu_l1());
-            let c = eng.add_cache(CacheConfig::hmc_128k());
-            (eng, a, c)
-        };
-        let drive = |eng: &mut ProtocolEngine, a: AgentId, b: AgentId| {
-            let mut done = Vec::new();
-            let mut t = Tick::ZERO;
-            for (ops, gap_ns, salt) in &waves {
-                for i in 0..*ops {
-                    let agent = if (i + *salt as usize).is_multiple_of(3) { b } else { a };
-                    let line = (i as u64 * 7 + *salt as u64) % 64;
-                    let op = match (i + *salt as usize) % 4 {
-                        0 => MemOp::Load,
-                        1 => MemOp::Store { value: i as u64 ^ *salt as u64 },
-                        2 => MemOp::Rmw {
-                            kind: AtomicKind::FetchAdd,
-                            operand: 1,
-                            operand2: 0,
-                        },
-                        _ => MemOp::NcPush { value: *salt as u64 },
-                    };
-                    eng.issue(agent, op, PhysAddr::new(0x8000 + line * 64),
-                        t + Tick::from_ps(i as u64 * 131));
-                }
-                t += Tick::from_ns(*gap_ns);
-                done.extend(eng.run_until(t));
-            }
-            done.extend(eng.run_to_quiescence());
-            done
-        };
-        let (mut seq, a1, b1) = build(false);
-        let (mut par, a2, b2) = build(true);
-        let s = drive(&mut seq, a1, b1);
-        let p = drive(&mut par, a2, b2);
-        prop_assert_eq!(s, p, "wave-driven parallel stream diverged");
-        prop_assert_eq!(seq.events_dispatched(), par.events_dispatched());
-        par.verify_invariants();
-        prop_assert_eq!(seq.home_stats(), par.home_stats());
-        // Re-running the parallel engine must also reproduce its own
-        // pool counters: they are merge-derived, not schedule-derived.
-        let (mut par2, a3, b3) = build(true);
-        drive(&mut par2, a3, b3);
-        prop_assert_eq!(par.pool_counters(), par2.pool_counters());
+        let (mut first, a1, b1) = build();
+        let (mut again, a2, b2) = build();
+        let s = drive(&mut first, a1, b1);
+        let p = drive(&mut again, a2, b2);
+        prop_assert!(first.is_quiescent());
+        first.verify_invariants();
+        prop_assert_eq!(s, p, "rerun stream diverged");
+        prop_assert_eq!(first.events_dispatched(), again.events_dispatched());
+        prop_assert_eq!(first.now(), again.now());
+        prop_assert_eq!(first.home_stats(), again.home_stats());
     }
 
     /// Scenario runs are deterministic functions of the spec: identical
-    /// specs reproduce identical outcomes, and the `parallel` thread
-    /// count never changes the stream (the executor drives the engine
-    /// tick-batch by tick-batch, which is thread-count invariant).
+    /// specs reproduce identical outcomes.
     #[test]
-    fn scenario_outcomes_thread_and_rerun_invariant(
+    fn scenario_outcomes_rerun_invariant(
         seed in any::<u64>(),
         clients in 50u64..400,
-        threads in 2usize..5,
         closed in any::<bool>(),
     ) {
         use cohet::{CohetSystem, TopologySpec};
@@ -456,18 +383,15 @@ proptest! {
         if closed {
             spec.arrival = Arrival::Closed { concurrency: 8 };
         }
-        let run = |threads: usize| {
+        let run = || {
             CohetSystem::builder()
                 .topology(TopologySpec::Interleaved { homes: 2, stride: 4096 })
-                .parallel(threads)
                 .build()
                 .run_scenario(&spec)
         };
-        let base = run(1);
+        let base = run();
         prop_assert_eq!(base.completed + base.capped, spec.clients);
-        let with_threads = run(threads);
-        prop_assert_eq!(&base, &with_threads, "thread count changed the outcome");
-        let again = run(1);
+        let again = run();
         prop_assert_eq!(&base, &again, "identical spec failed to reproduce");
     }
 
@@ -476,7 +400,7 @@ proptest! {
     /// parameters) over random scenario traffic, every logical client
     /// still reaches a terminal state (the run drains — no deadlock,
     /// even through stall windows), and the completion checksum is
-    /// identical across reruns and thread counts.
+    /// identical across reruns.
     #[test]
     fn faulted_scenarios_deterministic_and_lossless(
         seed in any::<u64>(),
@@ -484,7 +408,6 @@ proptest! {
         events in prop::collection::vec(
             ((0u8..3, 0u64..400, 1u64..200, 0usize..2), (1u64..6, 1u32..5, 10u64..200)),
             0..3),
-        threads in 2usize..5,
     ) {
         use cohet::prelude::{FaultKind, FaultPlan, LinkClass};
         use cohet::{CohetSystem, TopologySpec};
@@ -516,19 +439,16 @@ proptest! {
             };
             plan = plan.with(from, until, k);
         }
-        let run = |threads: usize| {
+        let run = || {
             CohetSystem::builder()
                 .topology(TopologySpec::Interleaved { homes: 2, stride: 4096 })
                 .fault_plan(plan.clone())
-                .parallel(threads)
                 .build()
                 .run_scenario(&spec)
         };
-        let base = run(1);
+        let base = run();
         prop_assert_eq!(base.completed + base.capped, spec.clients);
-        let with_threads = run(threads);
-        prop_assert_eq!(&base, &with_threads, "thread count changed the faulted outcome");
-        let again = run(1);
+        let again = run();
         prop_assert_eq!(&base, &again, "identical faulted run failed to reproduce");
     }
 
