@@ -1,7 +1,7 @@
 //! Event-loop hot-path bench: times the coherence-engine stress workload
 //! that `BENCH_hotpath.json` tracks across PRs.
 //!
-//! Set `HOTPATH_QUICK=1` (CI smoke mode) to run the reduced workload and
+//! Set `BENCH_QUICK=1` (CI smoke mode) to run the reduced workload and
 //! fewer samples. The bench also refreshes `BENCH_hotpath.json` in the
 //! workspace root so the printed Criterion numbers and the committed
 //! perf trajectory never drift apart.
@@ -9,14 +9,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use simcxl_bench::hotpath::{self, StressConfig};
 
-fn quick() -> bool {
-    std::env::var_os("HOTPATH_QUICK").is_some_and(|v| v != "0")
-}
-
 fn bench(c: &mut Criterion) {
-    let q = quick();
-    match hotpath::write_report(q) {
-        Ok(json) => print!("{json}"),
+    let q = simcxl_bench::report::bench_quick();
+    match hotpath::SUITE.write(q) {
+        Ok(report) => println!("{report}"),
         Err(e) => eprintln!("warning: could not write BENCH_hotpath.json: {e}"),
     }
     let mut g = c.benchmark_group("engine_hotpath");

@@ -1,7 +1,7 @@
 //! Rebalance bench: times the three canonical adaptive re-interleave
 //! scenarios that `BENCH_rebalance.json` tracks across PRs.
 //!
-//! Set `REBALANCE_QUICK=1` (CI smoke mode) to run the reduced
+//! Set `BENCH_QUICK=1` (CI smoke mode) to run the reduced
 //! background populations and fewer samples. The bench also refreshes
 //! `BENCH_rebalance.json` in the workspace root so the printed
 //! Criterion numbers and the committed report never drift apart.
@@ -9,14 +9,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use simcxl_bench::rebalance;
 
-fn quick() -> bool {
-    std::env::var_os("REBALANCE_QUICK").is_some_and(|v| v != "0")
-}
-
 fn bench(c: &mut Criterion) {
-    let q = quick();
-    match rebalance::write_report(q) {
-        Ok(json) => print!("{json}"),
+    let q = simcxl_bench::report::bench_quick();
+    match rebalance::SUITE.write(q) {
+        Ok(report) => println!("{report}"),
         Err(e) => eprintln!("warning: could not write BENCH_rebalance.json: {e}"),
     }
     let mut g = c.benchmark_group("rebalance");

@@ -1,7 +1,7 @@
 //! Scenario bench: times the three canonical client scenarios that
 //! `BENCH_scenarios.json` tracks across PRs.
 //!
-//! Set `SCENARIO_QUICK=1` (CI smoke mode) to run the reduced populations
+//! Set `BENCH_QUICK=1` (CI smoke mode) to run the reduced populations
 //! and fewer samples. The bench also refreshes `BENCH_scenarios.json` in
 //! the workspace root so the printed Criterion numbers and the committed
 //! report never drift apart.
@@ -9,14 +9,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use simcxl_bench::scenarios;
 
-fn quick() -> bool {
-    std::env::var_os("SCENARIO_QUICK").is_some_and(|v| v != "0")
-}
-
 fn bench(c: &mut Criterion) {
-    let q = quick();
-    match scenarios::write_report(q) {
-        Ok(json) => print!("{json}"),
+    let q = simcxl_bench::report::bench_quick();
+    match scenarios::SUITE.write(q) {
+        Ok(report) => println!("{report}"),
         Err(e) => eprintln!("warning: could not write BENCH_scenarios.json: {e}"),
     }
     let mut g = c.benchmark_group("scenarios");

@@ -9,7 +9,7 @@
 //! headline simulator-performance metric; the JSON report seeds the perf
 //! trajectory tracked across PRs.
 //!
-//! Four variants (see the README for the full `simcxl-hotpath/v7`
+//! Four variants (see the README for the full `simcxl-hotpath/v8`
 //! schema): `stress` (single home, wave driver — its checksum is the
 //! repo's oldest determinism anchor), `multihome` (the same waves over a
 //! four-home line interleave), `multihome_weighted` (the waves over a
@@ -18,9 +18,9 @@
 //! `stress_upfront` (the multihome workload as one dense upfront
 //! batch). Every variant embeds a `profile` block — the engine's
 //! always-on hot-path counters (busy-hit/fast-path/general split plus
-//! depth histograms), rendered standalone by
-//! `simcxl-report hotpath --profile`.
+//! depth histograms).
 
+use crate::report::{Json, Suite};
 use cohet::experiments;
 use cohet::DeviceProfile;
 use sim_core::{SimRng, Tick};
@@ -28,23 +28,12 @@ use simcxl_coherence::prelude::*;
 use simcxl_mem::{AddrRange, DramConfig, DramKind, MemoryInterface, PhysAddr};
 use std::time::Instant;
 
-/// Pre-overhaul reference point: the `BinaryHeap` + SipHash engine
-/// (commit `3cdac7e` plus this PR's two protocol-correctness fixes, which
-/// the stress workload requires), measured with [`StressConfig::full`] on
-/// the CI container. Recorded here so every later report can state its
-/// speedup against the same anchor; the stress `checksum` is comparable
-/// from this anchor forward.
-pub const BASELINE_LABEL: &str = "BinaryHeap+SipHash engine (3cdac7e + protocol fixes)";
-/// Events per wall-clock second of the baseline engine (full stress).
-pub const BASELINE_EVENTS_PER_SEC: f64 = 4_820_000.0;
-/// Nanoseconds per event of the baseline engine (full stress).
-pub const BASELINE_NS_PER_EVENT: f64 = 207.5;
-
 /// The pinned full-mode `stress` checksum: stable since the
 /// calendar-queue engine landed; behavior-preserving changes must
-/// reproduce it bit-for-bit ([`check_determinism`] gates CI on it).
+/// reproduce it bit-for-bit ([`Suite::check_determinism`] gates CI on
+/// it).
 pub const PINNED_STRESS_CHECKSUM_FULL: u64 = 0x8b604ff32e480de3;
-/// The pinned quick-mode (`HOTPATH_QUICK=1` CI smoke) `stress`
+/// The pinned quick-mode (`BENCH_QUICK=1` CI smoke) `stress`
 /// checksum — the same stream anchor at the reduced request count,
 /// also pinned by `n1_reproduces_pre_refactor_completion_stream`.
 pub const PINNED_STRESS_CHECKSUM_QUICK: u64 = 0xb1e18caf05b4d6a4;
@@ -54,7 +43,7 @@ pub const PINNED_STRESS_CHECKSUM_QUICK: u64 = 0xb1e18caf05b4d6a4;
 /// ~1 ns apart and drained in one `run_to_quiescence`). This is the
 /// stream the dense-contention hot path (pending slab, snoop batching,
 /// fast path) reshapes internally, so it is pinned separately from the
-/// wave-driven `stress` anchor: [`check_determinism`] verifies both.
+/// wave-driven `stress` anchor: [`SUITE`]'s pins cover both.
 pub const PINNED_UPFRONT_CHECKSUM_FULL: u64 = 0x09b49727d30b6680;
 /// The pinned quick-mode upfront-batch checksum (also pinned by
 /// `upfront_quick_stress_checksum_pinned`).
@@ -276,20 +265,11 @@ fn fold_checksum(acc: u64, c: &Completion) -> u64 {
 }
 
 /// The in-process gate on the full-mode `multihome_weighted` entry:
-/// [`report_json`] refuses to write a full report whose
-/// [`balance_error`] exceeds this, so the committed number cannot
-/// silently regress (quick mode is exempt — 20k requests carry
-/// statistical noise; its unit test bounds it separately).
+/// [`SUITE`] refuses to produce a full report whose
+/// [`HomeStatsView::balance_error`] exceeds this, so the committed
+/// number cannot silently regress (quick mode is exempt — 20k requests
+/// carry statistical noise; its unit test bounds it separately).
 pub const BALANCE_ERROR_GATE: f64 = 0.05;
-
-/// Maximum relative deviation of per-home request traffic from its
-/// weight share (see [`HomeStatsView::balance_error`], which owns the
-/// math — this wrapper pairs recorded counters with an explicit weight
-/// vector). `0.0` is perfect capacity-proportional balance; the
-/// full-mode report asserts [`BALANCE_ERROR_GATE`] before writing.
-pub fn balance_error(per_home: &[simcxl_coherence::home::HomeStats], weights: &[u64]) -> f64 {
-    HomeStatsView::new(per_home.to_vec(), weights.to_vec()).balance_error()
-}
 
 /// Runs the stress workload and reports wall-clock throughput.
 pub fn stress(cfg: &StressConfig) -> StressResult {
@@ -416,120 +396,104 @@ fn best_of_two(cfg: &StressConfig, run: fn(&StressConfig) -> StressResult) -> St
     }
 }
 
+/// The `simcxl-hotpath/v8` suite: the four stress variants plus the
+/// figure timings, pinning the wave-driven `stress` and the dense
+/// upfront-batch `stress_upfront` streams.
+pub const SUITE: Suite = Suite {
+    name: "hotpath",
+    schema: "simcxl-hotpath/v8",
+    file: "BENCH_hotpath.json",
+    run,
+    pins: &[
+        (
+            "stress",
+            PINNED_STRESS_CHECKSUM_FULL,
+            PINNED_STRESS_CHECKSUM_QUICK,
+        ),
+        (
+            "stress_upfront",
+            PINNED_UPFRONT_CHECKSUM_FULL,
+            PINNED_UPFRONT_CHECKSUM_QUICK,
+        ),
+    ],
+    columns: &[
+        ("events/sec", "events_per_sec"),
+        ("ns/event", "ns_per_event"),
+        ("balance err", "balance_error"),
+        ("checksum", "checksum"),
+    ],
+};
+
 // The `profile` block: the engine's always-on hot-path counters for
 // this run (see README for field-by-field docs). Histograms are
 // summarized as count/mean/max — the committed numbers a perf PR argues
 // from; the full bucket vectors stay available via the library API.
-fn push_profile(out: &mut String, r: &StressResult) {
-    let p = &r.profile;
-    out.push_str("    \"profile\": {\n");
-    out.push_str(&format!("      \"requests\": {},\n", p.requests()));
-    out.push_str(&format!("      \"busy_hits\": {},\n", p.busy_hits));
-    out.push_str(&format!("      \"fast_path\": {},\n", p.fast_path));
-    out.push_str(&format!("      \"general_path\": {},\n", p.general_path));
-    out.push_str(&format!(
-        "      \"busy_hit_rate\": {:.4},\n",
-        p.busy_hit_rate()
-    ));
-    out.push_str(&format!(
-        "      \"fast_path_rate\": {:.4},\n",
-        p.fast_path_rate()
-    ));
-    let hists = [
-        ("pending_depth", &p.pending_depth),
-        ("replay_chain", &p.replay_chain),
-        ("snoop_fanout", &p.snoop_fanout),
-        ("mshr_occupancy", &p.mshr_occupancy),
-    ];
-    for (i, (name, h)) in hists.iter().enumerate() {
-        out.push_str(&format!(
-            "      \"{name}\": {{\"count\": {}, \"mean\": {:.2}, \"max\": {}}}{}\n",
-            h.count,
-            h.mean(),
-            h.max,
-            if i + 1 < hists.len() { "," } else { "" }
-        ));
+fn profile_json(p: &simcxl_coherence::EngineProfile) -> Json {
+    let hist = |h: &simcxl_coherence::DepthHist| {
+        Json::obj([
+            ("count", h.count.into()),
+            ("mean", Json::fixed(h.mean(), 2)),
+            ("max", h.max.into()),
+        ])
+    };
+    Json::obj([
+        ("requests", p.requests().into()),
+        ("busy_hits", p.busy_hits.into()),
+        ("fast_path", p.fast_path.into()),
+        ("general_path", p.general_path.into()),
+        ("busy_hit_rate", Json::fixed(p.busy_hit_rate(), 4)),
+        ("fast_path_rate", Json::fixed(p.fast_path_rate(), 4)),
+        ("pending_depth", hist(&p.pending_depth)),
+        ("replay_chain", hist(&p.replay_chain)),
+        ("snoop_fanout", hist(&p.snoop_fanout)),
+        ("mshr_occupancy", hist(&p.mshr_occupancy)),
+    ])
+}
+
+/// One variant's section. The weighted variant adds its stripe
+/// `weights` and `balance_error`; per-home directory counters make
+/// interleave imbalance visible at a glance.
+fn stress_json(cfg: &StressConfig, r: &StressResult) -> Json {
+    let mut m = vec![("caches", cfg.caches.into()), ("homes", cfg.homes.into())];
+    if let Some(w) = &cfg.weights {
+        m.push(("weights", w.as_slice().into()));
     }
-    out.push_str("    },\n");
-}
-
-// Per-home directory counters: with N>1 the spread across shards
-// makes interleave imbalance visible at a glance.
-fn push_per_home(out: &mut String, r: &StressResult) {
-    out.push_str("    \"per_home\": [\n");
-    for (h, s) in r.per_home.iter() {
-        out.push_str(&format!(
-            "      {{\"home\": {}, \"requests\": {}, \"llc_hits\": {}, \"mem_fetches\": {}, \"snoops_sent\": {}, \"write_pulls\": {}, \"ncp_pushes\": {}}}{}\n",
-            h.index(),
-            s.requests,
-            s.llc_hits,
-            s.mem_fetches,
-            s.snoops_sent,
-            s.write_pulls,
-            s.ncp_pushes,
-            if h.index() + 1 < r.per_home.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
+    m.extend([
+        ("requests", cfg.requests.into()),
+        ("events", r.events.into()),
+        ("completions", r.completions.into()),
+        ("wall_secs", Json::fixed(r.wall_secs, 4)),
+        ("events_per_sec", Json::fixed(r.events_per_sec(), 0)),
+        ("ns_per_event", Json::fixed(r.ns_per_event(), 1)),
+        ("checksum", Json::hex(r.checksum)),
+    ]);
+    if cfg.weights.is_some() {
+        m.push(("balance_error", Json::fixed(r.per_home.balance_error(), 4)));
     }
-    out.push_str("    ]\n");
+    let per_home = r.per_home.iter().map(|(h, s)| {
+        Json::obj([
+            ("home", h.index().into()),
+            ("requests", s.requests.into()),
+            ("llc_hits", s.llc_hits.into()),
+            ("mem_fetches", s.mem_fetches.into()),
+            ("snoops_sent", s.snoops_sent.into()),
+            ("write_pulls", s.write_pulls.into()),
+            ("ncp_pushes", s.ncp_pushes.into()),
+        ])
+    });
+    m.push(("profile", profile_json(&r.profile)));
+    m.push(("per_home", Json::Arr(per_home.collect())));
+    Json::obj(m)
 }
 
-fn push_stress_section(out: &mut String, cfg: &StressConfig, r: &StressResult) {
-    out.push_str(&format!("    \"caches\": {},\n", cfg.caches));
-    out.push_str(&format!("    \"homes\": {},\n", cfg.homes));
-    out.push_str(&format!("    \"requests\": {},\n", cfg.requests));
-    out.push_str(&format!("    \"events\": {},\n", r.events));
-    out.push_str(&format!("    \"completions\": {},\n", r.completions));
-    out.push_str(&format!("    \"wall_secs\": {:.4},\n", r.wall_secs));
-    out.push_str(&format!(
-        "    \"events_per_sec\": {:.0},\n",
-        r.events_per_sec()
-    ));
-    out.push_str(&format!("    \"ns_per_event\": {:.1},\n", r.ns_per_event()));
-    out.push_str(&format!("    \"checksum\": \"{:#018x}\",\n", r.checksum));
-    push_profile(out, r);
-    push_per_home(out, r);
-    out.push_str("  },\n");
-}
-
-/// The `multihome_weighted` section: the stress fields plus the
-/// stripe weights and how far per-home traffic deviates from them.
-fn push_weighted_section(out: &mut String, cfg: &StressConfig, r: &StressResult) {
-    let weights = cfg.weights.as_deref().expect("weighted config");
-    out.push_str(&format!("    \"caches\": {},\n", cfg.caches));
-    out.push_str(&format!("    \"homes\": {},\n", cfg.homes));
-    out.push_str(&format!(
-        "    \"weights\": [{}],\n",
-        weights
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!("    \"requests\": {},\n", cfg.requests));
-    out.push_str(&format!("    \"events\": {},\n", r.events));
-    out.push_str(&format!("    \"completions\": {},\n", r.completions));
-    out.push_str(&format!("    \"wall_secs\": {:.4},\n", r.wall_secs));
-    out.push_str(&format!(
-        "    \"events_per_sec\": {:.0},\n",
-        r.events_per_sec()
-    ));
-    out.push_str(&format!("    \"ns_per_event\": {:.1},\n", r.ns_per_event()));
-    out.push_str(&format!("    \"checksum\": \"{:#018x}\",\n", r.checksum));
-    out.push_str(&format!(
-        "    \"balance_error\": {:.4},\n",
-        r.per_home.balance_error()
-    ));
-    push_profile(out, r);
-    push_per_home(out, r);
-    out.push_str("  },\n");
-}
-
-/// Renders the hot-path report as JSON (see README for the schema).
-pub fn report_json(quick: bool) -> String {
+/// Runs every variant (each twice, keeping the faster run) and the
+/// figure timings; the report body of [`SUITE`].
+///
+/// # Panics
+///
+/// Panics in full mode if the weighted variant's balance error exceeds
+/// [`BALANCE_ERROR_GATE`], or if any variant's two runs disagree.
+fn run(quick: bool) -> Json {
     let (cfg, mh_cfg, w_cfg) = if quick {
         (
             StressConfig::quick(),
@@ -557,247 +521,16 @@ pub fn report_json(quick: bool) -> String {
         );
     }
     let up = best_of_two(&mh_cfg, stress_upfront);
-    let figs = figure_timings(quick);
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"simcxl-hotpath/v7\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if quick { "quick" } else { "full" }
-    ));
-    out.push_str("  \"stress\": {\n");
-    push_stress_section(&mut out, &cfg, &r);
-    out.push_str("  \"multihome\": {\n");
-    push_stress_section(&mut out, &mh_cfg, &mh);
-    out.push_str("  \"multihome_weighted\": {\n");
-    push_weighted_section(&mut out, &w_cfg, &wt);
-    out.push_str("  \"stress_upfront\": {\n");
-    push_stress_section(&mut out, &mh_cfg, &up);
-    out.push_str("  \"figures\": [\n");
-    for (i, (name, secs)) in figs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"wall_secs\": {secs:.4}}}{}\n",
-            if i + 1 < figs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"baseline\": {\n");
-    out.push_str(&format!("    \"label\": \"{BASELINE_LABEL}\",\n"));
-    out.push_str(&format!(
-        "    \"events_per_sec\": {BASELINE_EVENTS_PER_SEC:.0},\n"
-    ));
-    out.push_str(&format!(
-        "    \"ns_per_event\": {BASELINE_NS_PER_EVENT:.1}\n"
-    ));
-    out.push_str("  },\n");
-    // Quick mode runs a smaller workload than the baseline was measured
-    // on, so a ratio would be misleading there.
-    if quick {
-        out.push_str("  \"speedup_vs_baseline\": null\n");
-    } else {
-        out.push_str(&format!(
-            "  \"speedup_vs_baseline\": {:.2}\n",
-            r.events_per_sec() / BASELINE_EVENTS_PER_SEC
-        ));
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Workspace-root path of `BENCH_hotpath.json` (anchored via the crate
-/// manifest, so invoking `cargo run`/`cargo bench` from a subdirectory
-/// cannot fork a stray copy).
-pub fn report_path() -> &'static str {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json")
-}
-
-/// Runs the report and writes `BENCH_hotpath.json` at the workspace
-/// root.
-pub fn write_report(quick: bool) -> std::io::Result<String> {
-    let json = report_json(quick);
-    std::fs::write(report_path(), &json)?;
-    Ok(json)
-}
-
-/// Extracts the top-level object or array named `key` from a report
-/// (brace/bracket matching over the report's own formatting — the
-/// report writer and this reader are the only JSON tooling the repo
-/// needs, so no parser dependency).
-pub fn extract_section<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let open = rest.find(['{', '['])?;
-    let (open_ch, close_ch) = if rest.as_bytes()[open] == b'{' {
-        ('{', '}')
-    } else {
-        ('[', ']')
-    };
-    let mut depth = 0usize;
-    for (i, c) in rest[open..].char_indices() {
-        if c == open_ch {
-            depth += 1;
-        } else if c == close_ch {
-            depth -= 1;
-            if depth == 0 {
-                return Some(&rest[open..open + i + 1]);
-            }
-        }
-    }
-    None
-}
-
-/// Extracts a top-level scalar field (`"key": value`) from a report.
-pub fn extract_scalar<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)?;
-    let rest = json[at + needle.len()..].trim_start();
-    let end = rest.find([',', '\n'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// Renders the human-oriented summary of a `BENCH_hotpath.json`: one
-/// block per stress variant plus the headline ratios. This is what CI
-/// prints instead of ad-hoc `python3 -c` JSON digging.
-pub fn summary(json: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "schema {} ({} mode)\n",
-        extract_scalar(json, "schema").unwrap_or("?"),
-        extract_scalar(json, "mode").unwrap_or("?"),
-    ));
-    for key in [
-        "stress",
-        "multihome",
-        "multihome_weighted",
-        "stress_upfront",
-    ] {
-        match extract_section(json, key) {
-            Some(sec) => out.push_str(&format!("\"{key}\": {sec}\n")),
-            None => out.push_str(&format!("\"{key}\": <missing>\n")),
-        }
-    }
-    if let Some(s) = extract_scalar(json, "speedup_vs_baseline") {
-        out.push_str(&format!("speedup_vs_baseline: {s}\n"));
-    }
-    out
-}
-
-/// Renders a GitHub-flavored markdown digest of a `BENCH_hotpath.json`
-/// for `$GITHUB_STEP_SUMMARY`: one table row per stress variant
-/// (events/sec, ns/event, checksum), then the weighted-stress balance
-/// gate. Pure report-reading — safe to call on any v7 file.
-pub fn github_summary(json: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "### hotpath ({} mode, schema {})\n\n",
-        extract_scalar(json, "mode").unwrap_or("?"),
-        extract_scalar(json, "schema").unwrap_or("?"),
-    ));
-    out.push_str("| variant | events/sec | ns/event | checksum |\n");
-    out.push_str("|---|---:|---:|---|\n");
-    for key in [
-        "stress",
-        "multihome",
-        "multihome_weighted",
-        "stress_upfront",
-    ] {
-        let sec = extract_section(json, key);
-        let field = |name: &str| {
-            sec.and_then(|s| extract_scalar(s, name))
-                .unwrap_or("?")
-                .to_owned()
-        };
-        out.push_str(&format!(
-            "| {key} | {} | {} | `{}` |\n",
-            field("events_per_sec"),
-            field("ns_per_event"),
-            field("checksum"),
-        ));
-    }
-    if let Some(err) =
-        extract_section(json, "multihome_weighted").and_then(|s| extract_scalar(s, "balance_error"))
-    {
-        out.push_str(&format!(
-            "weighted balance_error: {err} (gate {BALANCE_ERROR_GATE})\n"
-        ));
-    }
-    out
-}
-
-/// Checks the determinism canaries of a `BENCH_hotpath.json`: the
-/// wave-driven `stress` checksum and the dense upfront-batch
-/// `stress_upfront` checksum must both equal their pinned values for
-/// the report's mode ([`PINNED_STRESS_CHECKSUM_FULL`] /
-/// [`PINNED_UPFRONT_CHECKSUM_FULL`] and the `_QUICK` pair). Returns the
-/// verified `stress` checksum, or a description of the drift.
-///
-/// This is the gating half of the CI perf step: throughput numbers stay
-/// non-gating (containers are noisy), but a moved checksum means a
-/// completion stream changed and must fail the build unless the pin is
-/// intentionally updated alongside the change. The upfront batch is
-/// pinned separately because it is the stream the dense-contention hot
-/// path exercises hardest — a bug confined to deep pending lists or the
-/// fast path would move it long before the wave-driven anchor.
-///
-/// # Errors
-///
-/// An explanatory message when the mode or a checksum field is missing
-/// or malformed, or when either checksum does not match its pin.
-pub fn check_determinism(json: &str) -> Result<u64, String> {
-    let mode = extract_scalar(json, "mode").ok_or("report has no \"mode\" field")?;
-    let (pinned, pinned_upfront) = match mode {
-        "full" => (PINNED_STRESS_CHECKSUM_FULL, PINNED_UPFRONT_CHECKSUM_FULL),
-        "quick" => (PINNED_STRESS_CHECKSUM_QUICK, PINNED_UPFRONT_CHECKSUM_QUICK),
-        other => return Err(format!("unknown report mode {other:?}")),
-    };
-    let section_checksum = |key: &str| -> Result<u64, String> {
-        let sec = extract_section(json, key).ok_or(format!("report has no \"{key}\" section"))?;
-        let checksum =
-            extract_scalar(sec, "checksum").ok_or(format!("{key} section has no checksum"))?;
-        u64::from_str_radix(checksum.trim_start_matches("0x"), 16)
-            .map_err(|e| format!("unparsable {key} checksum {checksum:?}: {e}"))
-    };
-    let value = section_checksum("stress")?;
-    if value != pinned {
-        return Err(format!(
-            "stress checksum drifted: got {value:#018x}, pinned {pinned:#018x} ({mode} mode) — \
-             the completion stream changed; if intentional, update the pins in \
-             crates/bench/src/hotpath.rs"
-        ));
-    }
-    let upfront = section_checksum("stress_upfront")?;
-    if upfront != pinned_upfront {
-        return Err(format!(
-            "dense upfront-batch checksum drifted: got {upfront:#018x}, pinned \
-             {pinned_upfront:#018x} ({mode} mode) — the stress_upfront completion stream \
-             changed; if intentional, update the pins in crates/bench/src/hotpath.rs"
-        ));
-    }
-    Ok(value)
-}
-
-/// Renders the `profile` block of every stress variant in a
-/// `BENCH_hotpath.json` — what `simcxl-report hotpath --profile` prints
-/// (and CI logs in the quick smoke step), so the hot-path shape of a
-/// run is readable without JSON digging.
-pub fn profile_summary(json: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "hot-path profile ({} mode)\n",
-        extract_scalar(json, "mode").unwrap_or("?"),
-    ));
-    for key in [
-        "stress",
-        "multihome",
-        "multihome_weighted",
-        "stress_upfront",
-    ] {
-        match extract_section(json, key).and_then(|sec| extract_section(sec, "profile")) {
-            Some(p) => out.push_str(&format!("\"{key}\": {p}\n")),
-            None => out.push_str(&format!("\"{key}\": <no profile block (pre-v5 report?)>\n")),
-        }
-    }
-    out
+    let figures = figure_timings(quick).into_iter().map(|(name, secs)| {
+        Json::obj([("name", name.into()), ("wall_secs", Json::fixed(secs, 4))])
+    });
+    Json::obj([
+        ("stress", stress_json(&cfg, &r)),
+        ("multihome", stress_json(&mh_cfg, &mh)),
+        ("multihome_weighted", stress_json(&w_cfg, &wt)),
+        ("stress_upfront", stress_json(&mh_cfg, &up)),
+        ("figures", Json::Arr(figures.collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -851,41 +584,34 @@ mod tests {
         assert_eq!(r.completions, 20_000);
     }
 
+    /// The v8 shape of the quick report (shared with the generic suite
+    /// check, so it is not regenerated here).
     #[test]
     fn report_json_is_well_formed() {
-        let json = report_json(true);
-        assert!(json.contains("\"schema\": \"simcxl-hotpath/v7\""));
-        assert!(json.contains("\"profile\""));
-        assert!(json.contains("\"fast_path_rate\""));
-        assert!(json.contains("\"pending_depth\""));
-        assert!(json.contains("\"events_per_sec\""));
-        assert!(json.contains("\"figures\""));
-        assert!(json.contains("\"multihome\""));
-        assert!(json.contains("\"multihome_weighted\""));
-        assert!(json.contains("\"weights\": [4, 2, 1, 1]"));
-        assert!(json.contains("\"balance_error\""));
-        assert!(json.contains("\"stress_upfront\""));
-        assert!(!json.contains("\"pool\""));
-        assert!(json.contains("\"per_home\""));
-        // Crude balance check in lieu of a JSON parser.
+        let report = crate::report::tests::quick_report(&SUITE);
+        for gone in ["baseline", "speedup_vs_baseline"] {
+            assert!(report.get(gone).is_none(), "v8 dropped {gone}");
+        }
+        let homes = [
+            ("stress", 1),
+            ("multihome", 4),
+            ("multihome_weighted", 4),
+            ("stress_upfront", 4),
+        ];
+        for (variant, n) in homes {
+            let sec = report.get(variant).expect("variant section");
+            assert!(sec.path("profile.fast_path_rate").is_some(), "{variant}");
+            assert!(
+                matches!(sec.get("per_home"), Some(Json::Arr(h)) if h.len() == n),
+                "{variant}"
+            );
+        }
+        let weights: &[u64] = &StressConfig::WEIGHTED_WEIGHTS;
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces in report"
+            report.path("multihome_weighted.weights"),
+            Some(&Json::from(weights))
         );
-        // The summary/check/profile tooling must understand its own
-        // report.
-        let s = summary(&json);
-        assert!(s.contains("\"multihome_weighted\": {"));
-        assert!(!s.contains("<missing>"), "summary lost a section:\n{s}");
-        let p = profile_summary(&json);
-        assert!(p.contains("\"stress_upfront\": {"));
-        assert!(p.contains("\"busy_hit_rate\""));
-        assert!(
-            !p.contains("<no profile"),
-            "profile summary lost a block:\n{p}"
-        );
-        assert_eq!(check_determinism(&json), Ok(PINNED_STRESS_CHECKSUM_QUICK));
+        assert!(matches!(report.get("figures"), Some(Json::Arr(f)) if f.len() == 5));
     }
 
     #[test]
@@ -907,51 +633,8 @@ mod tests {
     }
 
     #[test]
-    fn balance_error_math() {
-        use simcxl_coherence::home::HomeStats;
-        let mk = |requests: u64| HomeStats {
-            requests,
-            ..HomeStats::default()
-        };
-        // Perfect 4:2:1:1 split.
-        let per = [mk(400), mk(200), mk(100), mk(100)];
-        assert!(balance_error(&per, &[4, 2, 1, 1]) < 1e-12);
-        // Home 2 at double its weight's worth of the (now larger)
-        // total: share 200/900 vs want 1/8 -> deviation 7/9.
-        let per = [mk(400), mk(200), mk(200), mk(100)];
-        let err = balance_error(&per, &[4, 2, 1, 1]);
-        assert!((err - 7.0 / 9.0).abs() < 1e-9, "err {err}");
-    }
-
-    #[test]
     fn checksum_drift_is_detected() {
-        let json = report_json(true);
-        let good = format!("{PINNED_STRESS_CHECKSUM_QUICK:#018x}");
-        let flipped = format!("{:#018x}", PINNED_STRESS_CHECKSUM_QUICK ^ 1);
-        let bad = json.replacen(&good, &flipped, 1);
-        let err = check_determinism(&bad).unwrap_err();
-        assert!(err.contains("drifted"), "unexpected error: {err}");
-        // The dense upfront-batch pin gates independently.
-        let good = format!("{PINNED_UPFRONT_CHECKSUM_QUICK:#018x}");
-        let flipped = format!("{:#018x}", PINNED_UPFRONT_CHECKSUM_QUICK ^ 1);
-        let bad = json.replacen(&good, &flipped, 1);
-        let err = check_determinism(&bad).unwrap_err();
-        assert!(
-            err.contains("upfront-batch checksum drifted"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn section_extractor_matches_report_layout() {
-        let json = report_json(true);
-        let stress = extract_section(&json, "stress").expect("stress section");
-        assert!(stress.starts_with('{') && stress.ends_with('}'));
-        assert!(stress.contains("\"checksum\""));
-        let figs = extract_section(&json, "figures").expect("figures array");
-        assert!(figs.starts_with('[') && figs.ends_with(']'));
-        assert_eq!(extract_scalar(&json, "mode"), Some("quick"));
-        assert!(extract_section(&json, "no_such_key").is_none());
+        crate::report::tests::check_suite(&SUITE);
     }
 
     /// Pins the quick multihome upfront-batch stream — the committed

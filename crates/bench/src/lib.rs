@@ -5,6 +5,7 @@
 pub mod faults;
 pub mod hotpath;
 pub mod rebalance;
+pub mod report;
 pub mod scenarios;
 
 use cohet::experiments::{self, Tier};

@@ -3,33 +3,34 @@
 //! directory topology, reported with per-phase latency percentiles and
 //! the determinism checksum.
 //!
-//! Mirrors [`hotpath`](crate::hotpath): `full` mode produces the
-//! committed workspace-root report (≥ 1 M logical clients per
-//! scenario), `quick` mode is the CI smoke variant, and
-//! [`check_determinism`] is the gating half of the CI perf step — the
-//! throughput numbers stay non-gating, but a moved checksum means the
-//! completion stream changed and must fail the build unless the pins
-//! are intentionally updated alongside the change.
+//! `full` mode produces the committed workspace-root report (≥ 1 M
+//! logical clients per scenario), `quick` mode is the CI smoke
+//! variant; [`SUITE`] pins every scenario's checksum.
 
-use crate::hotpath::{extract_scalar, extract_section};
+use crate::report::{Json, Suite};
 use cohet::{CohetSystem, TopologySpec};
 use simcxl_workloads::scenario::{self, ScenarioOutcome, ScenarioSpec};
 
-/// Pinned full-mode per-scenario checksums (the committed
-/// `BENCH_scenarios.json`).
-pub const PINNED_SCENARIO_CHECKSUMS_FULL: [(&str, u64); 3] = [
-    ("ramp_then_burst", 0xe4071f9e605ecdfa),
-    ("steady_closed", 0x6f70cf11a5084b55),
-    ("hot_key_storm", 0xec9696beb5f96c81),
-];
-
-/// Pinned quick-mode per-scenario checksums (what CI regenerates and
-/// gates on).
-pub const PINNED_SCENARIO_CHECKSUMS_QUICK: [(&str, u64); 3] = [
-    ("ramp_then_burst", 0x1981fe52d2394759),
-    ("steady_closed", 0x69b897d245804a27),
-    ("hot_key_storm", 0xffb54423b6959cee),
-];
+/// The `simcxl-scenarios/v1` suite. Its pins are the per-scenario
+/// checksums `(name, full, quick)`: the committed full-mode report and
+/// what CI regenerates in quick mode.
+pub const SUITE: Suite = Suite {
+    name: "scenarios",
+    schema: "simcxl-scenarios/v1",
+    file: "BENCH_scenarios.json",
+    run,
+    pins: &[
+        ("ramp_then_burst", 0xe4071f9e605ecdfa, 0x1981fe52d2394759),
+        ("steady_closed", 0x6f70cf11a5084b55, 0x69b897d245804a27),
+        ("hot_key_storm", 0xec9696beb5f96c81, 0xffb54423b6959cee),
+    ],
+    columns: &[
+        ("clients", "clients"),
+        ("completed", "completed"),
+        ("events/sec", "events_per_sec"),
+        ("checksum", "checksum"),
+    ],
+};
 
 /// One benchmarked scenario: the declarative spec plus the system it
 /// runs on. The three canonical cases deliberately exercise three
@@ -98,171 +99,48 @@ pub fn cases(quick: bool) -> Vec<ScenarioCase> {
     ]
 }
 
-fn push_phase(out: &mut String, p: &scenario::PhaseReport, last: bool) {
-    out.push_str(&format!(
-        "      {{\"name\": \"{}\", \"sessions\": {}, \"accesses\": {}, \
-         \"p50_ns\": {:.1}, \"p95_ns\": {:.1}, \"p99_ns\": {:.1}, \
-         \"mean_ns\": {:.1}, \"throughput_per_us\": {:.1}}}{}\n",
-        p.name,
-        p.sessions,
-        p.accesses,
-        p.p50_ns,
-        p.p95_ns,
-        p.p99_ns,
-        p.mean_ns,
-        p.throughput_per_us(),
-        if last { "" } else { "," }
-    ));
-}
-
-fn push_case(out: &mut String, case: &ScenarioCase, r: &ScenarioOutcome, wall: f64, last: bool) {
-    out.push_str(&format!("  \"{}\": {{\n", r.name));
-    out.push_str(&format!("    \"topology\": \"{:?}\",\n", case.topology));
-    out.push_str(&format!("    \"clients\": {},\n", case.spec.clients));
-    out.push_str(&format!("    \"agents\": {},\n", case.spec.agents));
-    out.push_str(&format!("    \"completed\": {},\n", r.completed));
-    out.push_str(&format!("    \"capped\": {},\n", r.capped));
-    out.push_str(&format!("    \"accesses\": {},\n", r.accesses));
-    out.push_str(&format!("    \"events\": {},\n", r.events));
-    out.push_str(&format!("    \"checksum\": \"{:#018x}\",\n", r.checksum));
-    out.push_str(&format!("    \"peak_live\": {},\n", r.peak_live));
-    out.push_str(&format!(
-        "    \"elapsed_sim_us\": {:.1},\n",
-        r.elapsed.as_us_f64()
-    ));
-    out.push_str(&format!("    \"wall_secs\": {wall:.4},\n"));
-    out.push_str(&format!(
-        "    \"events_per_sec\": {:.0},\n",
-        if wall > 0.0 {
-            r.events as f64 / wall
-        } else {
-            0.0
-        }
-    ));
-    out.push_str("    \"phases\": [\n");
-    for (i, p) in r.phases.iter().enumerate() {
-        push_phase(out, p, i + 1 == r.phases.len());
-    }
-    out.push_str("    ]\n");
-    out.push_str(&format!("  }}{}\n", if last { "" } else { "," }));
-}
-
-/// Renders the scenario report as JSON (schema `simcxl-scenarios/v1`;
-/// see README for the field-by-field description). Runs all three
-/// canonical cases.
-pub fn report_json(quick: bool) -> String {
-    let cases = cases(quick);
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"simcxl-scenarios/v1\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if quick { "quick" } else { "full" }
-    ));
-    for (i, case) in cases.iter().enumerate() {
-        let (r, wall) = case.run();
-        push_case(&mut out, case, &r, wall, i + 1 == cases.len());
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Workspace-root path of `BENCH_scenarios.json` (anchored via the
-/// crate manifest, like [`hotpath::report_path`](crate::hotpath::report_path)).
-pub fn report_path() -> &'static str {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scenarios.json")
-}
-
-/// Runs the report and writes `BENCH_scenarios.json` at the workspace
-/// root.
-pub fn write_report(quick: bool) -> std::io::Result<String> {
-    let json = report_json(quick);
-    std::fs::write(report_path(), &json)?;
-    Ok(json)
-}
-
-/// Renders the human-oriented summary of a `BENCH_scenarios.json`: one
-/// block per scenario. This is what CI prints instead of ad-hoc JSON
-/// digging.
-pub fn summary(json: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "schema {} ({} mode)\n",
-        extract_scalar(json, "schema").unwrap_or("?"),
-        extract_scalar(json, "mode").unwrap_or("?"),
-    ));
-    for (name, _) in PINNED_SCENARIO_CHECKSUMS_FULL {
-        match extract_section(json, name) {
-            Some(sec) => out.push_str(&format!("\"{name}\": {sec}\n")),
-            None => out.push_str(&format!("\"{name}\": <missing>\n")),
-        }
-    }
-    out
-}
-
-/// Renders a GitHub-flavored markdown digest of a
-/// `BENCH_scenarios.json` for `$GITHUB_STEP_SUMMARY`: one table row per
-/// scenario (clients, completed, events/sec, checksum).
-pub fn github_summary(json: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "### scenarios ({} mode, schema {})\n\n",
-        extract_scalar(json, "mode").unwrap_or("?"),
-        extract_scalar(json, "schema").unwrap_or("?"),
-    ));
-    out.push_str("| scenario | clients | completed | events/sec | checksum |\n");
-    out.push_str("|---|---:|---:|---:|---|\n");
-    for (name, _) in PINNED_SCENARIO_CHECKSUMS_FULL {
-        let sec = extract_section(json, name);
-        let field = |key: &str| {
-            sec.and_then(|s| extract_scalar(s, key))
-                .unwrap_or("?")
-                .to_owned()
-        };
-        out.push_str(&format!(
-            "| {name} | {} | {} | {} | `{}` |\n",
-            field("clients"),
-            field("completed"),
-            field("events_per_sec"),
-            field("checksum"),
-        ));
-    }
-    out
-}
-
-/// Checks the determinism canary of a `BENCH_scenarios.json`: every
-/// scenario's checksum must equal the pinned value for the report's
-/// mode. Returns a one-line confirmation, or a description of the
-/// drift.
-///
-/// # Errors
-///
-/// An explanatory message when the mode, a scenario section, or a
-/// checksum field is missing or malformed, or when any checksum does
-/// not match its pin.
-pub fn check_determinism(json: &str) -> Result<String, String> {
-    let mode = extract_scalar(json, "mode").ok_or("report has no \"mode\" field")?;
-    let pins = match mode {
-        "full" => PINNED_SCENARIO_CHECKSUMS_FULL,
-        "quick" => PINNED_SCENARIO_CHECKSUMS_QUICK,
-        other => return Err(format!("unknown report mode {other:?}")),
+fn case_json(case: &ScenarioCase, r: &ScenarioOutcome, wall: f64) -> Json {
+    let phases = r.phases.iter().map(|p| {
+        Json::obj([
+            ("name", p.name.as_str().into()),
+            ("sessions", p.sessions.into()),
+            ("accesses", p.accesses.into()),
+            ("p50_ns", Json::fixed(p.p50_ns, 1)),
+            ("p95_ns", Json::fixed(p.p95_ns, 1)),
+            ("p99_ns", Json::fixed(p.p99_ns, 1)),
+            ("mean_ns", Json::fixed(p.mean_ns, 1)),
+            ("throughput_per_us", Json::fixed(p.throughput_per_us(), 1)),
+        ])
+    });
+    let events_per_sec = if wall > 0.0 {
+        r.events as f64 / wall
+    } else {
+        0.0
     };
-    for (name, pinned) in pins {
-        let sec = extract_section(json, name).ok_or(format!("report has no \"{name}\" section"))?;
-        let checksum = extract_scalar(sec, "checksum").ok_or(format!("{name} has no checksum"))?;
-        let value = u64::from_str_radix(checksum.trim_start_matches("0x"), 16)
-            .map_err(|e| format!("unparsable {name} checksum {checksum:?}: {e}"))?;
-        if value != pinned {
-            return Err(format!(
-                "{name} checksum drifted: got {value:#018x}, pinned {pinned:#018x} \
-                 ({mode} mode) — the completion stream changed; if intentional, \
-                 update the pins in crates/bench/src/scenarios.rs"
-            ));
-        }
-    }
-    Ok(format!(
-        "{} scenario checksums match their {mode}-mode pins",
-        pins.len()
-    ))
+    Json::obj([
+        ("topology", format!("{:?}", case.topology).into()),
+        ("clients", case.spec.clients.into()),
+        ("agents", case.spec.agents.into()),
+        ("completed", r.completed.into()),
+        ("capped", r.capped.into()),
+        ("accesses", r.accesses.into()),
+        ("events", r.events.into()),
+        ("checksum", Json::hex(r.checksum)),
+        ("peak_live", r.peak_live.into()),
+        ("elapsed_sim_us", Json::fixed(r.elapsed.as_us_f64(), 1)),
+        ("wall_secs", Json::fixed(wall, 4)),
+        ("events_per_sec", Json::fixed(events_per_sec, 0)),
+        ("phases", Json::Arr(phases.collect())),
+    ])
+}
+
+/// Runs all three canonical cases; the report body of [`SUITE`] (see
+/// README for the field-by-field description).
+fn run(quick: bool) -> Json {
+    Json::obj(cases(quick).iter().map(|case| {
+        let (r, wall) = case.run();
+        (r.name.clone(), case_json(case, &r, wall))
+    }))
 }
 
 #[cfg(test)]
@@ -289,35 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn report_roundtrips_through_the_extractors() {
-        let case = tiny();
-        let (r, wall) = case.run();
-        let mut json =
-            String::from("{\n  \"schema\": \"simcxl-scenarios/v1\",\n  \"mode\": \"quick\",\n");
-        push_case(&mut json, &case, &r, wall, true);
-        json.push_str("}\n");
-        let sec = extract_section(&json, "ramp_then_burst").expect("section");
-        let sum = extract_scalar(sec, "checksum").expect("checksum");
-        assert_eq!(
-            u64::from_str_radix(sum.trim_start_matches("0x"), 16).unwrap(),
-            r.checksum
-        );
-        let phases = extract_section(sec, "phases").expect("phases");
-        assert_eq!(phases.matches("\"name\"").count(), r.phases.len());
-    }
-
-    #[test]
     fn pins_cover_every_canonical_case() {
         let names: Vec<String> = cases(true).iter().map(|c| c.spec.name.clone()).collect();
-        for pins in [
-            PINNED_SCENARIO_CHECKSUMS_FULL,
-            PINNED_SCENARIO_CHECKSUMS_QUICK,
-        ] {
-            assert_eq!(pins.len(), names.len());
-            for ((pin_name, _), name) in pins.iter().zip(&names) {
-                assert_eq!(pin_name, name);
-            }
-        }
+        let pinned: Vec<&str> = SUITE.pins.iter().map(|&(name, ..)| name).collect();
+        assert_eq!(pinned, names);
     }
 
     /// The quick-mode pins are live: re-running the quick cases
@@ -325,7 +178,7 @@ mod tests {
     /// `scenarios --check-determinism --expect-mode=quick` gate).
     #[test]
     fn quick_cases_reproduce_their_pins() {
-        for (case, (name, pin)) in cases(true).iter().zip(PINNED_SCENARIO_CHECKSUMS_QUICK) {
+        for (case, &(name, _, pin)) in cases(true).iter().zip(SUITE.pins) {
             let (out, _) = case.run();
             assert_eq!(out.name, name);
             assert_eq!(
@@ -337,22 +190,6 @@ mod tests {
 
     #[test]
     fn determinism_check_flags_drift_and_missing_fields() {
-        assert!(check_determinism("{}").is_err());
-        assert!(check_determinism("{\n  \"mode\": \"warp\",\n}").is_err());
-        let mut json = String::from("{\n  \"mode\": \"quick\",\n");
-        for (name, pin) in PINNED_SCENARIO_CHECKSUMS_QUICK {
-            json.push_str(&format!(
-                "  \"{name}\": {{\n    \"checksum\": \"{pin:#018x}\"\n  }},\n"
-            ));
-        }
-        json.push_str("}\n");
-        assert!(check_determinism(&json).is_ok());
-        let drifted = json.replacen(
-            &format!("{:#018x}", PINNED_SCENARIO_CHECKSUMS_QUICK[0].1),
-            "0x0000000000000001",
-            1,
-        );
-        let err = check_determinism(&drifted).unwrap_err();
-        assert!(err.contains("drifted"), "{err}");
+        crate::report::tests::check_suite(&SUITE);
     }
 }

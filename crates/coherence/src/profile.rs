@@ -6,9 +6,8 @@
 //! integer counters and power-of-two histograms that cost one add (and
 //! at most one leading-zeros instruction) per event, cheap enough to
 //! leave on in release benchmarks. [`ProtocolEngine::profile`]
-//! aggregates them into an [`EngineProfile`], which
-//! `simcxl-report hotpath --profile` renders and the v5
-//! `BENCH_hotpath.json` schema embeds per section.
+//! aggregates them into an [`EngineProfile`], which the
+//! `BENCH_hotpath.json` schema (since v5) embeds per section.
 //!
 //! [`ProtocolEngine::profile`]: crate::engine::ProtocolEngine::profile
 
