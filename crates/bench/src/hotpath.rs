@@ -41,8 +41,8 @@ pub const PINNED_STRESS_CHECKSUM_QUICK: u64 = 0xb1e18caf05b4d6a4;
 /// The pinned full-mode checksum of the dense upfront batch — the
 /// `stress_upfront` entry's stream (the whole multihome workload issued
 /// ~1 ns apart and drained in one `run_to_quiescence`). This is the
-/// stream the dense-contention hot path (pending slab, snoop batching,
-/// fast path) reshapes internally, so it is pinned separately from the
+/// stream the dense-contention hot path (pending slab, snoop batching)
+/// reshapes internally, so it is pinned separately from the
 /// wave-driven `stress` anchor: [`SUITE`]'s pins cover both.
 pub const PINNED_UPFRONT_CHECKSUM_FULL: u64 = 0x09b49727d30b6680;
 /// The pinned quick-mode upfront-batch checksum (also pinned by

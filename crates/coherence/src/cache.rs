@@ -152,13 +152,6 @@ impl CacheAgent {
         }
     }
 
-    /// Drops every resident line without writebacks (CLFLUSH-style test
-    /// setup; the engine resets the directory alongside).
-    pub(crate) fn clear(&mut self) {
-        self.array.clear();
-        assert!(self.mshrs.is_empty(), "clear with outstanding MSHRs");
-    }
-
     fn send(&mut self, now: Tick, kind: MsgKind, addr: simcxl_mem::PhysAddr, out: &mut Outbox) {
         let arrival = self.link.send(now, kind.bytes());
         // The cache is topology-blind: it addresses "the home" and the

@@ -4,7 +4,6 @@
 //! `cohet` crate's calibrated profiles adjust them for the FPGA and ASIC
 //! configurations of Table I / Fig. 13.
 
-use crate::topology::Topology;
 use sim_core::{LinkConfig, Tick};
 
 /// Configuration of one peer cache ([`crate::cache::CacheAgent`]).
@@ -75,10 +74,6 @@ pub struct HomeConfig {
     pub mem_link: LinkConfig,
     /// Fixed memory-controller front latency added to every fetch.
     pub mem_front_latency: Tick,
-    /// Optional LLC capacity in bytes; `None` disables capacity misses
-    /// (directory entries then live for the whole run, which matches the
-    /// paper's 96 MB LLC against sub-megabyte working sets).
-    pub capacity_bytes: Option<u64>,
 }
 
 impl Default for HomeConfig {
@@ -89,25 +84,8 @@ impl Default for HomeConfig {
             serve_gap: Tick::from_ps(2_000),
             mem_link: LinkConfig::with_gbps(Tick::from_ns(20), 70.4),
             mem_front_latency: Tick::from_ns(55),
-            capacity_bytes: None,
         }
     }
-}
-
-/// Engine-wide configuration.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EngineConfig {
-    /// Home-agent configuration template: every home in the topology is
-    /// built from this unless [`Self::home_configs`] overrides it.
-    pub home: HomeConfig,
-    /// How the directory is distributed across home agents (default:
-    /// the single monolithic home of the pre-multi-home engine).
-    pub topology: Topology,
-    /// Per-home configuration overrides, indexed by
-    /// [`HomeId`](crate::topology::HomeId); when set its length must
-    /// equal `topology.homes()`. Lets an expander-side home carry
-    /// different latencies than the host-socket homes.
-    pub home_configs: Option<Vec<HomeConfig>>,
 }
 
 #[cfg(test)]
@@ -121,12 +99,5 @@ mod tests {
         assert!(l1.link.latency < hmc.link.latency);
         assert_eq!(hmc.size_bytes, 128 * 1024);
         assert_eq!(hmc.ways, 4);
-    }
-
-    #[test]
-    fn default_home_has_no_capacity_limit() {
-        let h = HomeConfig::default();
-        assert!(h.capacity_bytes.is_none());
-        assert!(h.lookup_latency > Tick::ZERO);
     }
 }

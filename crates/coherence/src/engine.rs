@@ -3,10 +3,10 @@
 
 use crate::array::LineState;
 use crate::cache::{CacheAgent, CacheStats, Outbox};
-use crate::config::{CacheConfig, EngineConfig, HomeConfig};
+use crate::config::{CacheConfig, HomeConfig};
 use crate::fault::{self, FaultPlan, FaultState, FaultStatsView, Hop, RehomeStats};
 use crate::funcmem::FuncMem;
-use crate::home::{DirEntry, HomeAgent, HomeOutbox, HomeStats};
+use crate::home::{DirEntry, HomeAgent, HomeOutbox, HomeStatsView};
 use crate::msg::{AgentId, HitLevel, MemOp, Msg, MsgKind, ReqId};
 use crate::topology::{HomeId, Topology};
 use sim_core::{EventQueue, Link, SimRng, Tick};
@@ -247,60 +247,25 @@ struct ReqSlot {
 /// Builder for [`ProtocolEngine`].
 #[derive(Debug, Default)]
 pub struct ProtocolEngineBuilder {
-    config: EngineConfig,
+    home: HomeConfig,
+    topology: Topology,
     memory: Option<MemoryInterface>,
     jitter_ns: Option<(u64, f64)>,
     fault: Option<FaultPlan>,
-    fast_path: Option<bool>,
 }
 
 impl ProtocolEngineBuilder {
-    /// Sets the home-agent configuration template (applied to every
-    /// home in the topology unless [`home_configs`](Self::home_configs)
-    /// overrides it).
+    /// Sets the home-agent configuration every home in the topology is
+    /// built from.
     pub fn home(mut self, home: HomeConfig) -> Self {
-        self.config.home = home;
+        self.home = home;
         self
     }
 
     /// Distributes the directory across home agents according to `t`
     /// (default: [`Topology::single`], the monolithic home).
     pub fn topology(mut self, t: Topology) -> Self {
-        self.config.topology = t;
-        self
-    }
-
-    /// Distributes the directory across `weights.len()` home agents by
-    /// capacity-proportional weighted striping at `stride` bytes —
-    /// shorthand for `.topology(Topology::weighted(weights, stride))`.
-    /// Home `i` owns a `weights[i] / sum(weights)` share of the
-    /// stripes; equal weights are structurally the plain interleave.
-    ///
-    /// ```
-    /// use simcxl_coherence::{HomeId, ProtocolEngine};
-    /// use simcxl_mem::PhysAddr;
-    ///
-    /// // Home 0 fronts a pool twice the size of home 1's.
-    /// let eng = ProtocolEngine::builder()
-    ///     .interleave_weighted(&[2, 1], 4096)
-    ///     .build();
-    /// assert_eq!(eng.num_homes(), 2);
-    /// assert_eq!(eng.topology().home_weights(), vec![2, 1]);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid weights or stride (see [`Topology::weighted`]).
-    pub fn interleave_weighted(mut self, weights: &[u64], stride: u64) -> Self {
-        self.config.topology = Topology::weighted(weights, stride);
-        self
-    }
-
-    /// Per-home configuration overrides, indexed by [`HomeId`]; the
-    /// length must match the topology's home count (checked at
-    /// [`build`](Self::build)).
-    pub fn home_configs(mut self, cfgs: Vec<HomeConfig>) -> Self {
-        self.config.home_configs = Some(cfgs);
+        self.topology = t;
         self
     }
 
@@ -329,22 +294,7 @@ impl ProtocolEngineBuilder {
         self
     }
 
-    /// Enables/disables the home agents' uncontended-line fast path
-    /// (on by default). The fast path is stream-preserving — it emits
-    /// exactly the grants the general path would — so this knob exists
-    /// for the differential test that pins that equivalence and for
-    /// profiling the general path in isolation.
-    pub fn fast_path(mut self, on: bool) -> Self {
-        self.fast_path = Some(on);
-        self
-    }
-
     /// Builds the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`home_configs`](Self::home_configs) was given a
-    /// vector whose length differs from the topology's home count.
     pub fn build(self) -> ProtocolEngine {
         let mi = self.memory.unwrap_or_else(|| {
             let mut mi = MemoryInterface::new();
@@ -355,35 +305,14 @@ impl ProtocolEngineBuilder {
             );
             mi
         });
-        let topology = self.config.topology;
-        let home_cfgs: Vec<HomeConfig> = match self.config.home_configs {
-            Some(cfgs) => {
-                assert_eq!(
-                    cfgs.len(),
-                    topology.homes(),
-                    "home_configs length must match the topology's home count"
-                );
-                cfgs
-            }
-            None => vec![self.config.home; topology.homes()],
-        };
+        let (topology, home) = (self.topology, self.home);
         let mem = MemAgent {
             mi,
-            ports: home_cfgs
-                .iter()
-                .map(|c| (Link::new(c.mem_link), c.mem_front_latency))
-                .collect(),
+            ports: vec![(Link::new(home.mem_link), home.mem_front_latency); topology.homes()],
             numa_extra: Vec::new(),
         };
-        let fast_path = self.fast_path.unwrap_or(true);
-        let homes: Vec<HomeAgent> = home_cfgs
-            .into_iter()
-            .enumerate()
-            .map(|(i, cfg)| {
-                let mut h = HomeAgent::new(HomeId(i), cfg);
-                h.set_fast_path(fast_path);
-                h
-            })
+        let homes: Vec<HomeAgent> = (0..topology.homes())
+            .map(|i| HomeAgent::new(HomeId(i), home.clone()))
             .collect();
         let fault = self.fault.filter(|p| !p.is_empty()).map(|plan| {
             if let Some(h) = plan.max_home() {
@@ -505,19 +434,12 @@ impl ProtocolEngine {
         self.caches[agent.index() - 2].stats()
     }
 
-    /// Aggregated home-agent statistics (summed over every home in the
-    /// topology; for N=1 this is exactly the single home's counters).
-    pub fn home_stats(&self) -> HomeStats {
-        self.home_stats_view().total()
-    }
-
     /// A snapshot of every home's statistics paired with the topology's
-    /// load weights — the unified per-home query surface (aggregate,
-    /// per-home lookup, iteration, balance error) that reporters consume
-    /// instead of re-aggregating over
-    /// [`home_stats_for`](Self::home_stats_for) loops.
-    pub fn home_stats_view(&self) -> crate::home::HomeStatsView {
-        crate::home::HomeStatsView::new(
+    /// load weights — the one per-home query surface: aggregate
+    /// ([`total`](HomeStatsView::total)), per-home lookup
+    /// ([`get`](HomeStatsView::get)), iteration and balance error.
+    pub fn home_stats_view(&self) -> HomeStatsView {
+        HomeStatsView::new(
             self.homes.iter().map(|h| h.stats()).collect(),
             self.topology.home_weights(),
         )
@@ -536,15 +458,6 @@ impl ProtocolEngine {
             p.mshr_occupancy += c.mshr_occupancy();
         }
         p
-    }
-
-    /// Statistics of one home agent, for interleave-imbalance analysis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `home` is not part of the topology.
-    pub fn home_stats_for(&self, home: HomeId) -> HomeStats {
-        self.homes[home.index()].stats()
     }
 
     /// Number of home agents (`topology().homes()`).
@@ -916,21 +829,6 @@ impl ProtocolEngine {
     /// (CLFLUSH analog). The line must be idle.
     pub fn flush_line(&mut self, addr: PhysAddr) {
         self.home_of_mut(addr).flush_line(addr);
-    }
-
-    /// Drops all cached state so the next access goes to memory
-    /// (whole-cache CLFLUSH; test setup only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any transaction is outstanding.
-    pub fn flush_all(&mut self) {
-        for c in &mut self.caches {
-            c.clear();
-        }
-        for h in &mut self.homes {
-            h.clear();
-        }
     }
 
     /// Whether all agents are idle and the event queue is empty.
@@ -1570,18 +1468,10 @@ mod tests {
         }
         eng.run_to_quiescence();
         eng.verify_invariants();
-        let mut sum = HomeStats::default();
-        let mut active = 0;
-        for h in 0..eng.num_homes() {
-            let s = eng.home_stats_for(HomeId(h));
-            if s.requests > 0 {
-                active += 1;
-            }
-            sum += s;
-        }
-        assert_eq!(sum, eng.home_stats());
+        let view = eng.home_stats_view();
+        let active = view.iter().filter(|(_, s)| s.requests > 0).count();
         assert_eq!(active, 4, "line interleave should spread across all homes");
-        assert_eq!(sum.requests, 32);
+        assert_eq!(view.total().requests, 32);
     }
 
     #[test]
@@ -1623,11 +1513,15 @@ mod tests {
         assert!(eng.homes[1].dir_entry(odd).is_some());
         let c = one(&mut eng, hmc, MemOp::Load, odd.raw(), Tick::ZERO);
         assert_eq!(c.level, HitLevel::Llc);
-        eng.flush_all();
-        eng.preload(hmc, odd, LineState::Exclusive);
+        let owned = PhysAddr::new(0xc0); // home 1
+        eng.preload(hmc, owned, LineState::Exclusive);
+        assert_eq!(eng.homes[1].dir_entry(owned).unwrap().owner, Some(hmc));
         eng.verify_invariants();
-        eng.flush_all();
-        assert!(eng.dir_entry(odd).is_none());
+        let llc_only = PhysAddr::new(0x140); // home 1
+        eng.preload_llc(llc_only);
+        eng.flush_line(llc_only);
+        assert!(eng.homes[1].dir_entry(llc_only).is_none());
+        eng.verify_invariants();
     }
 
     #[test]
@@ -1635,15 +1529,6 @@ mod tests {
         let eng = ProtocolEngine::builder().build();
         assert_eq!(eng.num_homes(), 1);
         assert!(eng.topology().is_single());
-    }
-
-    #[test]
-    #[should_panic(expected = "home_configs length")]
-    fn mismatched_home_configs_rejected() {
-        let _ = ProtocolEngine::builder()
-            .topology(Topology::line_interleaved(4))
-            .home_configs(vec![HomeConfig::default(); 2])
-            .build();
     }
 
     #[test]

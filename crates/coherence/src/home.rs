@@ -172,8 +172,7 @@ impl std::ops::AddAssign for HomeStats {
 /// iteration in [`HomeId`] order ([`iter`](Self::iter)), and how far
 /// directory traffic deviates from the weight shares
 /// ([`balance_error`](Self::balance_error)) all come from the same
-/// snapshot instead of each caller re-aggregating over
-/// `home_stats_for(HomeId(h))` loops.
+/// snapshot.
 ///
 /// Obtain one from
 /// [`ProtocolEngine::home_stats_view`](crate::engine::ProtocolEngine::home_stats_view),
@@ -191,7 +190,9 @@ impl HomeStatsView {
     ///
     /// # Panics
     ///
-    /// Panics if the lengths differ or the view would be empty.
+    /// Panics if the lengths differ, the view would be empty, or a
+    /// weight is zero ([`balance_error`](Self::balance_error) divides
+    /// by each weight's share).
     pub fn new(stats: Vec<HomeStats>, weights: Vec<u64>) -> Self {
         assert_eq!(
             stats.len(),
@@ -199,6 +200,10 @@ impl HomeStatsView {
             "one weight per home's stats entry"
         );
         assert!(!stats.is_empty(), "a topology has at least one home");
+        assert!(
+            weights.iter().all(|&w| w > 0),
+            "home weights must be nonzero"
+        );
         HomeStatsView { stats, weights }
     }
 
@@ -288,9 +293,6 @@ pub struct HomeAgent {
     links: Vec<Link>,
     mem_link: Link,
     next_serve: Tick,
-    /// Serve uncontended LLC-hit reads through [`Self::fast_request`];
-    /// disabled only by the differential fast≡general stream test.
-    fast_path: bool,
     stats: HomeStats,
     profile: EngineProfile,
 }
@@ -313,16 +315,9 @@ impl HomeAgent {
             links: Vec::new(),
             mem_link,
             next_serve: Tick::ZERO,
-            fast_path: true,
             stats: HomeStats::default(),
             profile: EngineProfile::default(),
         }
-    }
-
-    /// Enables/disables the uncontended fast path (on by default; the
-    /// differential stream test runs with it off to pin equivalence).
-    pub(crate) fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
     }
 
     /// Hot-path profiling counters accumulated by this agent.
@@ -375,12 +370,6 @@ impl HomeAgent {
         let key = addr.line().raw();
         assert!(!self.busy.contains_key(&key), "flush of a busy line");
         self.dir.remove(&key);
-    }
-
-    /// Clears all directory state (test setup).
-    pub(crate) fn clear(&mut self) {
-        assert!(self.busy.is_empty(), "clear with busy transactions");
-        self.dir.clear();
     }
 
     pub(crate) fn is_quiescent(&self) -> bool {
@@ -461,13 +450,15 @@ impl HomeAgent {
                         .pending_depth
                         .record(u64::from(line.pending.len()));
                     self.slab.push_back(&mut line.pending, (msg.from, msg.kind));
-                } else if self.fast_path
-                    && self.fast_request(msg.from, msg.kind, key, msg.addr, t, out)
-                {
-                    self.profile.fast_path += 1;
                 } else {
-                    self.profile.general_path += 1;
-                    self.process_request(msg.from, msg.kind, msg.addr, t, out);
+                    let busied = self.process_request(msg.from, msg.kind, msg.addr, t, out);
+                    // A read granted inline is an LLC hit that needed no
+                    // snoop, fetch or transaction.
+                    if !busied && matches!(msg.kind, MsgKind::RdShared | MsgKind::RdOwn) {
+                        self.profile.fast_path += 1;
+                    } else {
+                        self.profile.general_path += 1;
+                    }
                 }
             }
             MsgKind::SnpRespInv { dirty } => {
@@ -488,67 +479,6 @@ impl HomeAgent {
             }
             other => panic!("home received unexpected {:?}", other),
         }
-    }
-
-    /// Uncontended fast path: an `RdShared`/`RdOwn` that hits the LLC
-    /// with no foreign owner and no other sharers needs no transaction,
-    /// no snoops, and no replay machinery — one directory probe, one
-    /// grant. Returns `false` (without side effects) when the request
-    /// does not qualify; the caller falls back to
-    /// [`Self::process_request`], which reproduces the exact same grant
-    /// for the qualifying cases, so the completion stream is identical
-    /// either way (pinned by the differential stream test).
-    #[inline]
-    fn fast_request(
-        &mut self,
-        from: AgentId,
-        kind: MsgKind,
-        key: u64,
-        addr: simcxl_mem::PhysAddr,
-        t: Tick,
-        out: &mut HomeOutbox,
-    ) -> bool {
-        if !matches!(kind, MsgKind::RdShared | MsgKind::RdOwn) {
-            return false;
-        }
-        let Some(e) = self.dir.get_mut(&key) else {
-            return false; // LLC miss: general path fetches from memory.
-        };
-        if e.owner.is_some() && e.owner != Some(from) {
-            return false; // Foreign owner: general path snoops.
-        }
-        let grant = match kind {
-            MsgKind::RdShared => {
-                if e.sharers.is_empty() && e.owner.is_none() {
-                    e.owner = Some(from);
-                    MsgKind::DataGoE
-                } else {
-                    // Requester may be re-reading its own line.
-                    if e.owner == Some(from) {
-                        e.owner = None;
-                    }
-                    e.sharers.insert(from);
-                    MsgKind::DataGoS
-                }
-            }
-            _ => {
-                // RdOwn: only when no *other* sharer holds a copy.
-                if e.sharers.word() & !SharerSet::bit(from) != 0 {
-                    return false;
-                }
-                let upgrade = e.sharers.contains(&from) || e.owner == Some(from);
-                e.sharers.remove(&from);
-                e.owner = Some(from);
-                if upgrade {
-                    MsgKind::GoUpgrade
-                } else {
-                    MsgKind::DataGoE
-                }
-            }
-        };
-        self.stats.llc_hits += 1;
-        self.send_to_cache(t, from, grant, addr, Some(HitLevel::Llc), out);
-        true
     }
 
     /// Sends `kind` to every agent whose bit is set in `word`, in
@@ -1029,5 +959,11 @@ mod tests {
     #[should_panic(expected = "one weight per home")]
     fn view_rejects_length_mismatch() {
         let _ = HomeStatsView::new(vec![mk(1)], vec![1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must be nonzero")]
+    fn view_rejects_zero_weight() {
+        let _ = HomeStatsView::new(vec![mk(0), mk(0)], vec![1, 0]);
     }
 }

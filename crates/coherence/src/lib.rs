@@ -59,7 +59,7 @@ pub mod profile;
 pub mod rebalance;
 pub mod topology;
 
-pub use config::{CacheConfig, EngineConfig, HomeConfig};
+pub use config::{CacheConfig, HomeConfig};
 pub use engine::{Completion, ProtocolEngine, ProtocolEngineBuilder};
 pub use fault::{
     FaultEvent, FaultKind, FaultPlan, FaultStatsView, LinkClass, LinkFaultStats, PortFaultStats,
@@ -74,7 +74,7 @@ pub use topology::{HomeId, Topology};
 
 /// Convenient glob-import of the types most users need.
 pub mod prelude {
-    pub use crate::config::{CacheConfig, EngineConfig, HomeConfig};
+    pub use crate::config::{CacheConfig, HomeConfig};
     pub use crate::engine::{Completion, ProtocolEngine};
     pub use crate::fault::{FaultKind, FaultPlan, LinkClass};
     pub use crate::funcmem::AtomicKind;

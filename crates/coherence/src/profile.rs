@@ -1,11 +1,11 @@
 //! Always-on hot-path profiling counters (`EngineProfile`).
 //!
-//! The dense-contention restructure (pending slab, batched snoops,
-//! uncontended fast path) is justified by *measured* behaviour, not
-//! assertion: every home and cache agent maintains a handful of plain
-//! integer counters and power-of-two histograms that cost one add (and
-//! at most one leading-zeros instruction) per event, cheap enough to
-//! leave on in release benchmarks. [`ProtocolEngine::profile`]
+//! The dense-contention hot path (pending slab, batched snoops, reads
+//! granted inline from the LLC directory) is justified by *measured*
+//! behaviour, not assertion: every home and cache agent maintains a
+//! handful of plain integer counters and power-of-two histograms that
+//! cost one add (and at most one leading-zeros instruction) per event,
+//! cheap enough to leave on in release benchmarks. [`ProtocolEngine::profile`]
 //! aggregates them into an [`EngineProfile`], which the
 //! `BENCH_hotpath.json` schema (since v5) embeds per section.
 //!
@@ -14,8 +14,8 @@
 use std::fmt;
 use std::ops::AddAssign;
 
-/// Number of power-of-two buckets a [`DepthHist`] tracks; bucket `i`
-/// counts samples in `[2^(i-1)+1 .. 2^i]` (bucket 0 is exactly 0,
+/// Number of power-of-two buckets a [`DepthHist`] tracks; bucket `i ≥ 2`
+/// counts samples in `[2^(i-2)+1 .. 2^(i-1)]` (bucket 0 is exactly 0,
 /// bucket 1 is exactly 1), with the last bucket absorbing the tail.
 pub const HIST_BUCKETS: usize = 12;
 
@@ -95,10 +95,12 @@ pub struct EngineProfile {
     /// Requests that arrived at a home agent whose line was already
     /// busy and therefore joined the per-line pending list.
     pub busy_hits: u64,
-    /// Requests served by the uncontended fast path (idle line, LLC
-    /// hit, no snoops needed).
+    /// `RdShared`/`RdOwn` requests that found their line idle and were
+    /// granted inline from the LLC directory: no snoop, no memory
+    /// fetch, no transaction.
     pub fast_path: u64,
-    /// Requests that took the general (transaction-allocating) path.
+    /// Every other request that found its line idle: LLC misses,
+    /// snooping reads, NC-P pushes and evictions.
     pub general_path: u64,
     /// Pending-list depth observed at each busy-hit enqueue.
     pub pending_depth: DepthHist,
@@ -127,7 +129,8 @@ impl EngineProfile {
         }
     }
 
-    /// Fraction of requests served by the uncontended fast path.
+    /// Fraction of requests granted inline from the LLC
+    /// ([`fast_path`](Self::fast_path)).
     pub fn fast_path_rate(&self) -> f64 {
         let total = self.requests();
         if total == 0 {
@@ -202,6 +205,17 @@ mod tests {
         assert_eq!(h.count, 8);
         assert_eq!(h.max, 9);
         assert!((h.mean() - 32.0 / 8.0).abs() < 1e-12);
+        // Every bucket's inclusive limit lands in it, one past in the next.
+        let bucket_of = |v: u64| {
+            let mut h = DepthHist::default();
+            h.record(v);
+            h.buckets.iter().position(|&n| n == 1).unwrap()
+        };
+        for i in 0..HIST_BUCKETS - 1 {
+            let limit = DepthHist::bucket_limit(i);
+            assert_eq!(bucket_of(limit), i, "limit {limit}");
+            assert_eq!(bucket_of(limit + 1), i + 1, "limit {limit} + 1");
+        }
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl RebalanceController {
 ///
 /// # Panics
 ///
-/// Panics on empty or length-mismatched inputs (see
+/// Panics on empty or length-mismatched inputs, or a zero weight (see
 /// [`HomeStatsView::new`]).
 pub fn balance_error_of(requests: &[u64], weights: &[u64]) -> f64 {
     let stats: Vec<HomeStats> = requests

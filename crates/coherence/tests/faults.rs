@@ -197,7 +197,7 @@ fn rehome_migrates_directory_entries_and_preserves_invariants() {
     let b = eng.add_cache(CacheConfig::hmc_128k());
     drive(&mut eng, a, b, 32);
     eng.verify_invariants();
-    let before = eng.home_stats_for(HomeId(1));
+    let before = eng.home_stats_view().get(HomeId(1)).copied().unwrap();
     assert!(before.requests > 0, "home 1 must have seen traffic");
     // Drain home 1: every address now belongs to home 0 (the claim
     // covers the traffic range; the single-home fallback the rest).
@@ -213,11 +213,11 @@ fn rehome_migrates_directory_entries_and_preserves_invariants() {
     assert!(stats.with_peers <= stats.moved);
     eng.verify_invariants(); // shard-locality now holds under the new map
                              // Traffic keeps flowing after the drain, all of it at home 0.
-    let snapshot = eng.home_stats_for(HomeId(1));
+    let snapshot = eng.home_stats_view().get(HomeId(1)).copied();
     drive(&mut eng, a, b, 32);
     eng.verify_invariants();
     assert_eq!(
-        eng.home_stats_for(HomeId(1)),
+        eng.home_stats_view().get(HomeId(1)).copied(),
         snapshot,
         "drained home must see no further traffic"
     );
@@ -241,7 +241,7 @@ fn rehome_stream_reproduces_on_rerun() {
         eng.rehome(drained.clone());
         eng.verify_invariants();
         let second = drive(&mut eng, a, b, 24);
-        (first, second, eng.home_stats())
+        (first, second, eng.home_stats_view().total())
     };
     let (s1, s2, s_stats) = run();
     let (p1, p2, p_stats) = run();

@@ -44,7 +44,6 @@ impl DeviceProfile {
                 serve_gap: Tick::from_ps(4_250),
                 mem_link: LinkConfig::with_gbps(Tick::from_ns(15), 70.4),
                 mem_front_latency: Tick::from_ns(45),
-                capacity_bytes: None,
             },
             dma: DmaConfig::fpga_400mhz(),
         }
@@ -69,7 +68,6 @@ impl DeviceProfile {
                 serve_gap: Tick::from_ps(1_240),
                 mem_link: LinkConfig::with_gbps(Tick::from_ns(4), 70.4),
                 mem_front_latency: Tick::from_ns(22),
-                capacity_bytes: None,
             },
             dma: DmaConfig::asic_1500mhz(),
         }

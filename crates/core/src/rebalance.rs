@@ -51,9 +51,7 @@ use crate::topo::TopologySpec;
 use cohet_os::{migration, AccessKind, Accessor, Process, PAGE_SIZE};
 use sim_core::{SimRng, Tick};
 use simcxl_coherence::rebalance::{balance_error_of, moved_stripes};
-use simcxl_coherence::{
-    AgentId, CacheConfig, HomeId, MemOp, RebalanceController, RebalanceSpec, Topology,
-};
+use simcxl_coherence::{AgentId, CacheConfig, MemOp, RebalanceController, RebalanceSpec, Topology};
 use simcxl_mem::{PhysAddr, WeightedInterleave};
 use simcxl_pcie::{PcieLink, PcieLinkConfig};
 use simcxl_workloads::scenario::{self, Arrival, MachineSpec, PhaseSpec, ScenarioSpec, Traffic};
@@ -558,8 +556,11 @@ fn run_epochs(
             run.invariant_checks += 1;
 
             // Epoch boundary: counters in, decision out.
-            let cum: Vec<u64> = (0..HOMES)
-                .map(|h| eng.home_stats_for(HomeId(h)).requests)
+            let cum: Vec<u64> = eng
+                .home_stats_view()
+                .stats()
+                .iter()
+                .map(|s| s.requests)
                 .collect();
             let report = if adaptive {
                 let d = ctl.epoch(&cum);

@@ -216,11 +216,6 @@ impl CohetSystem {
         CohetSystemBuilder::default()
     }
 
-    /// The declared directory topology.
-    pub fn topology_spec(&self) -> &TopologySpec {
-        &self.topo
-    }
-
     /// The armed rebalance controller spec, if
     /// [`rebalance`](CohetSystemBuilder::rebalance) was called.
     pub fn rebalance_spec(&self) -> Option<&RebalanceSpec> {
@@ -741,8 +736,8 @@ mod tests {
             assert_eq!(p.read_u64(buf + i * 4096).unwrap(), i * 10);
         }
         // Both host homes must have seen directory traffic.
-        let s0 = p.engine().home_stats_for(HomeId(0));
-        let s1 = p.engine().home_stats_for(HomeId(1));
+        let view = p.engine().home_stats_view();
+        let (s0, s1) = (view.get(HomeId(0)).unwrap(), view.get(HomeId(1)).unwrap());
         assert!(s0.requests > 0 && s1.requests > 0, "{s0:?} vs {s1:?}");
         p.engine().verify_invariants();
     }
@@ -768,7 +763,14 @@ mod tests {
         assert_eq!(p.read_u64(buf).unwrap(), 78);
         let pa = p.os.translate(buf).unwrap();
         assert_eq!(p.engine().topology().home_for(pa), HomeId(2));
-        assert!(p.engine().home_stats_for(HomeId(2)).requests > 0);
+        assert!(
+            p.engine()
+                .home_stats_view()
+                .get(HomeId(2))
+                .unwrap()
+                .requests
+                > 0
+        );
         p.engine().verify_invariants();
     }
 

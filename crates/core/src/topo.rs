@@ -9,10 +9,6 @@
 use simcxl_coherence::{HomeId, Topology};
 use simcxl_mem::AddrRange;
 
-/// The default home-interleave stride: one OS page, so a page's lines
-/// share a home.
-pub const DEFAULT_STRIDE: u64 = cohet_os::PAGE_SIZE;
-
 /// Declarative description of how the coherence directory is
 /// distributed across home agents, consumed by
 /// [`CohetSystemBuilder::topology`](crate::system::CohetSystemBuilder::topology).
@@ -61,8 +57,8 @@ pub enum TopologySpec {
     Interleaved {
         /// Host-socket home agents sharing the interleave.
         homes: usize,
-        /// Byte stride of the interleave
-        /// ([`DEFAULT_STRIDE`]: one OS page).
+        /// Byte stride of the interleave (one OS page,
+        /// [`cohet_os::PAGE_SIZE`], keeps a page's lines on one home).
         stride: u64,
     },
     /// `weights.len()` host homes stripe the address space
@@ -193,17 +189,6 @@ impl TopologySpec {
             } => Topology::ranges(*homes, claims.clone(), *fallback_homes, *stride),
         }
     }
-
-    /// Number of *host-socket* homes the spec declares (the expander
-    /// home, where one applies, is on top of this).
-    pub fn host_homes(&self) -> usize {
-        match self {
-            TopologySpec::SingleHome | TopologySpec::CapacityWeighted { .. } => 1,
-            TopologySpec::Interleaved { homes, .. } => *homes,
-            TopologySpec::Weighted { weights, .. } => weights.len(),
-            TopologySpec::Ranges { fallback_homes, .. } => *fallback_homes,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -294,26 +279,5 @@ mod tests {
         assert_eq!(topo.home_for(PhysAddr::new(1 << 30)), HomeId(0));
         assert_eq!(topo.home_for(PhysAddr::new(4096)), HomeId(1));
         assert_eq!(topo, spec.resolve(256 * M, None), "expander arg is inert");
-    }
-
-    #[test]
-    fn host_homes_counts_declared_sockets() {
-        assert_eq!(TopologySpec::SingleHome.host_homes(), 1);
-        assert_eq!(
-            TopologySpec::Interleaved {
-                homes: 4,
-                stride: 4096
-            }
-            .host_homes(),
-            4
-        );
-        assert_eq!(
-            TopologySpec::Weighted {
-                weights: vec![3, 1],
-                stride: 4096
-            }
-            .host_homes(),
-            2
-        );
     }
 }

@@ -363,7 +363,7 @@ proptest! {
         prop_assert_eq!(s, p, "rerun stream diverged");
         prop_assert_eq!(first.events_dispatched(), again.events_dispatched());
         prop_assert_eq!(first.now(), again.now());
-        prop_assert_eq!(first.home_stats(), again.home_stats());
+        prop_assert_eq!(first.home_stats_view(), again.home_stats_view());
     }
 
     /// Scenario runs are deterministic functions of the spec: identical
