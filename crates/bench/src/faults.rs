@@ -5,7 +5,7 @@
 //! the determinism checksums.
 //!
 //! `full` mode produces the committed workspace-root report, `quick`
-//! mode is the CI smoke variant; [`SUITE`] pins every case's checksum.
+//! mode is the unit-test variant; [`SUITE`] pins every case's checksum.
 //! Before a report is produced, every case's degradation gates are
 //! asserted in-process ([`FaultOutcome::assert_gates`]): degraded
 //! medians strictly above the healthy baseline, and — in full mode —
@@ -18,12 +18,12 @@ use cohet::FaultOutcome;
 /// The fixed seed: these runs exist to be reproduced, not sampled.
 pub const BENCH_SEED: u64 = 0xFA17;
 
-/// The `simcxl-faults/v1` suite. Its pins are the per-case checksums
-/// `(name, full, quick)`: the committed full-mode report and what CI
-/// regenerates in quick mode.
+/// The `simcxl-faults/v2` suite. Its pins are the per-case checksums
+/// `(name, full, quick)`: the committed full-mode report and the quick
+/// one the unit tests run.
 pub const SUITE: Suite = Suite {
     name: "faults",
-    schema: "simcxl-faults/v1",
+    schema: "simcxl-faults/v2",
     file: "BENCH_faults.json",
     run,
     pins: &[
@@ -40,7 +40,7 @@ pub const SUITE: Suite = Suite {
     ],
 };
 
-/// Logical client populations per case at full or quick (CI smoke)
+/// Logical client populations per case at full or quick (unit-test)
 /// scale.
 pub fn populations(quick: bool) -> [(FaultCase, u64); 3] {
     let (flaky, stall, drain) = if quick {
@@ -55,7 +55,7 @@ pub fn populations(quick: bool) -> [(FaultCase, u64); 3] {
     ]
 }
 
-fn case_json(clients: u64, r: &FaultOutcome, wall: f64) -> Json {
+fn case_json(clients: u64, r: &FaultOutcome) -> Json {
     let us = |t: sim_core::Tick| Json::fixed(t.as_us_f64(), 3);
     let mut m = vec![
         ("clients", clients.into()),
@@ -97,7 +97,6 @@ fn case_json(clients: u64, r: &FaultOutcome, wall: f64) -> Json {
             ("checksum", Json::hex(p.checksum)),
         ])
     });
-    m.push(("wall_secs", Json::fixed(wall, 4)));
     m.push(("phases", Json::Arr(phases.collect())));
     Json::obj(m)
 }
@@ -114,11 +113,9 @@ fn case_json(clients: u64, r: &FaultOutcome, wall: f64) -> Json {
 /// percentiles).
 fn run(quick: bool) -> Json {
     let cases = populations(quick).into_iter().map(|(case, clients)| {
-        let start = std::time::Instant::now();
         let r = case.run(clients, BENCH_SEED, 1);
-        let wall = start.elapsed().as_secs_f64();
         r.assert_gates(!quick);
-        (r.name.clone(), case_json(clients, &r, wall))
+        (r.name.clone(), case_json(clients, &r))
     });
     let mut members = vec![("seed".to_owned(), BENCH_SEED.into())];
     members.extend(cases);
@@ -137,8 +134,7 @@ mod tests {
     }
 
     /// The quick-mode pins are live: re-running the quick cases
-    /// reproduces them bit-for-bit (the in-process twin of the CI
-    /// `faults --check-determinism --expect-mode=quick` gate).
+    /// reproduces them bit-for-bit.
     #[test]
     fn quick_cases_reproduce_their_pins() {
         for ((case, clients), &(name, _, pin)) in populations(true).into_iter().zip(SUITE.pins) {

@@ -1,15 +1,16 @@
-//! Event-loop hot-path benchmark: a mixed coherence stress workload plus
-//! the machine-readable `BENCH_hotpath.json` perf report.
+//! Event-loop hot-path suite: a mixed coherence stress workload plus
+//! the machine-readable `BENCH_hotpath.json` report.
 //!
 //! The stress workload drives [`simcxl_coherence::ProtocolEngine`] through
 //! the exact code paths every figure regenerator exercises — event-queue
 //! push/pop, directory/MSHR map lookups, request-table churn, NUMA range
 //! classification, snoop fan-out — at a scale where the event loop itself
-//! dominates. `events_per_sec` over this workload is the repository's
-//! headline simulator-performance metric; the JSON report seeds the perf
-//! trajectory tracked across PRs.
+//! dominates. The report holds only what the code determines (event
+//! counts, checksums, profile and per-home counters); host time is the
+//! separate `perfbench` package's job, whose headline metric is
+//! `norm_wall_s`.
 //!
-//! Four variants (see the README for the full `simcxl-hotpath/v8`
+//! Four variants (see the README for the full `simcxl-hotpath/v9`
 //! schema): `stress` (single home, wave driver — its checksum is the
 //! repo's oldest determinism anchor), `multihome` (the same waves over a
 //! four-home line interleave), `multihome_weighted` (the waves over a
@@ -21,21 +22,18 @@
 //! depth histograms).
 
 use crate::report::{Json, Suite};
-use cohet::experiments;
-use cohet::DeviceProfile;
 use sim_core::{SimRng, Tick};
 use simcxl_coherence::prelude::*;
 use simcxl_mem::{AddrRange, DramConfig, DramKind, MemoryInterface, PhysAddr};
-use std::time::Instant;
 
 /// The pinned full-mode `stress` checksum: stable since the
 /// calendar-queue engine landed; behavior-preserving changes must
-/// reproduce it bit-for-bit ([`Suite::check_determinism`] gates CI on
+/// reproduce it bit-for-bit ([`Suite::check_committed`] gates CI on
 /// it).
 pub const PINNED_STRESS_CHECKSUM_FULL: u64 = 0x8b604ff32e480de3;
-/// The pinned quick-mode (`BENCH_QUICK=1` CI smoke) `stress`
-/// checksum — the same stream anchor at the reduced request count,
-/// also pinned by `n1_reproduces_pre_refactor_completion_stream`.
+/// The pinned quick-mode (unit-test) `stress` checksum — the same
+/// stream anchor at the reduced request count, also pinned by
+/// `n1_reproduces_pre_refactor_completion_stream`.
 pub const PINNED_STRESS_CHECKSUM_QUICK: u64 = 0xb1e18caf05b4d6a4;
 
 /// The pinned full-mode checksum of the dense upfront batch — the
@@ -88,7 +86,7 @@ impl StressConfig {
         }
     }
 
-    /// A sub-second configuration for CI smoke runs.
+    /// A sub-second configuration for unit tests.
     pub fn quick() -> Self {
         StressConfig {
             requests: 20_000,
@@ -107,7 +105,7 @@ impl StressConfig {
         }
     }
 
-    /// Sub-second multi-home configuration for CI smoke runs.
+    /// Sub-second multi-home configuration for unit tests.
     pub fn multihome_quick() -> Self {
         StressConfig {
             homes: 4,
@@ -135,7 +133,7 @@ impl StressConfig {
         }
     }
 
-    /// Sub-second weighted configuration for CI smoke runs.
+    /// Sub-second weighted configuration for unit tests.
     pub fn multihome_weighted_quick() -> Self {
         StressConfig {
             requests: 20_000,
@@ -151,8 +149,6 @@ pub struct StressResult {
     pub events: u64,
     /// External requests completed.
     pub completions: u64,
-    /// Wall-clock seconds.
-    pub wall_secs: f64,
     /// Order-sensitive digest of the completion stream; identical runs
     /// must produce identical checksums (determinism canary).
     pub checksum: u64,
@@ -164,18 +160,6 @@ pub struct StressResult {
     /// Always-on hot-path profile counters aggregated over every home
     /// agent (plus cache MSHR occupancy), snapshotted at run end.
     pub profile: simcxl_coherence::EngineProfile,
-}
-
-impl StressResult {
-    /// Events dispatched per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_secs
-    }
-
-    /// Wall-clock nanoseconds per dispatched event.
-    pub fn ns_per_event(&self) -> f64 {
-        self.wall_secs * 1e9 / self.events as f64
-    }
 }
 
 fn build_engine(cfg: &StressConfig) -> (ProtocolEngine, Vec<AgentId>) {
@@ -271,14 +255,13 @@ fn fold_checksum(acc: u64, c: &Completion) -> u64 {
 /// carry statistical noise; its unit test bounds it separately).
 pub const BALANCE_ERROR_GATE: f64 = 0.05;
 
-/// Runs the stress workload and reports wall-clock throughput.
+/// Runs the stress workload in waves and reports its counters.
 pub fn stress(cfg: &StressConfig) -> StressResult {
     let (mut eng, agents) = build_engine(cfg);
     let mut rng = SimRng::new(cfg.seed);
     let mut issued = 0usize;
     let mut completions = 0u64;
     let mut checksum = 0u64;
-    let start = Instant::now();
     while issued < cfg.requests {
         // Issue one wave spread over a 4 us window, then drain it. The
         // interleaving keeps a realistic queue depth: follow-on protocol
@@ -301,12 +284,10 @@ pub fn stress(cfg: &StressConfig) -> StressResult {
         completions += 1;
         checksum = fold_checksum(checksum, &c);
     }
-    let wall_secs = start.elapsed().as_secs_f64();
     eng.verify_invariants();
     StressResult {
         events: eng.events_dispatched(),
         completions,
-        wall_secs,
         checksum,
         per_home: eng.home_stats_view(),
         profile: eng.profile(),
@@ -323,7 +304,6 @@ pub fn stress(cfg: &StressConfig) -> StressResult {
 pub fn stress_upfront(cfg: &StressConfig) -> StressResult {
     let (mut eng, agents) = build_engine(cfg);
     let mut rng = SimRng::new(cfg.seed);
-    let start = Instant::now();
     for i in 0..cfg.requests {
         let agent = agents[rng.below(agents.len() as u64) as usize];
         let op = pick_op(&mut rng);
@@ -337,71 +317,35 @@ pub fn stress_upfront(cfg: &StressConfig) -> StressResult {
         completions += 1;
         checksum = fold_checksum(checksum, &c);
     }
-    let wall_secs = start.elapsed().as_secs_f64();
     eng.verify_invariants();
     StressResult {
         events: eng.events_dispatched(),
         completions,
-        wall_secs,
         checksum,
         per_home: eng.home_stats_view(),
         profile: eng.profile(),
     }
 }
 
-/// Wall-clock timings of the per-figure regenerators (quick trial counts:
-/// the report tracks simulator speed, not figure fidelity).
-pub fn figure_timings(quick: bool) -> Vec<(&'static str, f64)> {
-    let profile = DeviceProfile::fpga_400mhz();
-    let trials = if quick { 5 } else { 50 };
-    let ops = if quick { 256 } else { 2048 };
-    let mut rows = Vec::new();
-    let mut time = |name: &'static str, f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        f();
-        rows.push((name, t.elapsed().as_secs_f64()));
-    };
-    time("fig12_numa", &mut || {
-        let _ = experiments::fig12(&profile, trials);
-    });
-    time("fig13_latency", &mut || {
-        let _ = experiments::fig13(&profile, trials);
-    });
-    time("fig15_bandwidth", &mut || {
-        let _ = experiments::fig15(&profile);
-    });
-    time("fig16_dma_bw", &mut || {
-        let _ = experiments::dma_sweep(&profile);
-    });
-    time("fig17_rao", &mut || {
-        let _ = experiments::fig17(&profile, ops);
-    });
-    rows
-}
-
-/// Runs a stress driver twice (determinism check) and keeps the
-/// faster run — wall-clock minimum is the standard noise-resistant
-/// statistic (matches the vendored criterion's min column).
-fn best_of_two(cfg: &StressConfig, run: fn(&StressConfig) -> StressResult) -> StressResult {
+/// Runs a stress driver twice and asserts that the two runs' report
+/// sections are equal in every field, not just the checksum.
+fn run_twice(cfg: &StressConfig, run: fn(&StressConfig) -> StressResult) -> StressResult {
     let first = run(cfg);
     let second = run(cfg);
     assert_eq!(
-        first.checksum, second.checksum,
+        stress_json(cfg, &first),
+        stress_json(cfg, &second),
         "stress workload is nondeterministic"
     );
-    if second.wall_secs < first.wall_secs {
-        second
-    } else {
-        first
-    }
+    first
 }
 
-/// The `simcxl-hotpath/v8` suite: the four stress variants plus the
-/// figure timings, pinning the wave-driven `stress` and the dense
-/// upfront-batch `stress_upfront` streams.
+/// The `simcxl-hotpath/v9` suite: the four stress variants, pinning
+/// the wave-driven `stress` and the dense upfront-batch
+/// `stress_upfront` streams.
 pub const SUITE: Suite = Suite {
     name: "hotpath",
-    schema: "simcxl-hotpath/v8",
+    schema: "simcxl-hotpath/v9",
     file: "BENCH_hotpath.json",
     run,
     pins: &[
@@ -417,8 +361,8 @@ pub const SUITE: Suite = Suite {
         ),
     ],
     columns: &[
-        ("events/sec", "events_per_sec"),
-        ("ns/event", "ns_per_event"),
+        ("events", "events"),
+        ("fast path rate", "profile.fast_path_rate"),
         ("balance err", "balance_error"),
         ("checksum", "checksum"),
     ],
@@ -462,9 +406,6 @@ fn stress_json(cfg: &StressConfig, r: &StressResult) -> Json {
         ("requests", cfg.requests.into()),
         ("events", r.events.into()),
         ("completions", r.completions.into()),
-        ("wall_secs", Json::fixed(r.wall_secs, 4)),
-        ("events_per_sec", Json::fixed(r.events_per_sec(), 0)),
-        ("ns_per_event", Json::fixed(r.ns_per_event(), 1)),
         ("checksum", Json::hex(r.checksum)),
     ]);
     if cfg.weights.is_some() {
@@ -486,8 +427,8 @@ fn stress_json(cfg: &StressConfig, r: &StressResult) -> Json {
     Json::obj(m)
 }
 
-/// Runs every variant (each twice, keeping the faster run) and the
-/// figure timings; the report body of [`SUITE`].
+/// Runs every variant (each twice, see [`run_twice`]); the report body
+/// of [`SUITE`].
 ///
 /// # Panics
 ///
@@ -507,9 +448,9 @@ fn run(quick: bool) -> Json {
             StressConfig::multihome_weighted(),
         )
     };
-    let r = best_of_two(&cfg, stress);
-    let mh = best_of_two(&mh_cfg, stress);
-    let wt = best_of_two(&w_cfg, stress);
+    let r = run_twice(&cfg, stress);
+    let mh = run_twice(&mh_cfg, stress);
+    let wt = run_twice(&w_cfg, stress);
     if !quick {
         // The acceptance gate on the committed entry: the full-size
         // weighted run must track its weights or the report refuses to
@@ -520,16 +461,12 @@ fn run(quick: bool) -> Json {
             "weighted stress balance_error {err:.4} exceeds the {BALANCE_ERROR_GATE} gate"
         );
     }
-    let up = best_of_two(&mh_cfg, stress_upfront);
-    let figures = figure_timings(quick).into_iter().map(|(name, secs)| {
-        Json::obj([("name", name.into()), ("wall_secs", Json::fixed(secs, 4))])
-    });
+    let up = run_twice(&mh_cfg, stress_upfront);
     Json::obj([
         ("stress", stress_json(&cfg, &r)),
         ("multihome", stress_json(&mh_cfg, &mh)),
         ("multihome_weighted", stress_json(&w_cfg, &wt)),
         ("stress_upfront", stress_json(&mh_cfg, &up)),
-        ("figures", Json::Arr(figures.collect())),
     ])
 }
 
@@ -584,13 +521,13 @@ mod tests {
         assert_eq!(r.completions, 20_000);
     }
 
-    /// The v8 shape of the quick report (shared with the generic suite
+    /// The v9 shape of the quick report (shared with the generic suite
     /// check, so it is not regenerated here).
     #[test]
     fn report_json_is_well_formed() {
         let report = crate::report::tests::quick_report(&SUITE);
-        for gone in ["baseline", "speedup_vs_baseline"] {
-            assert!(report.get(gone).is_none(), "v8 dropped {gone}");
+        for gone in ["baseline", "speedup_vs_baseline", "figures"] {
+            assert!(report.get(gone).is_none(), "v8/v9 dropped {gone}");
         }
         let homes = [
             ("stress", 1),
@@ -611,7 +548,6 @@ mod tests {
             report.path("multihome_weighted.weights"),
             Some(&Json::from(weights))
         );
-        assert!(matches!(report.get("figures"), Some(Json::Arr(f)) if f.len() == 5));
     }
 
     #[test]
@@ -624,7 +560,7 @@ mod tests {
         assert_eq!(a.per_home.len(), 4);
         let err = a.per_home.balance_error();
         // The full-size run is gated at 0.05 in the committed JSON; the
-        // 20k-request smoke run gets statistical slack.
+        // 20k-request quick run gets statistical slack.
         assert!(
             err <= 0.10,
             "weighted balance error {err} (per_home {:?})",
@@ -649,52 +585,5 @@ mod tests {
         );
         assert_eq!(r.events, 130_774);
         assert_eq!(r.completions, 20_000);
-    }
-
-    /// Manual scaling probe: events/sec at growing upfront batch sizes
-    /// (flat = linear cost; falling = superlinear queue behavior).
-    #[test]
-    #[ignore = "manual perf probe; run with --ignored --nocapture in release"]
-    fn upfront_scaling_probe() {
-        for req in [20_000, 50_000, 100_000, 400_000] {
-            let cfg = StressConfig {
-                requests: req,
-                ..StressConfig::multihome()
-            };
-            let up = stress_upfront(&cfg);
-            let wave = stress(&cfg);
-            println!(
-                "{:>4}k req: upfront {:.2}M ev/s ({} events)   wave {:.2}M ev/s ({} events)",
-                req / 1000,
-                up.events_per_sec() / 1e6,
-                up.events,
-                wave.events_per_sec() / 1e6,
-                wave.events
-            );
-        }
-    }
-
-    /// Manual perf probe for hot-path iteration (not part of the suite):
-    /// `cargo test --release -p simcxl-bench upfront_sequential_probe \
-    ///  -- --ignored --nocapture` prints full-size upfront-sequential and
-    /// wave-driver throughput without the report machinery around them.
-    #[test]
-    #[ignore = "manual perf probe; run with --ignored --nocapture in release"]
-    fn upfront_sequential_probe() {
-        for i in 0..3 {
-            let up = stress_upfront(&StressConfig::multihome());
-            let wave = stress(&StressConfig::full());
-            println!(
-                "upfront {:.2}M ev/s ({} events)   wave {:.2}M ev/s ({} events)",
-                up.events_per_sec() / 1e6,
-                up.events,
-                wave.events_per_sec() / 1e6,
-                wave.events
-            );
-            if i == 0 {
-                println!("--- upfront profile ---\n{}", up.profile);
-                println!("--- wave profile ---\n{}", wave.profile);
-            }
-        }
     }
 }

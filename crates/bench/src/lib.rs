@@ -1,6 +1,7 @@
-//! Report formatting shared by the `simcxl-report` binary and the
-//! Criterion benches: every function prints the same rows/series the
-//! paper's corresponding table or figure shows.
+//! The `simcxl-report` library: printers whose rows and series match
+//! the paper's tables and figures (plus the §VIII ablations), and the
+//! four bench suites behind the committed, fully deterministic
+//! `BENCH_*.json` reports ([`report::SUITES`]).
 
 pub mod faults;
 pub mod hotpath;
@@ -8,12 +9,17 @@ pub mod rebalance;
 pub mod report;
 pub mod scenarios;
 
-use cohet::experiments::{self, Tier};
+use cohet::experiments;
+use cohet::extensions::{graph_offload, kvstore_offload};
 use cohet::profile::reference;
 use cohet::DeviceProfile;
 use protowire::genbench;
 use protowire::BenchId;
-use simcxl_nic::SerializeMode;
+use sim_core::{SimRng, Tick};
+use simcxl_coherence::hierarchy::{HierarchicalDirectory, HierarchyCost, NodeId};
+use simcxl_mem::PhysAddr;
+use simcxl_nic::{RpcNicModel, SerializeMode};
+use simcxl_workloads::kvstore::KvConfig;
 
 /// Prints Table I (testbed vs SimCXL configuration).
 pub fn table1() {
@@ -231,7 +237,119 @@ pub fn bench_shapes() {
     }
 }
 
-/// A small latency-tier measurement used by the benches.
-pub fn tier_latency_ns(tier: Tier) -> f64 {
-    experiments::cxl_load_latency(&DeviceProfile::fpga_400mhz(), tier, 2).median()
+/// Prints the three paper §VIII tables: hierarchical vs flat coherence
+/// for supernodes, the RPC prefetcher's gain per bench, and KV-store /
+/// graph offload on the CXL vs PCIe paths.
+pub fn ablations() {
+    ablation_hierarchy();
+    ablation_prefetch();
+    ext_offload();
+}
+
+/// One supernode run: the share of accesses local agents absorb, and
+/// the hierarchical and flat directory times.
+fn supernode(nodes: usize, locality: f64) -> (f64, Tick, Tick) {
+    let mut d = HierarchicalDirectory::new(nodes, HierarchyCost::default());
+    let mut rng = SimRng::new(9);
+    let mut hier = Tick::ZERO;
+    let mut flat = Tick::ZERO;
+    for i in 0..20_000u64 {
+        let node = NodeId((i % nodes as u64) as usize);
+        // With probability `locality`, access the node's own region.
+        let line = if rng.chance(locality) {
+            node.0 as u64 * 1024 + rng.below(256)
+        } else {
+            rng.below(nodes as u64 * 1024)
+        };
+        let addr = PhysAddr::new(line * 64);
+        let cost = if rng.chance(0.2) {
+            d.write(node, addr)
+        } else {
+            d.read(node, addr)
+        };
+        hier += cost;
+        flat += d.flat_cost();
+    }
+    let s = d.stats();
+    let absorbed = s.local_hits as f64 / (s.local_hits + s.global_consults) as f64;
+    (absorbed, hier, flat)
+}
+
+/// How much global traffic local agents absorb as the node count
+/// scales.
+fn ablation_hierarchy() {
+    println!("== Ablation: hierarchical coherence for supernodes (paper §VIII) ==");
+    println!("  nodes | locality | local-absorbed | hier/flat time");
+    for nodes in [2usize, 4, 8, 16] {
+        for locality in [0.5, 0.9] {
+            let (absorbed, hier, flat) = supernode(nodes, locality);
+            println!(
+                "  {nodes:5} | {locality:8.1} | {:13.1}% | {:.2}",
+                absorbed * 100.0,
+                hier.as_secs_f64() / flat.as_secs_f64()
+            );
+        }
+    }
+}
+
+/// The multi-stride RPC prefetcher's contribution per bench (paper
+/// §VI-E: 12% average improvement, minimum 3.6% on the deeply nested
+/// bench).
+fn ablation_prefetch() {
+    println!("== Ablation: RPC prefetcher gain per bench ==");
+    println!("  bench  | w/o prefetch (us) | w/ prefetch (us) | gain");
+    let mut gains = Vec::new();
+    for id in BenchId::all() {
+        let mut w = genbench::generate(id, 7);
+        w.messages.truncate(300);
+        let mut m = RpcNicModel::asic();
+        let no = m
+            .serialize(&w, SerializeMode::CxlCacheNoPrefetch)
+            .total
+            .as_us_f64();
+        let yes = m
+            .serialize(&w, SerializeMode::CxlCachePrefetch)
+            .total
+            .as_us_f64();
+        let gain = no / yes - 1.0;
+        gains.push(gain);
+        println!(
+            "  {:6} | {no:17.0} | {yes:16.0} | {:+5.1}%",
+            id.label(),
+            gain * 100.0
+        );
+    }
+    println!(
+        "  mean gain: {:.1}% (paper: 12% average, 3.6% minimum)",
+        gains.iter().sum::<f64>() / gains.len() as f64 * 100.0
+    );
+}
+
+/// KV-store GET/PUT and graph-BFS offload on the CXL vs PCIe paths.
+fn ext_offload() {
+    let profile = DeviceProfile::fpga_400mhz();
+    println!("== Extension: KV-store / graph offload (paper §VIII) ==");
+    let kv = kvstore_offload(
+        &profile,
+        KvConfig {
+            keys: 1 << 14,
+            ops: 2000,
+            ..KvConfig::default()
+        },
+    );
+    println!(
+        "  KV GET/PUT ({} ops):   PCIe {:.1} us, CXL {:.1} us -> {:.1}x",
+        kv.ops,
+        kv.pcie.as_us_f64(),
+        kv.cxl.as_us_f64(),
+        kv.speedup()
+    );
+    let gr = graph_offload(&profile, 1024, 6);
+    println!(
+        "  BFS stream ({} accesses): PCIe {:.1} us, CXL {:.1} us -> {:.1}x",
+        gr.ops,
+        gr.pcie.as_us_f64(),
+        gr.cxl.as_us_f64(),
+        gr.speedup()
+    );
 }

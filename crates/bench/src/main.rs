@@ -2,34 +2,32 @@
 //!
 //! ```text
 //! simcxl-report [table1|fig12|fig13|fig14|fig15|fig16|fig17|fig18|
-//!                calibration|headline|shapes|<suite>|all]
-//!               [--json] [--quick] [--summary [--github]]
-//!               [--check-determinism [--expect-mode=full|quick]]
+//!                calibration|headline|shapes|ablations|<suite>|all]
+//!               [--json] [--summary [--github]] [--check-determinism]
 //! ```
 //!
 //! A `<suite>` is any entry of `simcxl_bench::report::SUITES`. Naming
-//! one runs it and prints its report; `--json` also writes the report
-//! file and `--quick` selects the reduced CI smoke workload. The suite's
-//! in-process gates are asserted before anything is printed.
+//! one runs its full workload and prints its report; `--json` also
+//! writes the committed report file. The suite's in-process gates are
+//! asserted before anything is printed.
 //!
-//! Two read-only modes operate on the written report files of one suite,
-//! or of every suite with `all`, instead of re-running anything:
+//! Two modes work on one suite, or on every suite with `all`:
 //!
-//! * `--summary` prints each report's sections whole; with `--github`
-//!   it prints the markdown digest CI appends to `$GITHUB_STEP_SUMMARY`.
-//! * `--check-determinism` verifies each report's pinned checksums for
-//!   its mode. Every failing suite is listed, not just the first.
-//!   `--expect-mode=quick` also fails unless the file records that
-//!   mode: CI uses it to prove the checked file came from this run's
-//!   quick bench, not from the committed full-mode file.
+//! * `--summary` prints each committed report's sections whole; with
+//!   `--github` it prints the markdown digest CI appends to
+//!   `$GITHUB_STEP_SUMMARY`.
+//! * `--check-determinism` regenerates each full report in-process,
+//!   checks its pinned checksums, and compares the whole committed file
+//!   with the regeneration, naming the first differing dotted path.
+//!   Every failing suite is listed, not just the first.
 //!
 //! Exit codes: 0 on success, 1 on a determinism failure, 2 on a usage
 //! error or an unreadable report.
 
 use simcxl_bench::report::{self, SUITES};
 
-const USAGE: &str = "usage: simcxl-report [REPORT|SUITE|all] [--json] [--quick] \
-                     [--summary [--github]] [--check-determinism [--expect-mode=full|quick]]";
+const USAGE: &str = "usage: simcxl-report [REPORT|SUITE|all] [--json] \
+                     [--summary [--github]] [--check-determinism]";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
@@ -37,18 +35,14 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
-    let (mut json, mut quick, mut summary, mut github, mut check) =
-        (false, false, false, false, false);
-    let (mut expect, mut arg) = (None, None);
+    let (mut json, mut summary, mut github, mut check) = (false, false, false, false);
+    let mut arg = None;
     for a in std::env::args().skip(1) {
         match a.as_str() {
             "--json" => json = true,
-            "--quick" => quick = true,
             "--summary" => summary = true,
             "--github" => github = true,
             "--check-determinism" => check = true,
-            "--expect-mode=full" => expect = Some("full"),
-            "--expect-mode=quick" => expect = Some("quick"),
             flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
             _ => arg = arg.or(Some(a)),
         }
@@ -69,29 +63,21 @@ fn main() {
         // reported, so a drift in one suite cannot mask another.
         let mut failures = Vec::new();
         for suite in suites {
-            let report = suite.load().unwrap_or_else(|e| {
+            let committed = suite.load().unwrap_or_else(|e| {
                 eprintln!("{e}");
                 std::process::exit(2);
             });
             if summary {
                 if github {
-                    print!("{}", suite.github_summary(&report));
+                    print!("{}", suite.github_summary(&committed));
                 } else {
-                    print!("{}", suite.summary(&report));
+                    print!("{}", suite.summary(&committed));
                 }
             }
             if !check {
                 continue;
             }
-            let mode = report.get("mode").and_then(report::Json::as_str);
-            let verdict = match expect {
-                Some(want) if mode != Some(want) => Err(format!(
-                    "report mode is {mode:?}, expected {want:?} — the checked file was not \
-                     produced by the expected run (did the bench step fail before writing?)"
-                )),
-                _ => suite.check_determinism(&report),
-            };
-            match verdict {
+            match suite.check_committed(&committed, &suite.report(false)) {
                 Ok(msg) => println!("determinism ok [{}]: {msg}", suite.name),
                 Err(e) => failures.push(format!("{}: {e}", suite.name)),
             }
@@ -107,10 +93,10 @@ fn main() {
     if let Some(suite) = report::suite(&arg) {
         let report = if json {
             suite
-                .write(quick)
+                .write()
                 .unwrap_or_else(|e| panic!("writing {} failed: {e}", suite.file))
         } else {
-            suite.report(quick)
+            suite.report(false)
         };
         println!("{report}\n");
         return;
@@ -128,6 +114,7 @@ fn main() {
             "calibration" => simcxl_bench::calibration(100),
             "headline" => simcxl_bench::headline(100),
             "shapes" => simcxl_bench::bench_shapes(),
+            "ablations" => simcxl_bench::ablations(),
             other => usage_error(&format!("unknown report: {other}")),
         }
         println!();
@@ -145,6 +132,7 @@ fn main() {
             "calibration",
             "headline",
             "shapes",
+            "ablations",
         ] {
             run(name);
         }

@@ -6,7 +6,7 @@
 //! adaptive run and its static-weights control.
 //!
 //! `full` mode produces the committed workspace-root report, `quick`
-//! mode is the CI smoke variant; [`SUITE`] pins every case's checksum.
+//! mode is the unit-test variant; [`SUITE`] pins every case's checksum.
 //! Before a report is produced, every case's convergence gates are
 //! asserted in-process
 //! ([`RebalanceOutcome::assert_gates`]): the gated cases must end
@@ -21,12 +21,12 @@ use cohet::RebalanceOutcome;
 /// The fixed seed: these runs exist to be reproduced, not sampled.
 pub const BENCH_SEED: u64 = 0x5EBA;
 
-/// The `simcxl-rebalance/v1` suite. Its pins are the per-case checksums
-/// `(name, full, quick)`: the committed full-mode report and what CI
-/// regenerates in quick mode.
+/// The `simcxl-rebalance/v2` suite. Its pins are the per-case checksums
+/// `(name, full, quick)`: the committed full-mode report and the quick
+/// one the unit tests run.
 pub const SUITE: Suite = Suite {
     name: "rebalance",
-    schema: "simcxl-rebalance/v1",
+    schema: "simcxl-rebalance/v2",
     file: "BENCH_rebalance.json",
     run,
     pins: &[
@@ -43,7 +43,7 @@ pub const SUITE: Suite = Suite {
     ],
 };
 
-/// Background client populations per case at full or quick (CI smoke)
+/// Background client populations per case at full or quick (unit-test)
 /// scale. The hot tenant mass is fixed per case, so this scales only
 /// the weight-tracking background floor the controller has to see
 /// through.
@@ -95,7 +95,7 @@ fn run_json(r: &cohet::RebalanceRun) -> Json {
     ])
 }
 
-fn case_json(r: &RebalanceOutcome, wall: f64) -> Json {
+fn case_json(r: &RebalanceOutcome) -> Json {
     let spec = Json::obj([
         ("epoch_len_us", Json::fixed(r.spec.epoch_len.as_us_f64(), 3)),
         ("threshold", Json::fixed(r.spec.threshold, 4)),
@@ -105,7 +105,6 @@ fn case_json(r: &RebalanceOutcome, wall: f64) -> Json {
         ("clients", r.clients.into()),
         ("checksum", Json::hex(r.checksum)),
         ("spec", spec),
-        ("wall_secs", Json::fixed(wall, 4)),
         ("adaptive", run_json(&r.adaptive)),
         ("static", run_json(&r.static_run)),
     ])
@@ -121,11 +120,9 @@ fn case_json(r: &RebalanceOutcome, wall: f64) -> Json {
 /// [`RebalanceOutcome::assert_gates`]).
 fn run(quick: bool) -> Json {
     let cases = populations(quick).into_iter().map(|(case, clients)| {
-        let start = std::time::Instant::now();
         let r = case.run(clients, BENCH_SEED, 1);
-        let wall = start.elapsed().as_secs_f64();
         r.assert_gates();
-        (r.name.clone(), case_json(&r, wall))
+        (r.name.clone(), case_json(&r))
     });
     let mut members = vec![("seed".to_owned(), BENCH_SEED.into())];
     members.extend(cases);
@@ -144,8 +141,7 @@ mod tests {
     }
 
     /// The quick-mode pins are live: re-running the quick cases
-    /// reproduces them bit-for-bit (the in-process twin of the CI
-    /// `rebalance --check-determinism --expect-mode=quick` gate).
+    /// reproduces them bit-for-bit.
     #[test]
     fn quick_cases_reproduce_their_pins() {
         for ((case, clients), &(name, _, pin)) in populations(true).into_iter().zip(SUITE.pins) {

@@ -1,14 +1,16 @@
 //! One report framework for the four bench suites: the [`Suite`] table,
-//! a small std-only [`Json`] value with a writer and a parser, and the
-//! generic write / summary / GitHub-digest / determinism-check code that
-//! `simcxl-report` and the bench targets share.
+//! a small std-only [`Json`] value with a writer, a parser and a tree
+//! diff, and the generic write / summary / GitHub-digest /
+//! determinism-check code behind `simcxl-report`.
 //!
 //! A suite is data: its name, schema and report file, a `run` that
 //! executes the workload (asserting the suite's in-process gates) and
 //! returns the report body, its pinned completion-stream checksums, and
-//! the columns of its GitHub digest. The pins are the behavioural
-//! specification: [`Suite::check_determinism`] fails when a pinned
-//! section's `checksum` differs from its pin for the report's mode.
+//! the columns of its GitHub digest. Every report field is a
+//! deterministic function of the code, so the committed file is itself
+//! the specification: [`Suite::check_committed`] fails when a pinned
+//! `checksum` differs from its pin, or when any field of the committed
+//! report differs from a fresh regeneration.
 
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
@@ -26,12 +28,6 @@ pub fn suite(name: &str) -> Option<&'static Suite> {
     SUITES.iter().find(|s| s.name == name)
 }
 
-/// Whether the bench targets run their quick (CI smoke) workloads:
-/// `BENCH_QUICK` set to anything but `0`.
-pub fn bench_quick() -> bool {
-    std::env::var_os("BENCH_QUICK").is_some_and(|v| v != "0")
-}
-
 /// One bench suite and its committed `BENCH_<name>.json` report.
 #[derive(Debug)]
 pub struct Suite {
@@ -41,9 +37,10 @@ pub struct Suite {
     pub schema: &'static str,
     /// The report's file name at the workspace root.
     pub file: &'static str,
-    /// Runs the full (`false`) or quick (`true`) workload, asserting the
-    /// suite's in-process gates, and returns the report body: an object
-    /// of the members that follow `schema` and `mode`.
+    /// Runs the full (`false`) workload of the committed report or the
+    /// quick (`true`) one the unit tests use, asserting the suite's
+    /// in-process gates, and returns the report body: an object of the
+    /// members that follow `schema` and `mode`.
     pub run: fn(bool) -> Json,
     /// `(section, full-mode pin, quick-mode pin)`: the `checksum` of
     /// each named section must equal the pin for the report's mode.
@@ -73,18 +70,18 @@ impl Suite {
         Json::Obj(members)
     }
 
-    /// Runs the suite and writes its report file.
+    /// Runs the full workload and writes the report file.
     ///
     /// # Errors
     ///
     /// Propagates the I/O error if the file cannot be written.
-    pub fn write(&self, quick: bool) -> std::io::Result<Json> {
-        let report = self.report(quick);
+    pub fn write(&self) -> std::io::Result<Json> {
+        let report = self.report(false);
         std::fs::write(self.path(), format!("{report}\n"))?;
         Ok(report)
     }
 
-    /// Reads and parses the written report file.
+    /// Reads and parses the committed report file.
     ///
     /// # Errors
     ///
@@ -143,11 +140,6 @@ impl Suite {
     /// Checks every pinned checksum against the pin for the report's
     /// mode. Returns a one-line confirmation.
     ///
-    /// This is the gating half of the CI perf jobs: throughput stays
-    /// non-gating (containers are noisy), but a moved checksum means a
-    /// completion stream changed and must fail unless the pin is updated
-    /// alongside the change.
-    ///
     /// # Errors
     ///
     /// A description of the first drifted pin, or of a missing mode,
@@ -189,6 +181,32 @@ impl Suite {
             self.pins.len(),
             self.name
         ))
+    }
+
+    /// The gate `simcxl-report --check-determinism` runs: the pins hold
+    /// in both the committed report and a fresh `regenerated` one, and
+    /// the two trees are equal in every field. A moved checksum means a
+    /// completion stream changed; any other difference means a counter,
+    /// percentile or trajectory moved, or the committed file is stale.
+    ///
+    /// # Errors
+    ///
+    /// The first failing pin (committed report first), else the dotted
+    /// path of the first field that differs (see [`Json::diff`]).
+    pub fn check_committed(&self, committed: &Json, regenerated: &Json) -> Result<String, String> {
+        self.check_determinism(committed)
+            .map_err(|e| format!("committed {}: {e}", self.file))?;
+        let pins = self
+            .check_determinism(regenerated)
+            .map_err(|e| format!("regenerated report: {e}"))?;
+        match committed.diff(regenerated) {
+            Some(d) => Err(format!(
+                "{} differs from its regeneration at {d} — if the change is \
+                 intended, rewrite it with `simcxl-report {} --json`",
+                self.file, self.name
+            )),
+            None => Ok(format!("{pins}; every field of {} reproduces", self.file)),
+        }
     }
 }
 
@@ -274,13 +292,22 @@ impl Json {
         }
     }
 
+    /// The first place, in member order, where this (committed) value
+    /// and `regenerated` differ, as its dotted path and both sides:
+    /// `stress.per_home[2].requests: committed 1234, regenerated 1235`.
+    /// A member only one side has is reported as missing or not
+    /// regenerated. `None` when the trees are equal.
+    pub fn diff(&self, regenerated: &Json) -> Option<String> {
+        first_diff("", self, regenerated)
+    }
+
     /// Parses one JSON value (surrounding whitespace allowed).
     ///
     /// # Errors
     ///
     /// A message with the byte offset of the first malformed token,
     /// including truncated input and trailing characters. Never panics:
-    /// CI gates feed it downloaded artifacts.
+    /// the gate feeds it hand-editable committed files.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser { text, at: 0 };
         let v = p.value(0)?;
@@ -347,6 +374,76 @@ impl Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.write(f, 0)
+    }
+}
+
+fn first_diff(path: &str, committed: &Json, regenerated: &Json) -> Option<String> {
+    let here = if path.is_empty() { "(root)" } else { path };
+    match (committed, regenerated) {
+        (Json::Obj(c), Json::Obj(r)) => {
+            let child = |k: &str| {
+                if path.is_empty() {
+                    k.to_owned()
+                } else {
+                    format!("{path}.{k}")
+                }
+            };
+            for (k, rv) in r {
+                let d = match committed.get(k) {
+                    Some(cv) => first_diff(&child(k), cv, rv),
+                    None => Some(format!(
+                        "{}: missing from committed, regenerated {}",
+                        child(k),
+                        brief(rv)
+                    )),
+                };
+                if d.is_some() {
+                    return d;
+                }
+            }
+            if let Some((k, cv)) = c.iter().find(|(k, _)| regenerated.get(k).is_none()) {
+                return Some(format!(
+                    "{}: committed {}, not regenerated",
+                    child(k),
+                    brief(cv)
+                ));
+            }
+            let same_order = c.iter().map(|(k, _)| k).eq(r.iter().map(|(k, _)| k));
+            (!same_order).then(|| format!("{here}: members differ in order or count"))
+        }
+        (Json::Arr(c), Json::Arr(r)) => {
+            let d = c
+                .iter()
+                .zip(r)
+                .enumerate()
+                .find_map(|(i, (cv, rv))| first_diff(&format!("{path}[{i}]"), cv, rv));
+            d.or_else(|| {
+                (c.len() != r.len()).then(|| {
+                    format!(
+                        "{here}: committed {} elements, regenerated {}",
+                        c.len(),
+                        r.len()
+                    )
+                })
+            })
+        }
+        _ => (committed != regenerated).then(|| {
+            format!(
+                "{here}: committed {}, regenerated {}",
+                brief(committed),
+                brief(regenerated)
+            )
+        }),
+    }
+}
+
+/// A value as a diff message shows it: scalars whole, containers by
+/// kind and size.
+fn brief(v: &Json) -> String {
+    match v {
+        Json::Arr(items) => format!("an array of {}", items.len()),
+        Json::Obj(members) => format!("an object of {} members", members.len()),
+        scalar => scalar.to_string(),
     }
 }
 
@@ -604,10 +701,41 @@ pub(crate) mod tests {
         REPORTS[i].get_or_init(|| suite.report(true))
     }
 
+    /// Appends a digit to the first number in the last element of the
+    /// first array of objects (depth first), returning its dotted path.
+    fn edit_array_leaf(v: &mut Json, path: &str) -> Option<String> {
+        match v {
+            Json::Obj(members) => members.iter_mut().find_map(|(k, v)| {
+                let child = if path.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{path}.{k}")
+                };
+                edit_array_leaf(v, &child)
+            }),
+            Json::Arr(items) => {
+                let last = items.len().checked_sub(1)?;
+                let Json::Obj(members) = &mut items[last] else {
+                    return None;
+                };
+                members.iter_mut().find_map(|(k, v)| match v {
+                    Json::Num(n) => {
+                        n.push('1');
+                        Some(format!("{path}[{last}].{k}"))
+                    }
+                    _ => None,
+                })
+            }
+            _ => None,
+        }
+    }
+
     /// The one generic per-suite report test: the quick report survives
-    /// a write/parse round trip, every pin matches it, and a flipped
-    /// checksum bit, a non-hex checksum or a missing pinned section are
-    /// all reported.
+    /// a write/parse round trip and passes the gate against itself; a
+    /// flipped checksum bit, a non-hex checksum or a missing pinned
+    /// section are reported; and an edited leaf inside an array element,
+    /// a removed member and an added member are each named by their
+    /// dotted path.
     pub(crate) fn check_suite(suite: &Suite) {
         let report = quick_report(suite);
         let written = report.to_string();
@@ -616,11 +744,13 @@ pub(crate) mod tests {
             report.get("schema").and_then(Json::as_str),
             Some(suite.schema)
         );
-        if let Err(e) = suite.check_determinism(report) {
+        if let Err(e) = suite.check_committed(report, report) {
             panic!("{}: {e}", suite.name);
         }
-        let check =
-            |text: &str| suite.check_determinism(&Json::parse(text).expect("edited report parses"));
+        let check = |text: &str| {
+            let edited = Json::parse(text).expect("edited report parses");
+            suite.check_committed(&edited, report)
+        };
         for &(section, _, pin) in suite.pins {
             let pinned = format!("{pin:#018x}");
             assert_eq!(
@@ -646,6 +776,56 @@ pub(crate) mod tests {
             );
             let err = suite.check_determinism(&missing).unwrap_err();
             assert!(err.contains(&format!("no \"{section}\" section")), "{err}");
+        }
+        let names_path = |edited: &Json, path: &str| {
+            let err = suite.check_committed(edited, report).unwrap_err();
+            assert!(err.contains(&format!(" at {path}: ")), "{err}");
+        };
+        let mut edited = report.clone();
+        let leaf = edit_array_leaf(&mut edited, "").expect("report has an array of objects");
+        assert!(
+            ["per_home[", "phases[", "adaptive.epochs["]
+                .iter()
+                .any(|a| leaf.contains(a)),
+            "{leaf}"
+        );
+        names_path(&edited, &leaf);
+        let (name, _) = sections(report).next().expect("report has a section");
+        let mut removed = report.clone();
+        let (gone, _) = section_mut(&mut removed, name)
+            .pop()
+            .expect("section has members");
+        names_path(&removed, &format!("{name}.{gone}"));
+        let mut added = report.clone();
+        section_mut(&mut added, name).push(("hand_added".into(), Json::from(1u32)));
+        names_path(&added, &format!("{name}.hand_added"));
+    }
+
+    /// The members of a report's section `name`.
+    fn section_mut<'a>(report: &'a mut Json, name: &str) -> &'a mut Vec<(String, Json)> {
+        let Json::Obj(members) = report else {
+            panic!("reports are objects");
+        };
+        match members.iter_mut().find(|(k, _)| k == name) {
+            Some((_, Json::Obj(section))) => section,
+            _ => panic!("no section {name}"),
+        }
+    }
+
+    /// The committed reports are full-mode, carry their suite's schema
+    /// and match every full-mode pin. Reading them is cheap; the
+    /// regeneration half of the gate (`simcxl-report all
+    /// --check-determinism`) runs the full workloads, so it is a
+    /// release-build CI step.
+    #[test]
+    fn committed_reports_are_full_mode_and_pinned() {
+        for suite in &SUITES {
+            let report = suite.load().unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(text(&report, "mode"), "full", "{}", suite.file);
+            assert_eq!(text(&report, "schema"), suite.schema, "{}", suite.file);
+            if let Err(e) = suite.check_determinism(&report) {
+                panic!("{}: {e}", suite.file);
+            }
         }
     }
 
@@ -711,6 +891,30 @@ pub(crate) mod tests {
             ]))
         );
         assert_eq!(Json::fixed(f64::NAN, 2), Json::Null);
+    }
+
+    #[test]
+    fn diff_names_reordered_members_resized_arrays_and_root_changes() {
+        let v = |text: &str| Json::parse(text).expect("test JSON parses");
+        let base = v(r#"{"x": {"a": 1, "b": [1, 2]}}"#);
+        assert_eq!(base.diff(&base), None);
+        assert_eq!(
+            base.diff(&v(r#"{"x": {"b": [1, 2], "a": 1}}"#)).as_deref(),
+            Some("x: members differ in order or count")
+        );
+        assert_eq!(
+            base.diff(&v(r#"{"x": {"a": 1, "b": [1, 2, 3]}}"#))
+                .as_deref(),
+            Some("x.b: committed 2 elements, regenerated 3")
+        );
+        assert_eq!(
+            base.diff(&v(r#"{"x": [1]}"#)).as_deref(),
+            Some("x: committed an object of 2 members, regenerated an array of 1")
+        );
+        assert_eq!(
+            Json::from(1u32).diff(&Json::Null).as_deref(),
+            Some("(root): committed 1, regenerated null")
+        );
     }
 
     /// The brace-matching extractor this parser replaced stopped scalars

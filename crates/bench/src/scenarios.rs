@@ -4,19 +4,19 @@
 //! the determinism checksum.
 //!
 //! `full` mode produces the committed workspace-root report (≥ 1 M
-//! logical clients per scenario), `quick` mode is the CI smoke
+//! logical clients per scenario), `quick` mode is the unit-test
 //! variant; [`SUITE`] pins every scenario's checksum.
 
 use crate::report::{Json, Suite};
 use cohet::{CohetSystem, TopologySpec};
 use simcxl_workloads::scenario::{self, ScenarioOutcome, ScenarioSpec};
 
-/// The `simcxl-scenarios/v1` suite. Its pins are the per-scenario
+/// The `simcxl-scenarios/v2` suite. Its pins are the per-scenario
 /// checksums `(name, full, quick)`: the committed full-mode report and
-/// what CI regenerates in quick mode.
+/// the quick one the unit tests run.
 pub const SUITE: Suite = Suite {
     name: "scenarios",
-    schema: "simcxl-scenarios/v1",
+    schema: "simcxl-scenarios/v2",
     file: "BENCH_scenarios.json",
     run,
     pins: &[
@@ -27,7 +27,7 @@ pub const SUITE: Suite = Suite {
     columns: &[
         ("clients", "clients"),
         ("completed", "completed"),
-        ("events/sec", "events_per_sec"),
+        ("events", "events"),
         ("checksum", "checksum"),
     ],
 };
@@ -47,22 +47,18 @@ pub struct ScenarioCase {
 }
 
 impl ScenarioCase {
-    /// Builds the system and runs the scenario, returning the outcome
-    /// and the host wall-clock seconds the run took.
-    pub fn run(&self) -> (ScenarioOutcome, f64) {
+    /// Builds the system and runs the scenario.
+    pub fn run(&self) -> ScenarioOutcome {
         let mut builder = CohetSystem::builder().topology(self.topology.clone());
         if let Some(bytes) = self.expander_mem {
             builder = builder.expander_memory(bytes);
         }
-        let sys = builder.build();
-        let start = std::time::Instant::now();
-        let out = sys.run_scenario(&self.spec);
-        (out, start.elapsed().as_secs_f64())
+        builder.build().run_scenario(&self.spec)
     }
 }
 
 /// The three canonical cases at full (≥ 1 M logical clients each) or
-/// quick (CI smoke) scale. The seed is fixed: these runs exist to be
+/// quick (unit-test) scale. The seed is fixed: these runs exist to be
 /// reproduced, not sampled.
 pub fn cases(quick: bool) -> Vec<ScenarioCase> {
     let (ramp, steady, storm) = if quick {
@@ -99,7 +95,7 @@ pub fn cases(quick: bool) -> Vec<ScenarioCase> {
     ]
 }
 
-fn case_json(case: &ScenarioCase, r: &ScenarioOutcome, wall: f64) -> Json {
+fn case_json(case: &ScenarioCase, r: &ScenarioOutcome) -> Json {
     let phases = r.phases.iter().map(|p| {
         Json::obj([
             ("name", p.name.as_str().into()),
@@ -112,11 +108,6 @@ fn case_json(case: &ScenarioCase, r: &ScenarioOutcome, wall: f64) -> Json {
             ("throughput_per_us", Json::fixed(p.throughput_per_us(), 1)),
         ])
     });
-    let events_per_sec = if wall > 0.0 {
-        r.events as f64 / wall
-    } else {
-        0.0
-    };
     Json::obj([
         ("topology", format!("{:?}", case.topology).into()),
         ("clients", case.spec.clients.into()),
@@ -128,8 +119,6 @@ fn case_json(case: &ScenarioCase, r: &ScenarioOutcome, wall: f64) -> Json {
         ("checksum", Json::hex(r.checksum)),
         ("peak_live", r.peak_live.into()),
         ("elapsed_sim_us", Json::fixed(r.elapsed.as_us_f64(), 1)),
-        ("wall_secs", Json::fixed(wall, 4)),
-        ("events_per_sec", Json::fixed(events_per_sec, 0)),
         ("phases", Json::Arr(phases.collect())),
     ])
 }
@@ -138,8 +127,8 @@ fn case_json(case: &ScenarioCase, r: &ScenarioOutcome, wall: f64) -> Json {
 /// README for the field-by-field description).
 fn run(quick: bool) -> Json {
     Json::obj(cases(quick).iter().map(|case| {
-        let (r, wall) = case.run();
-        (r.name.clone(), case_json(case, &r, wall))
+        let r = case.run();
+        (r.name.clone(), case_json(case, &r))
     }))
 }
 
@@ -159,8 +148,8 @@ mod tests {
     #[test]
     fn case_runs_are_reproducible() {
         let case = tiny();
-        let (a, _) = case.run();
-        let (b, _) = case.run();
+        let a = case.run();
+        let b = case.run();
         assert_eq!(a, b);
         assert_eq!(a.completed + a.capped, case.spec.clients);
         assert_ne!(a.checksum, 0);
@@ -174,12 +163,11 @@ mod tests {
     }
 
     /// The quick-mode pins are live: re-running the quick cases
-    /// reproduces them bit-for-bit (the in-process twin of the CI
-    /// `scenarios --check-determinism --expect-mode=quick` gate).
+    /// reproduces them bit-for-bit.
     #[test]
     fn quick_cases_reproduce_their_pins() {
         for (case, &(name, _, pin)) in cases(true).iter().zip(SUITE.pins) {
-            let (out, _) = case.run();
+            let out = case.run();
             assert_eq!(out.name, name);
             assert_eq!(
                 out.checksum, pin,

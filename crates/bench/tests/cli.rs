@@ -22,9 +22,14 @@ fn unknown_flag_is_a_usage_error() {
     );
 }
 
+/// `--expect-mode` and `--quick` are gone: `--check-determinism` always
+/// regenerates the full report itself.
 #[test]
 fn unknown_expect_mode_is_a_usage_error() {
-    let out = run(&["faults", "--check-determinism", "--expect-mode=quik"]);
+    let out = run(&["faults", "--check-determinism", "--expect-mode=full"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    let out = run(&["faults", "--quick"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
