@@ -30,13 +30,12 @@ enum Ev {
 }
 
 /// Queue-resident packed encoding of [`Ev`]: 16 bytes against `Ev`'s 48,
-/// so a calendar-queue entry drops from 64 to 32 bytes. Dense upfront
-/// batches park hundreds of thousands of events in the queue at once and
-/// their per-event cost is dominated by memory traffic through those
-/// entries; halving the entry makes the whole backlog stream twice as
-/// fast. The encoding round-trips exactly (pack asserts the generous
-/// field ceilings: 2^20 agents, 2^13 homes), so event order and payloads
-/// — and therefore completion streams — are untouched.
+/// so a queue entry (tick plus payload) is 24 bytes instead of 56. Dense
+/// upfront batches park hundreds of thousands of events in the queue at
+/// once, and their per-event cost is dominated by memory traffic through
+/// those entries. The encoding round-trips exactly (pack asserts the
+/// generous field ceilings: 2^20 agents, 2^13 homes), so event order and
+/// payloads — and therefore completion streams — are untouched.
 ///
 /// Word `a` carries the 64-bit payload id (`ReqId` bits for
 /// `Issue`/`Complete`, `PhysAddr` bits for `Deliver`); word `b` packs the
@@ -538,12 +537,7 @@ impl ProtocolEngine {
         self.queue.push(tick, ev.pack());
     }
 
-    /// Time of the next pending event.
-    ///
-    /// Note: with the calendar queue this is a bucket scan, not an O(1)
-    /// heap peek — drivers stepping the engine event-by-event should use
-    /// [`run_next`](Self::run_next) instead of pairing this with
-    /// [`run_until`](Self::run_until).
+    /// Time of the next pending event (an O(1) queue peek).
     pub fn next_event(&self) -> Option<Tick> {
         self.queue.peek_tick()
     }
@@ -558,8 +552,7 @@ impl ProtocolEngine {
     /// have grown to the largest tick batch.
     ///
     /// Exactly equivalent to `next_event()` followed by
-    /// `run_until(next)`, but fused into a single queue traversal per
-    /// event (no O(buckets) peek).
+    /// `run_until(next)`.
     pub fn run_next(&mut self, done: &mut Vec<Completion>) -> bool {
         done.clear();
         let Some((tick, ev)) = self.queue.pop() else {

@@ -4,11 +4,11 @@
 //! Every per-request structure recycles: request slots, MSHR waiter
 //! nodes (one `PendingSlab` per cache), home pending lists, and the
 //! completion buffer the driver hands back to `run_next`. What remains
-//! is the calendar queue's ring: each of its 4,096 bucket `Vec`s doubles
-//! when a visit beats that bucket's occupancy record, so its growth is
-//! bounded by the ring and decays with time, never scaling with the
-//! request count. A regression that allocates once per miss or per tick
-//! batch shows up here as tens of thousands of allocations.
+//! is mostly the event queue's radix-heap buckets (256 of them) doubling
+//! when a wave beats a bucket's occupancy record, which decays with time
+//! and never scales with the request count. A regression that allocates
+//! once per miss or per tick batch shows up here as tens of thousands of
+//! allocations.
 //!
 //! This file is its own test binary with its own counting global
 //! allocator; it counts only the allocations of the thread that drives
@@ -167,10 +167,10 @@ fn warm_wave_engine_does_not_allocate() {
     let completed = drive(&mut eng, &agents, &mut rng, &mut done, waves);
     let steady = allocs() - before;
     assert_eq!(completed, waves * WAVE);
-    // A constant for the queue ring's record-breaking buckets (397 at
-    // this seed), far below one per miss or per batch.
+    // A constant (34 at this seed, 32 of them queue buckets beating
+    // their occupancy records), far below one per miss or per batch.
     assert!(
-        steady <= 1_024,
+        steady <= 64,
         "{steady} heap allocations while driving {completed} warm requests"
     );
 

@@ -56,7 +56,9 @@ impl Heap {
 /// The serializer's read stream over one message: each entry is one
 /// 64 B line fetch, in traversal order.
 pub fn serialize_read_stream(msg: &MessageValue, base: PhysAddr, seed: u64) -> Vec<PhysAddr> {
-    StreamArena::new(base, seed).stream(msg)
+    let mut lines = Vec::new();
+    StreamArena::new(base, seed).stream_into(msg, &mut lines);
+    lines
 }
 
 /// A persistent heap arena: successive messages allocate consecutively
@@ -79,12 +81,12 @@ impl StreamArena {
         }
     }
 
-    /// Lays out one message and returns its line-granular read stream.
-    pub fn stream(&mut self, msg: &MessageValue) -> Vec<PhysAddr> {
+    /// Lays out one message and replaces `lines` with its line-granular
+    /// read stream (the caller's buffer is reused across messages).
+    pub fn stream_into(&mut self, msg: &MessageValue, lines: &mut Vec<PhysAddr>) {
         self.heap.align_slot();
-        let mut lines = Vec::new();
-        place(msg, &mut self.heap, &mut lines);
-        lines
+        lines.clear();
+        place(msg, &mut self.heap, lines);
     }
 }
 

@@ -22,10 +22,11 @@
 use crate::layout::StreamArena;
 use crate::prefetch::MultiStridePrefetcher;
 use protowire::{decode, encode, BenchWorkload, MessageValue};
-use sim_core::Tick;
+use sim_core::{FxHashMap, Tick};
 use simcxl_coherence::prelude::*;
 use simcxl_mem::{PhysAddr, CACHELINE_BYTES};
 use simcxl_pcie::{DmaConfig, DmaEngine};
+use std::collections::VecDeque;
 
 /// Serialization design point (Fig. 18b legend).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -328,14 +329,16 @@ impl RpcNicModel {
         let mut issue_clock = Tick::ZERO;
         // Completions drained from the engine, keyed by request
         // (prefetch completions are dropped on the floor).
-        let mut completed: std::collections::HashMap<ReqId, Tick> =
-            std::collections::HashMap::new();
+        let mut completed: FxHashMap<ReqId, Tick> = FxHashMap::default();
         let mut comps = Vec::new();
         let mut arena = StreamArena::new(PhysAddr::new(0x1_0000_0000), 1);
+        let mut stream = Vec::new();
+        // In-flight demand fetches; drained by the end of every message.
+        let mut pending: VecDeque<ReqId> = VecDeque::new();
         for msg in &w.messages {
             let wire = protowire::encode::encoded_len(msg) as u64;
             wire_total += wire;
-            let stream = arena.stream(msg);
+            arena.stream_into(msg, &mut stream);
             // Full encode work for the message, spread across its lines
             // so it overlaps with the line fetches.
             let per_line_encode = self.decode_cost(msg, wire) / stream.len() as u64;
@@ -345,8 +348,6 @@ impl RpcNicModel {
                 eng.preload_llc(*line);
             }
             let q = self.timing.fetch_queue;
-            let mut pending: std::collections::VecDeque<(ReqId, PhysAddr)> =
-                std::collections::VecDeque::new();
             let mut next = 0usize;
             let mut fetched = 0usize;
             while fetched < stream.len() {
@@ -360,11 +361,11 @@ impl RpcNicModel {
                         }
                     }
                     let req = eng.issue(hmc, MemOp::Load, line, issue_clock);
-                    pending.push_back((req, line));
+                    pending.push_back(req);
                     next += 1;
                 }
                 // Wait for the oldest demand fetch.
-                let (want, _line) = pending.pop_front().expect("pipeline nonempty");
+                let want = pending.pop_front().expect("pipeline nonempty");
                 let done = loop {
                     if let Some(d) = completed.remove(&want) {
                         break d;

@@ -1,71 +1,74 @@
-//! A stable-order event queue built on a two-tier calendar.
+//! A stable-order event queue built on a monotone radix heap.
 //!
 //! # Structure
 //!
-//! The queue keeps near-future events in a ring of 4096 tick buckets of
-//! 2^13 ps ≈ 8.2 ns each (a classic calendar queue) and far-future
-//! events — beyond the ring's ~33 µs horizon — in a lazily-sorted
-//! overflow stack (descending, minimum at the back; re-sorted adaptively
-//! when pushes dirty it). Discrete-event simulations schedule almost
-//! exclusively into the near future, so the common case for both `push`
-//! and `pop` touches one bucket:
+//! A discrete-event simulation never schedules into its own past, so the
+//! queue can exploit monotonicity (Ahuja, Mehlhorn, Orlin and Tarjan,
+//! 1990): every pushed tick is at least `last`, the tick of the last
+//! popped event. An event at `last` waits in a FIFO; any other event
+//! goes to the bucket named by the highest radix digit in which its tick
+//! differs from `last` (the *level*) and its value in that digit. Buckets
+//! order themselves: everything in a lower level, or in a lower digit of
+//! the same level, is earlier.
 //!
-//! * `push`: O(1) amortized — index the bucket by `(tick - epoch) >>
-//!   BUCKET_SHIFT` and append (far-future events append to the overflow
-//!   stack, paying their share of one adaptive sort when next consulted
-//!   — a deep upfront batch sorts once instead of heap-sifting per
-//!   event). Pushes into the *already-sorted cursor bucket*
-//!   (dense traffic that schedules into the bucket currently being
-//!   drained) append to a pending side-stack instead of binary-inserting,
-//!   so they stay O(1) instead of O(bucket) memmoves.
+//! * `push`: O(1) — one XOR and a leading-zero count pick the bucket.
 //! * `pop` / [`pop_before`](EventQueue::pop_before): O(1) amortized —
-//!   each bucket is sorted once when the cursor reaches it, then popped
-//!   from the back; the pending side is sorted lazily per push burst and
-//!   pops take the `(tick, seq)`-minimum of the two stacks' backs; cursor
-//!   advancement over empty buckets is amortized across the events that
-//!   crossed them.
-//! * [`peek_tick`](EventQueue::peek_tick): O(buckets) worst case (a scan
-//!   for the first non-empty bucket); intended for occasional
-//!   "when is the next event?" queries, not the dispatch loop — the
-//!   dispatch loop should use the fused `pop_before`.
+//!   when the FIFO runs dry, the lowest non-empty bucket is emptied:
+//!   `last` moves to its minimum and its events are re-placed, each into
+//!   a strictly lower level (they now agree with `last` in one more
+//!   digit), so an event moves at most once per level over its lifetime.
+//! * [`peek_tick`](EventQueue::peek_tick): O(1) — a bitmap of non-empty
+//!   buckets plus each bucket's minimum tick.
+//!
+//! A push below `last` panics: callers schedule at or after the clock
+//! they are dispatching, which is never behind the last popped event.
 //!
 //! # Determinism
 //!
-//! Events carry a monotonically increasing sequence number; ties on the
-//! tick pop in insertion (FIFO) order, byte-identically to the previous
-//! `BinaryHeap` implementation (`crates/sim/tests/calendar_diff.rs`
-//! proves this differentially against a reference heap).
+//! Ties on the tick pop in insertion (FIFO) order: events at one tick
+//! always share a bucket, every bucket appends, and emptying a bucket
+//! re-places its events in order into buckets that are all empty. The
+//! pop order is therefore byte-identical to a `BinaryHeap` over `(tick,
+//! push sequence)` (`crates/sim/tests/calendar_diff.rs` checks this
+//! differentially against such a reference heap).
 
 use crate::Tick;
-use std::cmp::Reverse;
+use std::collections::VecDeque;
 
-/// log2 of the bucket width: 2^13 ps ≈ 8.2 ns per bucket, matching the
-/// nanosecond-scale latencies of the coherence/link models.
-const BUCKET_SHIFT: u32 = 13;
-/// Width of one calendar bucket in picoseconds.
-const BUCKET_WIDTH_PS: u64 = 1 << BUCKET_SHIFT;
-/// Number of ring buckets (power of two so indexing is a mask); the ring
-/// covers `BUCKETS * BUCKET_WIDTH_PS` ≈ 33.6 µs ahead of the cursor.
-const BUCKETS: usize = 4096;
+/// Bits per radix digit. Wider digits mean fewer re-placements per event
+/// but more buckets to keep warm; 5- and 6-bit digits ran the benchmark
+/// workloads no faster than 4 bits (16 levels of 16 buckets), which keeps
+/// the fewest buckets.
+const DIGIT_BITS: u32 = 4;
+/// Buckets per level.
+const DIGITS: usize = 1 << DIGIT_BITS;
+/// Levels needed to cover a 64-bit tick.
+const LEVELS: usize = 64usize.div_ceil(DIGIT_BITS as usize);
+/// An emptied bucket keeps its buffer up to this many entries; a larger
+/// one (a deep upfront batch passing through) is freed, so one burst
+/// does not pin its high-water memory for the rest of the run. Keeping
+/// more only raised peak memory; keeping less only added allocations.
+const KEEP_CAPACITY: usize = 1024;
 
 struct Entry<E> {
-    /// Raw picosecond timestamp (kept unwrapped for hot comparisons).
+    /// Raw picosecond timestamp.
     tick: u64,
-    seq: u64,
     payload: E,
 }
 
-impl<E> Entry<E> {
-    fn key(&self) -> (u64, u64) {
-        (self.tick, self.seq)
-    }
+struct Bucket<E> {
+    /// Smallest tick in `items` (`u64::MAX` when empty).
+    min: u64,
+    /// Entries in push order.
+    items: Vec<Entry<E>>,
 }
 
 /// A priority queue of timestamped events with deterministic FIFO tie-break.
 ///
 /// Events pushed at the same [`Tick`] pop in insertion order, which keeps
-/// whole-system simulations reproducible run to run. See the [module
-/// docs](self) for the calendar-queue structure and complexity.
+/// whole-system simulations reproducible run to run. Pushes must not go
+/// below the tick of the last popped event. See the [module docs](self)
+/// for the radix-heap structure and complexity.
 ///
 /// ```
 /// use sim_core::{EventQueue, Tick};
@@ -76,231 +79,131 @@ impl<E> Entry<E> {
 /// assert_eq!(q.pop(), Some((Tick::from_ns(1), 'y')));
 /// ```
 pub struct EventQueue<E> {
-    /// Near-future ring; bucket `(cursor + d) & (BUCKETS-1)` covers ticks
-    /// `[epoch + d*W, epoch + (d+1)*W)`. The cursor bucket additionally
-    /// absorbs pushes at ticks `< epoch` (the simulated past), which the
-    /// per-bucket `(tick, seq)` ordering sequences correctly.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Ring index of the bucket starting at `epoch`.
-    cursor: usize,
-    /// Bucket-aligned tick of the cursor bucket's start.
-    epoch: u64,
-    /// Whether the cursor bucket is currently sorted (descending by
-    /// `(tick, seq)`, so the minimum pops from the back).
-    cur_sorted: bool,
-    /// Pushes landing in the cursor bucket *after* it was sorted. A
-    /// binary-insert into the sorted bucket is O(bucket) per push (the
-    /// `Vec::insert` memmove), which dense ~1 ns-spaced batches turn
-    /// into quadratic churn; appending here is O(1) and the pending
-    /// side is sorted lazily, once per pop burst, so a push/pop
-    /// interleave pays O(p log p) for its own batch only. Pops take the
-    /// `(tick, seq)`-minimum of the two sorted stacks' backs. Always
-    /// empty while the cursor bucket is unsorted, and drained before
-    /// the cursor advances.
-    cur_pending: Vec<Entry<E>>,
-    /// Whether `cur_pending` is currently sorted (same descending order
-    /// as the main bucket).
-    cur_pending_sorted: bool,
-    /// Events in the ring.
-    ring_len: usize,
-    /// Far-future events (tick beyond the ring horizon at push time),
-    /// kept as a lazily-sorted stack (descending by `(tick, seq)`, so
-    /// migration pops the minimum from the back with sequential memory
-    /// access) instead of a binary heap: a deep upfront batch — the
-    /// `stress_upfront` driver queues hundreds of thousands of events
-    /// past the ~33 µs ring horizon — costs one adaptive sort instead
-    /// of per-event heap sifts over a cache-hostile array. Pushes
-    /// append and mark the stack dirty; `ensure_overflow_sorted`
-    /// re-sorts before the next ordered access (the stable sort detects
-    /// the already-sorted prefix, so an append burst costs roughly its
-    /// own merge, not a full re-sort).
-    overflow: Vec<Entry<E>>,
-    overflow_sorted: bool,
-    next_seq: u64,
-    /// Exact tick of the earliest queued event, when known. Set when a
-    /// bounded pop refuses (it just located that event), min-merged on
-    /// push, invalidated by any successful pop. Lets a driver call
-    /// [`peek_tick`](Self::peek_tick) right after a bounded run without
-    /// paying the bucket scan.
-    next_hint: Option<u64>,
+    /// Payloads of the events at exactly `last`, in push order.
+    now: VecDeque<E>,
+    /// `buckets[level * DIGITS + digit]`.
+    buckets: Box<[Bucket<E>; LEVELS * DIGITS]>,
+    /// Bit `level` is set iff some bucket of that level is non-empty.
+    levels: u64,
+    /// Per level, bit `digit` is set iff that bucket is non-empty.
+    digits: [u64; LEVELS],
+    /// Tick of the last popped event (0 before the first pop).
+    last: u64,
+    len: usize,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        let mut buckets = Vec::with_capacity(BUCKETS);
-        buckets.resize_with(BUCKETS, Vec::new);
         EventQueue {
-            buckets,
-            cursor: 0,
-            epoch: 0,
-            cur_sorted: false,
-            cur_pending: Vec::new(),
-            cur_pending_sorted: false,
-            ring_len: 0,
-            overflow: Vec::new(),
-            overflow_sorted: true,
-            next_seq: 0,
-            next_hint: None,
+            now: VecDeque::new(),
+            buckets: Box::new(std::array::from_fn(|_| Bucket {
+                min: u64::MAX,
+                items: Vec::new(),
+            })),
+            levels: 0,
+            digits: [0; LEVELS],
+            last: 0,
+            len: 0,
         }
     }
 
     /// Schedules `payload` at `tick`.
+    ///
+    /// # Panics
+    ///
+    /// If `tick` is earlier than the last popped event's tick.
     pub fn push(&mut self, tick: Tick, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some(h) = self.next_hint {
-            self.next_hint = Some(h.min(tick.as_ps()));
-        }
-        let entry = Entry {
-            tick: tick.as_ps(),
-            seq,
-            payload,
-        };
-        if self.in_ring_range(entry.tick) {
-            self.ring_insert(entry);
-        } else {
-            self.overflow.push(entry);
-            self.overflow_sorted = false;
-        }
+        let tick = tick.as_ps();
+        assert!(
+            tick >= self.last,
+            "event pushed at {tick} ps, before the last popped tick {} ps",
+            self.last
+        );
+        self.len += 1;
+        self.place(Entry { tick, payload });
     }
 
-    /// Whether a tick falls inside the ring's current horizon. Computed
-    /// via bucket distance so `u64::MAX` timestamps ("never") still
-    /// resolve instead of saturating past the horizon forever.
-    fn in_ring_range(&self, tick: u64) -> bool {
-        (tick.saturating_sub(self.epoch) >> BUCKET_SHIFT) < BUCKETS as u64
-    }
-
-    /// Inserts an entry whose tick lies below the ring horizon.
-    fn ring_insert(&mut self, entry: Entry<E>) {
-        // Pushes into the simulated past (tick < epoch) land in the
-        // cursor bucket: they must pop before everything else, and the
-        // per-bucket ordering puts them first.
-        let d = (entry.tick.saturating_sub(self.epoch) >> BUCKET_SHIFT) as usize;
-        debug_assert!(d < BUCKETS);
-        let idx = (self.cursor + d) & (BUCKETS - 1);
-        if idx == self.cursor && self.cur_sorted {
-            // The active bucket is already sorted: append to the O(1)
-            // pending side instead of memmoving a binary-insert.
-            self.cur_pending.push(entry);
-            self.cur_pending_sorted = false;
-        } else {
-            self.buckets[idx].push(entry);
-        }
-        self.ring_len += 1;
-    }
-
-    /// Re-sorts the overflow stack if pushes dirtied it. The stable
-    /// sort is adaptive: an already-sorted bulk with an appended burst
-    /// costs a scan plus the burst's merge.
-    fn ensure_overflow_sorted(&mut self) {
-        if !self.overflow_sorted {
-            self.overflow.sort_by_key(|e| Reverse(e.key()));
-            self.overflow_sorted = true;
-        }
-    }
-
-    /// Pops far-future events that now fall below the ring horizon.
-    fn migrate_overflow(&mut self) {
-        if self.overflow.is_empty() {
+    /// Files an entry (tick `>= last`) by its highest digit differing
+    /// from `last`.
+    #[inline]
+    fn place(&mut self, e: Entry<E>) {
+        let diff = e.tick ^ self.last;
+        if diff == 0 {
+            self.now.push_back(e.payload);
             return;
         }
-        self.ensure_overflow_sorted();
-        while let Some(e) = self.overflow.last() {
-            if !self.in_ring_range(e.tick) {
-                break;
-            }
-            let e = self.overflow.pop().expect("nonempty");
-            self.ring_insert(e);
-        }
+        let level = (u64::BITS - 1 - diff.leading_zeros()) / DIGIT_BITS;
+        let digit = (e.tick >> (level * DIGIT_BITS)) as usize & (DIGITS - 1);
+        let b = &mut self.buckets[level as usize * DIGITS + digit];
+        b.min = b.min.min(e.tick);
+        b.items.push(e);
+        self.levels |= 1 << level;
+        self.digits[level as usize] |= 1 << digit;
     }
 
-    /// Advances to the next candidate event; returns `None` when empty.
-    /// With `bound`, stops (leaving the event queued) once the earliest
-    /// event is later than the bound.
-    fn pop_bounded(&mut self, bound: Option<u64>) -> Option<(Tick, E)> {
-        loop {
-            if self.ring_len == 0 {
-                // Ring drained: re-anchor the calendar at the overflow's
-                // earliest event and pull the next horizon's worth in.
-                debug_assert!(self.cur_pending.is_empty());
-                self.ensure_overflow_sorted();
-                let min = self.overflow.last()?.tick;
-                if bound.is_some_and(|b| min > b) {
-                    self.next_hint = Some(min);
-                    return None;
-                }
-                debug_assert!(min >= self.epoch);
-                self.epoch = min & !(BUCKET_WIDTH_PS - 1);
-                self.cur_sorted = false;
-                self.migrate_overflow();
-                continue;
-            }
-            if !self.buckets[self.cursor].is_empty() || !self.cur_pending.is_empty() {
-                if !self.cur_sorted {
-                    // Pending only accumulates against a sorted bucket,
-                    // so a first-touch sort never has a pending side.
-                    debug_assert!(self.cur_pending.is_empty());
-                    self.buckets[self.cursor].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                    self.cur_sorted = true;
-                }
-                if !self.cur_pending_sorted && !self.cur_pending.is_empty() {
-                    self.cur_pending
-                        .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                    self.cur_pending_sorted = true;
-                }
-                // Two descending stacks: the earliest event is the
-                // smaller of the two backs (ties cannot happen — seqs
-                // are unique per queue — but prefer the main bucket
-                // deterministically anyway).
-                let main = self.buckets[self.cursor].last().map(Entry::key);
-                let pend = self.cur_pending.last().map(Entry::key);
-                let take_pending = match (main, pend) {
-                    (Some(m), Some(p)) => p < m,
-                    (None, Some(_)) => true,
-                    _ => false,
-                };
-                let next_tick = match (main, pend) {
-                    (Some(m), Some(p)) => m.min(p).0,
-                    (Some(m), None) => m.0,
-                    (None, Some(p)) => p.0,
-                    (None, None) => unreachable!("checked nonempty"),
-                };
-                if bound.is_some_and(|b| next_tick > b) {
-                    self.next_hint = Some(next_tick);
-                    return None;
-                }
-                let e = if take_pending {
-                    self.cur_pending.pop().expect("nonempty")
-                } else {
-                    self.buckets[self.cursor].pop().expect("nonempty")
-                };
-                self.ring_len -= 1;
-                self.next_hint = None;
-                return Some((Tick::from_ps(e.tick), e.payload));
-            }
-            // Cursor bucket empty: advance one bucket. The horizon moves
-            // with it, so check the overflow for newly-near events.
-            self.cursor = (self.cursor + 1) & (BUCKETS - 1);
-            self.epoch += BUCKET_WIDTH_PS;
-            self.cur_sorted = false;
-            self.migrate_overflow();
+    /// Index of the non-empty bucket holding the earliest events.
+    fn lowest(&self) -> Option<usize> {
+        if self.levels == 0 {
+            return None;
         }
+        let level = self.levels.trailing_zeros() as usize;
+        Some(level * DIGITS + self.digits[level].trailing_zeros() as usize)
+    }
+
+    /// Empties bucket `i`, the lowest non-empty one: moves `last` to its
+    /// minimum and returns the first event at that tick, re-placing the
+    /// rest, in order, below it.
+    fn take_lowest(&mut self, i: usize) -> E {
+        let (level, digit) = (i / DIGITS, i % DIGITS);
+        self.digits[level] &= !(1 << digit);
+        if self.digits[level] == 0 {
+            self.levels &= !(1 << level);
+        }
+        let b = &mut self.buckets[i];
+        self.last = std::mem::replace(&mut b.min, u64::MAX);
+        if b.items.len() == 1 {
+            // Most buckets hold one event by the time they are lowest.
+            return b.items.pop().expect("one entry").payload;
+        }
+        let mut items = std::mem::take(&mut b.items);
+        for e in items.drain(..) {
+            self.place(e);
+        }
+        if items.capacity() <= KEEP_CAPACITY {
+            self.buckets[i].items = items;
+        }
+        self.now.pop_front().expect("the minimum lands in `now`")
+    }
+
+    /// Pops the earliest event if its tick is `<= bound`.
+    fn pop_bounded(&mut self, bound: u64) -> Option<(Tick, E)> {
+        let payload = if self.now.is_empty() {
+            let i = self.lowest()?;
+            if self.buckets[i].min > bound {
+                return None;
+            }
+            self.take_lowest(i)
+        } else if self.last > bound {
+            return None;
+        } else {
+            self.now.pop_front().expect("checked non-empty")
+        };
+        self.len -= 1;
+        Some((Tick::from_ps(self.last), payload))
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Tick, E)> {
-        self.pop_bounded(None)
+        self.pop_bounded(u64::MAX)
     }
 
     /// Removes and returns the earliest event if its tick is `<= t`;
     /// otherwise leaves the queue untouched and returns `None`.
     ///
-    /// This fuses the peek-then-pop pattern of event loops into one
-    /// traversal: `while let Some((tick, ev)) = q.pop_before(t) { ... }`
-    /// dispatches everything up to and including `t` without re-walking
-    /// the queue per event.
+    /// This fuses the peek-then-pop pattern of event loops:
+    /// `while let Some((tick, ev)) = q.pop_before(t) { ... }` dispatches
+    /// everything up to and including `t`.
     ///
     /// ```
     /// use sim_core::{EventQueue, Tick};
@@ -312,78 +215,25 @@ impl<E> EventQueue<E> {
     /// assert_eq!(q.len(), 1);
     /// ```
     pub fn pop_before(&mut self, t: Tick) -> Option<(Tick, E)> {
-        self.pop_bounded(Some(t.as_ps()))
+        self.pop_bounded(t.as_ps())
     }
 
-    /// The timestamp of the earliest pending event.
-    ///
-    /// O(1) right after a bounded pop refused (the refusal caches the
-    /// tick it stopped at, and pushes keep the cache exact); otherwise
-    /// O(buckets) worst case — use [`pop_before`](Self::pop_before) in
-    /// dispatch loops instead of peeking then popping.
+    /// The timestamp of the earliest pending event, in O(1).
     pub fn peek_tick(&self) -> Option<Tick> {
-        if let Some(h) = self.next_hint {
-            debug_assert_eq!(Some(Tick::from_ps(h)), self.peek_tick_scan());
-            return Some(Tick::from_ps(h));
+        if !self.now.is_empty() {
+            return Some(Tick::from_ps(self.last));
         }
-        self.peek_tick_scan()
-    }
-
-    /// The slow path of [`peek_tick`](Self::peek_tick): scan the ring
-    /// for the first non-empty bucket, else peek the overflow stack.
-    fn peek_tick_scan(&self) -> Option<Tick> {
-        if self.ring_len > 0 {
-            for d in 0..BUCKETS {
-                let idx = (self.cursor + d) & (BUCKETS - 1);
-                let mut min = self.buckets[idx].iter().map(Entry::key).min();
-                if idx == self.cursor {
-                    // The cursor bucket's pending side counts too.
-                    min = min
-                        .into_iter()
-                        .chain(self.cur_pending.iter().map(Entry::key))
-                        .min();
-                }
-                if let Some(min) = min {
-                    return Some(Tick::from_ps(min.0));
-                }
-            }
-            unreachable!("ring_len > 0 but all buckets empty");
-        }
-        // Sorted stack: the minimum is at the back, O(1) like the old
-        // heap peek. Only a dirty stack (pushes since the last ordered
-        // access, and this is `&self` so no re-sort) needs the scan.
-        if self.overflow_sorted {
-            return self.overflow.last().map(|e| Tick::from_ps(e.tick));
-        }
-        self.overflow
-            .iter()
-            .map(Entry::key)
-            .min()
-            .map(|k| Tick::from_ps(k.0))
+        self.lowest().map(|i| Tick::from_ps(self.buckets[i].min))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.ring_len + self.overflow.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.cur_pending.clear();
-        self.cur_pending_sorted = false;
-        self.overflow.clear();
-        self.overflow_sorted = true;
-        self.ring_len = 0;
-        self.cur_sorted = false;
-        self.next_hint = None;
+        self.len == 0
     }
 }
 
@@ -435,8 +285,11 @@ mod tests {
         q.push(Tick::from_ns(4), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_tick(), Some(Tick::from_ns(4)));
-        q.clear();
+        assert_eq!(q.pop(), Some((Tick::from_ns(4), ())));
+        assert_eq!((q.len(), q.peek_tick()), (1, Some(Tick::from_ns(9))));
+        assert_eq!(q.pop(), Some((Tick::from_ns(9), ())));
         assert!(q.is_empty());
+        assert_eq!(q.peek_tick(), None);
     }
 
     #[test]
@@ -445,15 +298,17 @@ mod tests {
         q.push(Tick::from_ns(10), 'a');
         q.push(Tick::from_ns(5), 'b');
         assert_eq!(q.pop().unwrap().1, 'b');
-        q.push(Tick::from_ns(1), 'c');
+        q.push(Tick::from_ns(5), 'c'); // at the last popped tick
+        q.push(Tick::from_ns(7), 'd'); // between it and 'a'
         assert_eq!(q.pop().unwrap().1, 'c');
+        assert_eq!(q.pop().unwrap().1, 'd');
         assert_eq!(q.pop().unwrap().1, 'a');
     }
 
     #[test]
     fn far_future_events_overflow_and_return() {
         let mut q = EventQueue::new();
-        // Far beyond the ~33 us ring horizon, plus one near event.
+        // Far-future events sit in high levels under a near one.
         q.push(Tick::from_us(500), 'f');
         q.push(Tick::from_us(2_000), 'g');
         q.push(Tick::from_ns(3), 'n');
@@ -477,14 +332,55 @@ mod tests {
     }
 
     #[test]
-    fn push_into_the_past_pops_first() {
+    #[should_panic(expected = "event pushed at 1000 ps, before the last popped tick 40000000 ps")]
+    fn push_below_last_popped_tick_panics() {
         let mut q = EventQueue::new();
         q.push(Tick::from_us(40), 'a');
-        assert_eq!(q.pop().unwrap().1, 'a'); // epoch now ~40 us
-        q.push(Tick::from_ns(1), 'p'); // far in the popped past
-        q.push(Tick::from_us(41), 'b');
-        assert_eq!(q.pop().unwrap().1, 'p');
-        assert_eq!(q.pop().unwrap().1, 'b');
+        assert_eq!(q.pop().unwrap().1, 'a');
+        q.push(Tick::from_ns(1), 'p');
+    }
+
+    #[test]
+    fn ties_stay_fifo_across_redistributions() {
+        // Same-tick events pushed before the bucket holding them is
+        // emptied, while it is being drained (into `now`), and while
+        // they sit in a lower level after one redistribution.
+        let t = Tick::from_ps(0x1234_5678);
+        let mut q = EventQueue::new();
+        for i in 0..40 {
+            q.push(t, i);
+        }
+        q.push(Tick::from_ps(0x1234_5000), -1); // empties t's bucket first
+        assert_eq!(q.pop(), Some((Tick::from_ps(0x1234_5000), -1)));
+        for i in 40..80 {
+            q.push(t, i); // lands after the re-placed 0..40
+        }
+        assert_eq!(q.pop(), Some((t, 0)));
+        for i in 80..120 {
+            q.push(t, i); // straight into `now`, behind the rest
+        }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (1..120).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn digit_and_power_of_two_boundaries() {
+        // Ticks one either side of every digit boundary, so carries cross
+        // radix levels, pushed in reverse and popped in order.
+        let mut ticks: Vec<u64> = (1..u64::BITS)
+            .flat_map(|b| [(1u64 << b) - 1, 1 << b, (1 << b) + 1])
+            .chain([u64::MAX - 1, u64::MAX])
+            .collect();
+        ticks.dedup();
+        let mut q = EventQueue::new();
+        for &t in ticks.iter().rev() {
+            q.push(Tick::from_ps(t), t);
+        }
+        for &t in &ticks {
+            assert_eq!(q.peek_tick(), Some(Tick::from_ps(t)));
+            assert_eq!(q.pop(), Some((Tick::from_ps(t), t)));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -493,7 +389,7 @@ mod tests {
         q.push(Tick::from_ns(10), 'a');
         q.push(Tick::from_ns(10), 'b');
         q.push(Tick::from_ns(20), 'c');
-        q.push(Tick::from_us(200), 'z'); // overflow tier
+        q.push(Tick::from_us(200), 'z'); // a far level
         assert_eq!(q.pop_before(Tick::from_ns(5)), None);
         assert_eq!(
             q.pop_before(Tick::from_ns(10)),
@@ -513,20 +409,17 @@ mod tests {
 
     #[test]
     fn peek_after_refusal_is_exact_across_pushes_and_pops() {
-        // A bounded-pop refusal caches the next tick; pushes min-merge
-        // into it and pops invalidate it. (`peek_tick` cross-checks the
-        // cache against the full scan under debug assertions.)
         let mut q = EventQueue::new();
         q.push(Tick::from_ns(10), 'a');
-        q.push(Tick::from_us(100), 'z'); // overflow tier
+        q.push(Tick::from_us(100), 'z'); // a far level
         assert_eq!(q.pop_before(Tick::from_ns(5)), None);
         assert_eq!(q.peek_tick(), Some(Tick::from_ns(10)));
-        q.push(Tick::from_ns(3), 'b'); // earlier than the cached tick
+        q.push(Tick::from_ns(3), 'b'); // earlier than the peeked tick
         assert_eq!(q.peek_tick(), Some(Tick::from_ns(3)));
         assert_eq!(q.pop().unwrap().1, 'b');
         assert_eq!(q.peek_tick(), Some(Tick::from_ns(10)));
         assert_eq!(q.pop().unwrap().1, 'a');
-        assert_eq!(q.pop_before(Tick::from_ns(50)), None); // overflow refusal
+        assert_eq!(q.pop_before(Tick::from_ns(50)), None); // far refusal
         assert_eq!(q.peek_tick(), Some(Tick::from_us(100)));
         assert_eq!(q.pop().unwrap().1, 'z');
         assert_eq!(q.peek_tick(), None);
@@ -534,20 +427,18 @@ mod tests {
 
     #[test]
     fn dense_same_bucket_push_pop_interleave_stays_ordered() {
-        // The pending/sorted split: pops from the cursor bucket sort it,
-        // then pushes land on the pending side; the interleave must pop
-        // the global (tick, seq) order exactly.
+        // Pushes between and after queued events while their bucket is
+        // being drained; the interleave must pop the global (tick, push
+        // order) exactly.
         let mut q = EventQueue::new();
         for i in 0..8u64 {
             q.push(Tick::from_ps(1000 + i * 100), i);
         }
         let mut popped = Vec::new();
-        // Pop two (sorts the bucket), then push earlier/later events
-        // into the same (now sorted) bucket.
         popped.push(q.pop().unwrap());
         popped.push(q.pop().unwrap());
         q.push(Tick::from_ps(1150), 100); // between queued events
-        q.push(Tick::from_ps(4000), 101); // later, same bucket
+        q.push(Tick::from_ps(4000), 101); // later
         q.push(Tick::from_ps(1150), 102); // tie with 100: FIFO
         while let Some(e) = q.pop() {
             popped.push(e);
@@ -565,10 +456,13 @@ mod tests {
     fn pending_side_respects_bounds_and_peek() {
         let mut q = EventQueue::new();
         q.push(Tick::from_ps(100), 'a');
-        assert_eq!(q.pop(), Some((Tick::from_ps(100), 'a'))); // sorts bucket 0
-        q.push(Tick::from_ps(200), 'b'); // pending side of sorted bucket
+        assert_eq!(q.pop(), Some((Tick::from_ps(100), 'a')));
+        q.push(Tick::from_ps(200), 'b');
         q.push(Tick::from_ps(150), 'c');
-        assert_eq!(q.peek_tick(), Some(Tick::from_ps(150)));
+        q.push(Tick::from_ps(100), 'd'); // at the last popped tick
+        assert_eq!(q.peek_tick(), Some(Tick::from_ps(100)));
+        assert_eq!(q.pop_before(Tick::from_ps(99)), None);
+        assert_eq!(q.pop(), Some((Tick::from_ps(100), 'd')));
         assert_eq!(q.pop_before(Tick::from_ps(140)), None);
         assert_eq!(q.peek_tick(), Some(Tick::from_ps(150)));
         assert_eq!(
@@ -585,7 +479,7 @@ mod tests {
     fn dense_upfront_batch_drains_in_order() {
         // The stress_upfront driver shape: thousands of ~1 ns-spaced
         // events, pushed upfront and drained while follow-on events keep
-        // landing in the cursor bucket.
+        // landing just ahead of the clock.
         let mut q = EventQueue::new();
         for i in 0..4096u64 {
             q.push(Tick::from_ps(i * 1000), i);
@@ -597,7 +491,6 @@ mod tests {
             last = t.as_ps();
             n += 1;
             if n.is_multiple_of(3) && n < 2000 {
-                // Follow-on work ~2 ns out: same or next bucket.
                 q.push(Tick::from_ps(last + 2000), 1_000_000 + n);
             }
         }

@@ -1,15 +1,16 @@
-//! Differential suite: the calendar-queue [`EventQueue`] must pop in
-//! byte-identical order to the reference `BinaryHeap` implementation it
-//! replaced, under random interleavings of pushes and pops at both
-//! clustered (same few buckets) and far-apart (overflow-tier) ticks.
+//! Differential suite: the radix-heap [`EventQueue`] must pop in
+//! byte-identical order to a reference `BinaryHeap` over `(tick, push
+//! sequence)`, under random interleavings of pushes and pops at both
+//! clustered (same few ticks) and far-apart ticks. Every push honours
+//! the queue's contract: no tick below the last popped one.
 
 use proptest::prelude::*;
 use sim_core::{EventQueue, Tick};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// The pre-calendar implementation, verbatim: a max-heap of
-/// `(tick, seq)`-inverted entries with FIFO tie-break.
+/// The reference: a max-heap of `(tick, seq)`-inverted entries with
+/// FIFO tie-break.
 struct RefEntry {
     tick: Tick,
     seq: u64,
@@ -70,17 +71,24 @@ enum Op {
     PopBefore(u64),
 }
 
-/// Decodes `(sel, a, b)` triples into ops. Tick values mix three scales:
-/// clustered inside one bucket (a few ns), spread across the ring
-/// (tens of µs), and far-future overflow territory (ms), so every tier
-/// and migration path gets exercised.
-fn decode(sel: u8, a: u64, b: u64) -> Op {
-    let tick = match a % 5 {
-        0 => b % 8_000,                     // within one calendar bucket
-        1 => b % 2_000_000,                 // a few hundred buckets
-        2 => b % 40_000_000,                // spans the ring horizon
-        3 => 1_000_000_000 + b % 1_000_000, // deep overflow tier
-        _ => (b % 16) * 8_192,              // exact bucket boundaries
+/// Decodes `(sel, a, b)` triples into ops, with every tick at or after
+/// `last`, the last popped tick (the queue's contract). Offsets mix the
+/// scales a radix level spans: the same or nearly the same tick, a few
+/// ns, µs, tens of µs and far-future ms, plus ticks one either side of a
+/// digit or power-of-two boundary above `last`, where carries cross
+/// radix levels.
+fn decode(sel: u8, a: u64, b: u64, last: u64) -> Op {
+    let tick = match a % 7 {
+        0 => last + b % 16,                        // same tick or the lowest digit
+        1 => last + b % 8_000,                     // a few ns
+        2 => last + b % 2_000_000,                 // µs
+        3 => last + b % 40_000_000,                // tens of µs
+        4 => last + 1_000_000_000 + b % 1_000_000, // far future
+        _ => {
+            let k = 1 + b % 40;
+            let boundary = ((last >> k) + 1) << k;
+            boundary - 1 + (b >> 8) % 3
+        }
     };
     match sel % 4 {
         0 | 1 => Op::Push(tick),
@@ -89,42 +97,59 @@ fn decode(sel: u8, a: u64, b: u64) -> Op {
     }
 }
 
+/// Checks `peek_tick` and `len` of both queues agree.
+fn compare_state(i: usize, q: &EventQueue<u64>, reference: &RefQueue) -> Result<(), String> {
+    let (qp, rp) = (q.peek_tick(), reference.heap.peek().map(|e| e.tick));
+    if qp != rp {
+        return Err(format!("op {i}: peek_tick {qp:?} != reference {rp:?}"));
+    }
+    if q.len() != reference.heap.len() {
+        return Err(format!(
+            "op {i}: len {} != reference {}",
+            q.len(),
+            reference.heap.len()
+        ));
+    }
+    Ok(())
+}
+
 fn run_differential(script: &[(u8, u64, u64)]) -> Result<(), String> {
-    let mut cal: EventQueue<u64> = EventQueue::new();
+    let mut q: EventQueue<u64> = EventQueue::new();
     let mut reference = RefQueue::default();
     let mut payload = 0u64;
+    let mut last = 0u64;
     for (i, &(sel, a, b)) in script.iter().enumerate() {
-        match decode(sel, a, b) {
+        let popped = match decode(sel, a, b, last) {
             Op::Push(t) => {
                 payload += 1;
-                cal.push(Tick::from_ps(t), payload);
+                q.push(Tick::from_ps(t), payload);
                 reference.push(Tick::from_ps(t), payload);
+                None
             }
             Op::Pop => {
-                let (c, r) = (cal.pop(), reference.pop());
+                let (c, r) = (q.pop(), reference.pop());
                 if c != r {
                     return Err(format!("op {i}: pop {c:?} != reference {r:?}"));
                 }
+                c
             }
             Op::PopBefore(t) => {
                 let bound = Tick::from_ps(t);
-                let (c, r) = (cal.pop_before(bound), reference.pop_before(bound));
+                let (c, r) = (q.pop_before(bound), reference.pop_before(bound));
                 if c != r {
                     return Err(format!("op {i}: pop_before({bound}) {c:?} != {r:?}"));
                 }
+                c
             }
+        };
+        if let Some((t, _)) = popped {
+            last = t.as_ps();
         }
-        if cal.len() != reference.heap.len() {
-            return Err(format!(
-                "op {i}: len {} != reference {}",
-                cal.len(),
-                reference.heap.len()
-            ));
-        }
+        compare_state(i, &q, &reference)?;
     }
     // Drain both fully: the tails must agree too.
     loop {
-        let (c, r) = (cal.pop(), reference.pop());
+        let (c, r) = (q.pop(), reference.pop());
         if c != r {
             return Err(format!("drain: {c:?} != {r:?}"));
         }
@@ -137,8 +162,9 @@ fn run_differential(script: &[(u8, u64, u64)]) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random interleaved push/pop/pop_before across all tick tiers pops
-    /// byte-identically to the reference heap.
+    /// Random interleaved push/pop/pop_before at every offset scale pops
+    /// byte-identically to the reference heap, with equal `peek_tick`
+    /// and `len` after every op.
     #[test]
     fn calendar_matches_reference_heap(
         script in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..400)
@@ -148,28 +174,32 @@ proptest! {
         }
     }
 
-    /// Heavy same-tick clustering (the engine's wave pattern): FIFO
-    /// tie-break order must survive bucket sorting and binary inserts.
+    /// Heavy same-tick clustering just ahead of the clock (the engine's
+    /// wave pattern): FIFO tie-break order must survive redistribution.
     #[test]
     fn clustered_ties_match_reference(
         ticks in prop::collection::vec(0u64..16, 1..300),
         pops in prop::collection::vec(any::<bool>(), 1..300),
     ) {
-        let mut cal: EventQueue<u64> = EventQueue::new();
+        let mut q: EventQueue<u64> = EventQueue::new();
         let mut reference = RefQueue::default();
         let mut payload = 0u64;
+        let mut last = Tick::ZERO;
         let mut pop_iter = pops.iter().cycle();
         for &t in &ticks {
-            let tick = Tick::from_ps(t * 500); // many pushes share buckets/ticks
+            let tick = last + Tick::from_ps(t * 500); // many pushes share ticks
             payload += 1;
-            cal.push(tick, payload);
+            q.push(tick, payload);
             reference.push(tick, payload);
             if *pop_iter.next().unwrap() {
-                prop_assert_eq!(cal.pop(), reference.pop());
+                let popped = q.pop();
+                prop_assert_eq!(popped, reference.pop());
+                last = popped.expect("just pushed").0;
             }
+            prop_assert_eq!(q.peek_tick(), reference.heap.peek().map(|e| e.tick));
         }
         loop {
-            let (c, r) = (cal.pop(), reference.pop());
+            let (c, r) = (q.pop(), reference.pop());
             prop_assert_eq!(c, r);
             if c.is_none() { break; }
         }

@@ -259,8 +259,7 @@ fn run_inner(
                 // they would if every arrival had been queued upfront
                 // (with the lowest sequence numbers). Nothing in the
                 // batch schedules before tw, so the bounded pops drain
-                // exactly the tw batch and leave the queue's peek hint
-                // set for the next round.
+                // exactly the tw batch.
                 while let Some((client, phase)) = arrivals.pop_before(tw) {
                     exec.arrive(eng, client, phase, tw);
                 }
