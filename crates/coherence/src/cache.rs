@@ -37,18 +37,18 @@ impl Outbox {
 #[derive(Debug)]
 struct Mshr {
     /// Requests waiting on this line, in arrival order (nodes live in
-    /// the agent's `waiters` slab).
+    /// the agent's `waiters` slab). An MSHR tracks an NC-P push rather
+    /// than a fill exactly when its head waiter is the `NcPush` that
+    /// opened it.
     waiting: PendingList,
-    /// Whether this MSHR tracks an NC-P push rather than a fill.
-    ncp: bool,
 }
 
 impl Mshr {
     /// A fresh MSHR whose only waiter is the request that opened it.
-    fn open(waiters: &mut PendingSlab<(ReqId, MemOp)>, first: (ReqId, MemOp), ncp: bool) -> Self {
+    fn open(waiters: &mut PendingSlab<(ReqId, MemOp)>, first: (ReqId, MemOp)) -> Self {
         let mut waiting = PendingList::default();
         waiters.push_back(&mut waiting, first);
-        Mshr { waiting, ncp }
+        Mshr { waiting }
     }
 }
 
@@ -202,7 +202,7 @@ impl CacheAgent {
                 // push) and send the full line to the LLC.
                 self.array.remove(addr);
                 self.mshr_occupancy.record(occupancy);
-                vacant.insert(Mshr::open(&mut self.waiters, (req, op), true));
+                vacant.insert(Mshr::open(&mut self.waiters, (req, op)));
                 self.send(t, MsgKind::ItoMWr, addr, out);
             }
             MemOp::Load | MemOp::Prefetch => {
@@ -213,7 +213,7 @@ impl CacheAgent {
                 } else {
                     self.stats.misses += 1;
                     self.mshr_occupancy.record(occupancy);
-                    vacant.insert(Mshr::open(&mut self.waiters, (req, op), false));
+                    vacant.insert(Mshr::open(&mut self.waiters, (req, op)));
                     self.send(t, MsgKind::RdShared, addr, out);
                 }
             }
@@ -235,13 +235,13 @@ impl CacheAgent {
                         // Shared: upgrade via RdOwn.
                         self.stats.misses += 1;
                         self.mshr_occupancy.record(occupancy);
-                        vacant.insert(Mshr::open(&mut self.waiters, (req, op), false));
+                        vacant.insert(Mshr::open(&mut self.waiters, (req, op)));
                         self.send(t, MsgKind::RdOwn, addr, out);
                     }
                 } else {
                     self.stats.misses += 1;
                     self.mshr_occupancy.record(occupancy);
-                    vacant.insert(Mshr::open(&mut self.waiters, (req, op), false));
+                    vacant.insert(Mshr::open(&mut self.waiters, (req, op)));
                     self.send(t, MsgKind::RdOwn, addr, out);
                 }
             }
@@ -391,7 +391,13 @@ impl CacheAgent {
             .mshrs
             .remove(&addr.raw())
             .unwrap_or_else(|| panic!("GoNcp for {addr} without MSHR"));
-        debug_assert!(mshr.ncp);
+        debug_assert!(
+            matches!(
+                self.waiters.front(&mshr.waiting),
+                Some((_, MemOp::NcPush { .. }))
+            ),
+            "GoNcp for {addr} answers a fill MSHR"
+        );
         let level = level.unwrap_or(HitLevel::Llc);
         let mut done = now;
         while let Some((req, _op)) = self.waiters.pop_front(&mut mshr.waiting) {
@@ -440,13 +446,7 @@ impl CacheAgent {
                         // Only S was granted but this op needs ownership:
                         // put it back and upgrade.
                         self.waiters.push_front(&mut waiting, (req, op));
-                        self.mshrs.insert(
-                            addr.raw(),
-                            Mshr {
-                                waiting,
-                                ncp: false,
-                            },
-                        );
+                        self.mshrs.insert(addr.raw(), Mshr { waiting });
                         self.send(t, MsgKind::RdOwn, addr, out);
                         return;
                     }

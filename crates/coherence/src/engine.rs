@@ -33,9 +33,10 @@ enum Ev {
 /// so a queue entry (tick plus payload) is 24 bytes instead of 56. Dense
 /// upfront batches park hundreds of thousands of events in the queue at
 /// once, and their per-event cost is dominated by memory traffic through
-/// those entries. The encoding round-trips exactly (pack asserts the
-/// generous field ceilings: 2^20 agents, 2^13 homes), so event order and
-/// payloads — and therefore completion streams — are untouched.
+/// those entries. The encoding round-trips exactly (agent fields hold a
+/// whole `AgentId` byte; pack asserts the generous 2^13 home ceiling),
+/// so event order and payloads — and therefore completion streams — are
+/// untouched.
 ///
 /// Word `a` carries the 64-bit payload id (`ReqId` bits for
 /// `Issue`/`Complete`, `PhysAddr` bits for `Deliver`); word `b` packs the
@@ -54,10 +55,9 @@ const EV_LEVEL_SHIFT: u32 = 2; // 3 bits: 0 = None, 1..=4 = Some(level)
 const EV_KIND_SHIFT: u32 = 5; // 5 bits: MsgKind variant code
 const EV_DIRTY_SHIFT: u32 = 10; // 1 bit: snoop-response dirty flag
 const EV_HOME_SHIFT: u32 = 11; // 13 bits: HomeId
-const EV_FROM_SHIFT: u32 = 24; // 20 bits: Msg::from
-const EV_DST_SHIFT: u32 = 44; // 20 bits: Deliver dst
+const EV_FROM_SHIFT: u32 = 24; // 8 bits: Msg::from (an `AgentId` is a u8)
+const EV_DST_SHIFT: u32 = 32; // 8 bits: Deliver dst
 const EV_HOME_MAX: u64 = (1 << 13) - 1;
-const EV_AGENT_MAX: u64 = (1 << 20) - 1;
 
 fn level_code(level: Option<HitLevel>) -> u64 {
     match level {
@@ -144,9 +144,8 @@ impl Ev {
                 let (kind, dirty) = kind_code(msg.kind);
                 let (home, from, dst) = (msg.home.0 as u64, msg.from.0 as u64, dst.0 as u64);
                 assert!(
-                    home <= EV_HOME_MAX && from <= EV_AGENT_MAX && dst <= EV_AGENT_MAX,
-                    "agent/home index exceeds the packed-event ceiling \
-                     (home {home}, from {from}, dst {dst})"
+                    home <= EV_HOME_MAX,
+                    "home index {home} exceeds the packed-event ceiling"
                 );
                 PackedEv {
                     a: msg.addr.raw(),
@@ -173,11 +172,11 @@ impl PackedEv {
                 level: code_level(field(EV_LEVEL_SHIFT, 3)).expect("completion carries a level"),
             },
             EV_TAG_DELIVER => Ev::Deliver {
-                dst: AgentId(field(EV_DST_SHIFT, 20) as usize),
+                dst: AgentId(field(EV_DST_SHIFT, 8) as u8),
                 msg: Msg {
                     kind: code_kind(field(EV_KIND_SHIFT, 5), field(EV_DIRTY_SHIFT, 1) != 0),
                     addr: PhysAddr::new(self.a),
-                    from: AgentId(field(EV_FROM_SHIFT, 20) as usize),
+                    from: AgentId(field(EV_FROM_SHIFT, 8) as u8),
                     home: HomeId(field(EV_HOME_SHIFT, 13) as usize),
                 },
                 level: code_level(field(EV_LEVEL_SHIFT, 3)),
@@ -389,11 +388,12 @@ impl ProtocolEngine {
     /// are the home and memory agents. Failing here keeps oversized
     /// configs from panicking mid-simulation instead.
     pub fn add_cache(&mut self, cfg: CacheConfig) -> AgentId {
-        let id = AgentId(2 + self.caches.len());
+        let index = 2 + self.caches.len();
         assert!(
-            id.index() < 64,
+            index < 64,
             "at most 62 peer caches (sharer bit-vector is 64 bits wide)"
         );
+        let id = AgentId(index as u8);
         // Every home needs its own response link to the new cache.
         for home in &mut self.homes {
             home.add_cache_link(cfg.link);

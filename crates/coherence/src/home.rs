@@ -75,7 +75,7 @@ impl SharerSet {
             if bits == 0 {
                 return None;
             }
-            let i = bits.trailing_zeros() as usize;
+            let i = bits.trailing_zeros() as u8;
             bits &= bits - 1;
             Some(AgentId(i))
         })
@@ -495,7 +495,7 @@ impl HomeAgent {
     ) {
         out.msgs.reserve(word.count_ones() as usize);
         while word != 0 {
-            let i = word.trailing_zeros() as usize;
+            let i = word.trailing_zeros() as u8;
             word &= word - 1;
             self.send_to_cache(t, AgentId(i), kind, addr, None, out);
         }
@@ -927,6 +927,17 @@ mod tests {
             requests,
             ..HomeStats::default()
         }
+    }
+
+    #[test]
+    fn hot_table_layouts_stay_narrow() {
+        // The directory stores `(line, DirEntry)` pairs and every queued
+        // event unpacks to a `Msg`: a widened field here costs footprint
+        // on every probe, so it has to fail a test.
+        use std::mem::size_of;
+        assert_eq!(size_of::<DirEntry>(), 16);
+        assert_eq!(size_of::<(u64, DirEntry)>(), 24);
+        assert_eq!(size_of::<Msg>(), 24);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt;
 /// Agent 0 is always the home agent (shared LLC), agent 1 the memory
 /// agent; peer caches start at 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AgentId(pub(crate) usize);
+pub struct AgentId(pub(crate) u8);
 
 impl AgentId {
     /// The home agent (shared LLC / directory).
@@ -21,7 +21,7 @@ impl AgentId {
 
     /// Raw index (stable for the lifetime of the engine).
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 

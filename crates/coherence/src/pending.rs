@@ -144,6 +144,19 @@ impl<T: Copy> PendingSlab<T> {
         list.len += 1;
     }
 
+    /// The front of `list` without removing it, or `None` when empty.
+    pub(crate) fn front(&self, list: &PendingList) -> Option<T> {
+        if list.head == NIL {
+            return None;
+        }
+        let node = &self.nodes[list.head as usize];
+        debug_assert_eq!(
+            node.gen, list.head_gen,
+            "stale PendingList handle: head node was recycled"
+        );
+        Some(node.item)
+    }
+
     /// Removes and returns the front of `list`, or `None` when empty.
     /// O(1); the node returns to the free list under a bumped
     /// generation.
@@ -187,8 +200,10 @@ mod tests {
         }
         assert_eq!(l.len(), 10);
         for i in 0..10u32 {
+            assert_eq!(slab.front(&l), Some(i));
             assert_eq!(slab.pop_front(&mut l), Some(i));
         }
+        assert_eq!(slab.front(&l), None);
         assert_eq!(slab.pop_front(&mut l), None);
         assert!(l.is_empty());
         assert_eq!(slab.live(), 0);

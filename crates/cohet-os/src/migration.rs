@@ -9,8 +9,8 @@ use crate::numa::NodeId;
 use crate::page_table::PAGE_SIZE;
 use crate::process::{OsError, Process};
 use crate::vma::VirtAddr;
+use sim_core::fxhash::FxHashMap;
 use sim_core::Tick;
-use std::collections::HashMap;
 
 /// Cost model for one page migration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,7 +71,7 @@ pub fn migrate_page(
 /// the page's home node, recommend migrating there.
 #[derive(Debug)]
 pub struct AdaptivePolicy {
-    counts: HashMap<(u64, NodeId), u64>,
+    counts: FxHashMap<(u64, NodeId), u64>,
     threshold: u64,
 }
 
@@ -80,7 +80,7 @@ impl AdaptivePolicy {
     pub fn new(threshold: u64) -> Self {
         assert!(threshold >= 1);
         AdaptivePolicy {
-            counts: HashMap::new(),
+            counts: FxHashMap::default(),
             threshold,
         }
     }
@@ -92,7 +92,9 @@ impl AdaptivePolicy {
     }
 
     /// Whether the page should move from `home`; returns the dominant
-    /// remote node if so.
+    /// remote node if so. Remote nodes with equal counts tie-break to
+    /// the lowest [`NodeId`], so the answer never depends on the map's
+    /// iteration order.
     pub fn recommend(&self, va: VirtAddr, home: NodeId) -> Option<NodeId> {
         let page = va.page(PAGE_SIZE).raw();
         let home_count = self.counts.get(&(page, home)).copied().unwrap_or(0);
@@ -101,7 +103,7 @@ impl AdaptivePolicy {
             if p != page || node == home {
                 continue;
             }
-            if best.is_none_or(|(_, c)| count > c) {
+            if best.is_none_or(|(n, c)| count > c || (count == c && node < n)) {
                 best = Some((node, count));
             }
         }
@@ -202,6 +204,28 @@ mod tests {
         assert_eq!(pol.recommend(VirtAddr::new(0x8000), NodeId(0)), None);
         pol.reset_page(va);
         assert_eq!(pol.recommend(va, NodeId(0)), None);
+    }
+
+    #[test]
+    fn policy_breaks_ties_by_lowest_node() {
+        // Two remote nodes tie; several pairs, recorded in both orders,
+        // so a scan that keeps whichever node the map yields first
+        // would pick the higher id in at least one of them.
+        for (a, b) in [(1, 2), (2, 1), (3, 9), (9, 3), (5, 4), (7, 8)] {
+            let mut pol = AdaptivePolicy::new(2);
+            let va = VirtAddr::new(0x4000);
+            pol.record(va, NodeId(0));
+            for node in [a, b] {
+                for _ in 0..3 {
+                    pol.record(va, NodeId(node));
+                }
+            }
+            assert_eq!(
+                pol.recommend(va, NodeId(0)),
+                Some(NodeId(a.min(b))),
+                "tie between nodes {a} and {b}"
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! patterns and issues prefetches accordingly, achieving a balance
 //! between performance and design complexity."
 
+use sim_core::fxhash::FxHashSet;
 use simcxl_mem::{PhysAddr, CACHELINE_BYTES};
 
 /// One tracked stream.
@@ -36,7 +37,9 @@ pub struct PrefetchStats {
 #[derive(Debug)]
 pub struct MultiStridePrefetcher {
     streams: Vec<Option<Stream>>,
-    issued: std::collections::HashSet<u64>,
+    /// Lines prefetched and not yet demanded; only inserted, removed and
+    /// probed, never iterated.
+    issued: FxHashSet<u64>,
     stats: PrefetchStats,
     tick: u64,
     degree: usize,
@@ -54,7 +57,7 @@ impl MultiStridePrefetcher {
         assert!(streams > 0 && degree > 0);
         MultiStridePrefetcher {
             streams: vec![None; streams],
-            issued: std::collections::HashSet::new(),
+            issued: FxHashSet::default(),
             stats: PrefetchStats::default(),
             tick: 0,
             degree,

@@ -103,10 +103,15 @@ impl Summary {
         var.sqrt()
     }
 
+    /// Sorts the samples in place. Unstable sorting allocates nothing
+    /// (the stable sort takes a scratch buffer as long as the slice), and
+    /// it yields the same bits as a stable sort: samples that compare
+    /// equal are bit-identical unless they are `0.0` and `-0.0`, and
+    /// nothing records a negative zero.
     fn sort(&mut self) {
         if !self.sorted {
             self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite samples"));
             self.sorted = true;
         }
     }
@@ -209,6 +214,21 @@ mod tests {
         assert_eq!(s.percentile(100.0), 100.0);
         assert_eq!(s.percentile(1.0), 1.0);
         assert_eq!(s.min(), 1.0);
+    }
+
+    #[test]
+    fn in_place_sort_matches_stable_sort_bit_for_bit() {
+        // Many duplicates: 20,000 samples over 50 distinct latencies.
+        let mut rng = crate::SimRng::new(7);
+        let mut s = Summary::new();
+        for _ in 0..20_000 {
+            s.record_ns(Tick::from_ps(rng.below(50) * 1_250));
+        }
+        let mut stable = s.samples().to_vec();
+        stable.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        let _ = s.median();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(s.samples()), bits(&stable));
     }
 
     #[test]
