@@ -2,7 +2,10 @@
 //! efficacy (faults actually add latency and count), determinism
 //! (the same plan reproduces the same stream), and the drain/rehome path.
 
-use sim_core::Tick;
+#[path = "../../sim/tests/support/summary_reference.rs"]
+mod summary_reference;
+
+use sim_core::{Summary, Tick};
 use simcxl_coherence::prelude::*;
 use simcxl_coherence::{
     fault::{FaultKind, FaultPlan, LinkClass},
@@ -133,6 +136,50 @@ fn slow_and_stalled_ports_queue_requests_and_flag_starvation() {
     assert!(p.max_stall > Tick::from_us(30));
     assert!(stats.any());
     assert_eq!(stats.port_total().stalled, 1);
+}
+
+#[test]
+fn millisecond_stalls_spill_and_summarise_exactly() {
+    // Cold loads queue behind a 5 ms port stall, so the early ones wait
+    // longer than 2^32 ps and take `Summary`'s spill path; the loads
+    // issued after the window keep the in-range run populated.
+    let port = HomeId(0);
+    let plan = FaultPlan::new(5).with(
+        Tick::ZERO,
+        Tick::from_us(5_000),
+        FaultKind::StallMemPort {
+            port,
+            watchdog: Tick::from_us(100),
+        },
+    );
+    let mut eng = build(Topology::single(), Some(plan));
+    let a = eng.add_cache(CacheConfig::cpu_l1());
+    for i in 0..96u64 {
+        eng.issue(
+            a,
+            MemOp::Load,
+            PhysAddr::new(0x10_0000 + i * 64),
+            Tick::from_us(60 * i),
+        );
+    }
+    let done = eng.run_to_quiescence();
+    eng.verify_invariants();
+    assert_eq!(done.len(), 96);
+    let mut s = Summary::new();
+    for c in &done {
+        s.record_ns(c.latency());
+    }
+    let spilled = done
+        .iter()
+        .filter(|c| c.latency().as_ps() > u64::from(u32::MAX))
+        .count();
+    assert!(spilled > 0, "no latency reached 2^32 ps");
+    assert!(spilled < done.len(), "every latency spilled");
+    let r = summary_reference::Reference::new(done.iter().map(|c| c.latency().as_ns_f64()));
+    assert_eq!(s.max().to_bits(), r.percentile(100.0).to_bits());
+    assert_eq!(s.percentile(99.0).to_bits(), r.percentile(99.0).to_bits());
+    assert_eq!(s.mean().to_bits(), r.mean.to_bits());
+    assert_eq!(s.stddev().to_bits(), r.stddev.to_bits());
 }
 
 #[test]

@@ -28,25 +28,39 @@ impl Counter {
     }
 }
 
-/// A collection of scalar samples supporting percentile queries.
+/// A collection of duration samples supporting exact percentile queries.
 ///
-/// Samples are kept in full (the experiments in this repository collect at
-/// most a few million points), so percentiles are exact.
+/// Samples are kept in full (the experiments in this repository collect
+/// at most a few million points), so percentiles are exact. Each sample
+/// is a duration stored in picoseconds: a `u32` (4 bytes) when it is
+/// below 2^32 ps (about 4.29 ms), otherwise a `u64` in a spill vector.
+/// Every spilled sample is larger than every in-range one, so ascending
+/// order is the sorted `u32` run followed by the sorted spill run. The
+/// statistics are reported in nanoseconds: each sample converts with
+/// [`Tick::as_ns_f64`] only when a query reads it.
+///
+/// Queries sort the samples in place first, so [`Summary::mean`] and
+/// [`Summary::stddev`] always sum in ascending order and give the same
+/// bits whatever was asked before them.
 ///
 /// ```
-/// use sim_core::Summary;
+/// use sim_core::{Summary, Tick};
 /// let mut s = Summary::new();
-/// for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
-///     s.record(v);
+/// for ns in [1, 2, 3, 4, 5] {
+///     s.record_ns(Tick::from_ns(ns));
 /// }
 /// assert_eq!(s.median(), 3.0);
 /// assert_eq!(s.percentile(25.0), 2.0);
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 5.0);
+/// assert_eq!(s.mean(), 3.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
-    samples: Vec<f64>,
+    /// Samples below 2^32 ps.
+    ps: Vec<u32>,
+    /// Samples of 2^32 ps or more.
+    spill: Vec<u64>,
     sorted: bool,
 }
 
@@ -54,69 +68,76 @@ impl Summary {
     /// Creates an empty summary.
     pub fn new() -> Self {
         Summary {
-            samples: Vec::new(),
+            ps: Vec::new(),
+            spill: Vec::new(),
             sorted: true,
         }
     }
 
-    /// Records one sample.
-    pub fn record(&mut self, v: f64) {
-        debug_assert!(v.is_finite(), "non-finite sample {v}");
-        self.samples.push(v);
-        self.sorted = false;
-    }
-
-    /// Records a [`Tick`] sample in nanoseconds.
+    /// Records a [`Tick`] duration; the statistics report it in
+    /// nanoseconds.
     pub fn record_ns(&mut self, t: Tick) {
-        self.record(t.as_ns_f64());
+        match u32::try_from(t.as_ps()) {
+            Ok(ps) => self.ps.push(ps),
+            Err(_) => self.spill.push(t.as_ps()),
+        }
+        self.sorted = false;
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.ps.len() + self.spill.len()
     }
 
     /// Whether no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
-    /// Arithmetic mean.
+    /// The samples in nanoseconds, in stored order.
+    fn ns(&self) -> impl Iterator<Item = f64> + '_ {
+        self.ps
+            .iter()
+            .map(|&ps| u64::from(ps))
+            .chain(self.spill.iter().copied())
+            .map(|ps| Tick::from_ps(ps).as_ns_f64())
+    }
+
+    /// Arithmetic mean, summed in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if no samples were recorded.
-    pub fn mean(&self) -> f64 {
+    pub fn mean(&mut self) -> f64 {
         assert!(!self.is_empty(), "no samples");
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
+        self.sort();
+        self.ns().sum::<f64>() / self.len() as f64
     }
 
-    /// Population standard deviation.
+    /// Population standard deviation, summed in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if no samples were recorded.
-    pub fn stddev(&self) -> f64 {
+    pub fn stddev(&mut self) -> f64 {
         let m = self.mean();
-        let var =
-            self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / self.samples.len() as f64;
+        let var = self.ns().map(|v| (v - m) * (v - m)).sum::<f64>() / self.len() as f64;
         var.sqrt()
     }
 
-    /// Sorts the samples in place. Unstable sorting allocates nothing
-    /// (the stable sort takes a scratch buffer as long as the slice), and
-    /// it yields the same bits as a stable sort: samples that compare
-    /// equal are bit-identical unless they are `0.0` and `-0.0`, and
-    /// nothing records a negative zero.
+    /// Sorts both runs in place. Unstable sorting allocates nothing (the
+    /// stable sort takes a scratch buffer as long as the slice), and
+    /// equal integers are indistinguishable, so it is as good as stable.
     fn sort(&mut self) {
         if !self.sorted {
-            self.samples
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+            self.ps.sort_unstable();
+            self.spill.sort_unstable();
             self.sorted = true;
         }
     }
 
-    /// Exact percentile by nearest-rank (`p` in `[0, 100]`).
+    /// Exact percentile in nanoseconds by nearest rank (`p` in
+    /// `[0, 100]`).
     ///
     /// # Panics
     ///
@@ -125,11 +146,16 @@ impl Summary {
         assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
         assert!(!self.is_empty(), "no samples");
         self.sort();
-        if p == 0.0 {
-            return self.samples[0];
-        }
-        let rank = (p / 100.0 * self.samples.len() as f64).ceil() as usize;
-        self.samples[rank.saturating_sub(1)]
+        let rank = if p == 0.0 {
+            0
+        } else {
+            ((p / 100.0 * self.len() as f64).ceil() as usize).saturating_sub(1)
+        };
+        let ps = match self.ps.get(rank) {
+            Some(&ps) => u64::from(ps),
+            None => self.spill[rank - self.ps.len()],
+        };
+        Tick::from_ps(ps).as_ns_f64()
     }
 
     /// The median (50th percentile).
@@ -147,9 +173,12 @@ impl Summary {
         self.percentile(100.0)
     }
 
-    /// Read-only view of the raw samples (unsorted order not guaranteed).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
+    /// The samples in nanoseconds, in stored order: the in-range samples
+    /// then the spilled ones, each in insertion order until a query
+    /// sorts them. With nothing spilled and no query yet, that is
+    /// insertion order.
+    pub fn samples(&self) -> Vec<f64> {
+        self.ns().collect()
     }
 }
 
@@ -180,7 +209,12 @@ pub fn mape(pairs: &[(f64, f64)]) -> f64 {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/summary_reference.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::Reference;
     use super::*;
 
     #[test]
@@ -191,12 +225,18 @@ mod tests {
         assert_eq!(c.get(), 5);
     }
 
+    fn summary_of(ticks: &[Tick]) -> Summary {
+        let mut s = Summary::new();
+        for &t in ticks {
+            s.record_ns(t);
+        }
+        s
+    }
+
     #[test]
     fn summary_stats() {
-        let mut s = Summary::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(v);
-        }
+        let ticks = [2, 4, 4, 4, 5, 5, 7, 9].map(Tick::from_ns);
+        let mut s = summary_of(&ticks);
         assert_eq!(s.len(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.stddev() - 2.0).abs() < 1e-12);
@@ -205,10 +245,8 @@ mod tests {
 
     #[test]
     fn percentiles_nearest_rank() {
-        let mut s = Summary::new();
-        for v in 1..=100 {
-            s.record(v as f64);
-        }
+        let ticks: Vec<Tick> = (1..=100).map(Tick::from_ns).collect();
+        let mut s = summary_of(&ticks);
         assert_eq!(s.percentile(25.0), 25.0);
         assert_eq!(s.percentile(75.0), 75.0);
         assert_eq!(s.percentile(100.0), 100.0);
@@ -224,11 +262,11 @@ mod tests {
         for _ in 0..20_000 {
             s.record_ns(Tick::from_ps(rng.below(50) * 1_250));
         }
-        let mut stable = s.samples().to_vec();
+        let mut stable = s.samples();
         stable.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
         let _ = s.median();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(s.samples()), bits(&stable));
+        assert_eq!(bits(&s.samples()), bits(&stable));
     }
 
     #[test]
@@ -243,6 +281,83 @@ mod tests {
     fn empty_summary_panics() {
         let mut s = Summary::new();
         let _ = s.median();
+    }
+
+    /// Asserts that every statistic of `ticks` has the bits of the `f64`
+    /// reference.
+    fn assert_matches_reference(ticks: &[Tick]) {
+        let r = Reference::new(ticks.iter().map(|t| t.as_ns_f64()));
+        let mut s = summary_of(ticks);
+        for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
+            assert_eq!(
+                s.percentile(p).to_bits(),
+                r.percentile(p).to_bits(),
+                "p{p} of {} samples",
+                ticks.len()
+            );
+        }
+        assert_eq!(s.mean().to_bits(), r.mean.to_bits(), "mean");
+        assert_eq!(s.stddev().to_bits(), r.stddev.to_bits(), "stddev");
+    }
+
+    #[test]
+    fn statistics_match_the_f64_reference_bit_for_bit() {
+        let edge = u64::from(u32::MAX);
+        let at_edge = [Tick::from_ps(edge), Tick::from_ps(edge + 1)];
+        assert_matches_reference(&[Tick::from_ps(688_125)]);
+        assert_matches_reference(&at_edge);
+        assert_matches_reference(&[at_edge[1], at_edge[0], at_edge[1]]);
+        // All spill: millisecond stalls.
+        let spill: Vec<Tick> = (0..40).map(|i| Tick::from_us(5_000 + i * 7 % 13)).collect();
+        assert_matches_reference(&spill);
+        // Mixed: spilled samples interleaved with in-range ones.
+        let mixed: Vec<Tick> = (0..300u64)
+            .map(|i| match i % 5 {
+                0 => Tick::from_ps(edge + 1 + i),
+                1 => Tick::from_ps(edge - i),
+                _ => Tick::from_ps(250 * (i % 17) + 1),
+            })
+            .collect();
+        assert_matches_reference(&mixed);
+        // Random sets over a small pool of latencies, so many duplicates,
+        // some of them spanning the spill boundary.
+        let mut rng = crate::SimRng::new(0x5A3);
+        for trial in 0..200 {
+            let n = 1 + rng.below(2_000) as usize;
+            let pool: Vec<u64> = (0..1 + rng.below(64))
+                .map(|_| match trial % 4 {
+                    0 => rng.below(2_000_000),
+                    1 => edge - 500 + rng.below(1_000),
+                    _ => rng.below(1 << 34),
+                })
+                .collect();
+            let ticks: Vec<Tick> = (0..n)
+                .map(|_| Tick::from_ps(pool[rng.below(pool.len() as u64) as usize]))
+                .collect();
+            assert_matches_reference(&ticks);
+        }
+    }
+
+    #[test]
+    fn samples_keep_insertion_order_when_nothing_spilled() {
+        let mut rng = crate::SimRng::new(12);
+        let ticks: Vec<Tick> = (0..1_000)
+            .map(|_| Tick::from_ps(rng.below(1 << 30)))
+            .collect();
+        let s = summary_of(&ticks);
+        let ns: Vec<f64> = ticks.iter().map(|t| t.as_ns_f64()).collect();
+        assert_eq!(s.samples(), ns);
+    }
+
+    #[test]
+    fn mean_does_not_depend_on_earlier_queries() {
+        let ticks = [300, 200, 100].map(Tick::from_ps);
+        let mut s = summary_of(&ticks);
+        let before = s.mean().to_bits();
+        let _ = s.median();
+        assert_eq!(s.mean().to_bits(), before);
+        let r = Reference::new(ticks.iter().map(|t| t.as_ns_f64()));
+        assert_eq!(before, r.mean.to_bits());
     }
 
     #[test]
