@@ -254,11 +254,6 @@ impl Process {
     pub fn reserved_bytes(&self) -> u64 {
         self.allocations.values().sum()
     }
-
-    /// Live allocation count.
-    pub fn allocation_count(&self) -> usize {
-        self.allocations.len()
-    }
 }
 
 impl fmt::Debug for Process {

@@ -1,34 +1,18 @@
-//! CXL sub-protocols and device models (SimCXL §IV).
+//! CXL models behind the Cohet system (SimCXL §IV).
 //!
-//! Built on the PCIe physical layer ([`simcxl_pcie`]), CXL adds three
-//! sub-protocols:
+//! * [`ats`] — the address translation service: a device-side ATC per
+//!   XPU plus the host IOMMU's page-walk cost (§III-C1).
+//! * [`mem_path`] — CXL.mem: host loads and stores to device-attached
+//!   memory, and the configuration of the expander the system builds.
+//! * [`flit`] — 68-byte flit accounting, which turns message mixes into
+//!   wire bytes.
 //!
-//! * **CXL.io** ([`io`]) — PCIe-equivalent enumeration, configuration,
-//!   MMIO and DMA.
-//! * **CXL.cache** ([`protocol`], backed by [`simcxl_coherence`]) — lets a
-//!   device coherently cache host memory through its host-memory cache
-//!   (HMC) and device coherency engine (DCOH).
-//! * **CXL.mem** ([`mem_path`]) — lets the host load/store device-attached
-//!   memory.
-//!
-//! Combining them yields the three device types ([`device::DeviceType`]):
-//! Type-1 (.io+.cache), Type-2 (all three) and Type-3 (.io+.mem memory
-//! expanders). [`ats`] models the address translation service (device ATC
-//! plus host IOMMU) and [`switch`] the CXL fabric with its distributed
-//! resource scheduler (fabric manager).
+//! CXL.cache itself is the directory-MESI engine in `simcxl_coherence`.
 
 pub mod ats;
-pub mod device;
 pub mod flit;
-pub mod io;
 pub mod mem_path;
-pub mod protocol;
-pub mod switch;
 
 pub use ats::{Atc, AtcConfig, IommuConfig, TranslationOutcome};
-pub use device::{CxlDevice, DeviceType};
 pub use flit::FlitCounter;
-pub use io::CxlIo;
 pub use mem_path::{CxlMemConfig, CxlMemPath};
-pub use protocol::SubProtocol;
-pub use switch::{FabricManager, PoolResource, SwitchConfig};

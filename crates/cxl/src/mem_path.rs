@@ -153,9 +153,12 @@ mod tests {
         let mut p = CxlMemPath::new(CxlMemConfig::expander_default());
         // 64 KB message built in 64 B pieces vs host DDR5 streaming.
         let ovh = p.construction_overhead(64 * 1024, 64, 24.0);
+        // §VI-E reports "8% higher overhead at most"; this model measures
+        // 8.21% (0.0821), so the bound keeps a 1-point margin above the
+        // paper's figure rather than asserting it.
         assert!(
             ovh > 0.0 && ovh <= 0.09,
-            "CXL.mem construction overhead {ovh} outside (0, 8%]"
+            "CXL.mem construction overhead {ovh} outside (0, 9%]"
         );
     }
 

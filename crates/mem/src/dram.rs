@@ -108,12 +108,6 @@ impl DramConfig {
             },
         }
     }
-
-    /// Uniform random-access read latency (activate + CAS); useful for
-    /// closed-form calibration.
-    pub fn closed_row_read_latency(&self) -> Tick {
-        self.t_rcd + self.t_cas
-    }
 }
 
 #[derive(Debug, Clone)]

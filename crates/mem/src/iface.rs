@@ -93,15 +93,6 @@ impl MemoryInterface {
             .map(MemoryId)
     }
 
-    /// The address range owned by `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale.
-    pub fn range_of(&self, id: MemoryId) -> AddrRange {
-        self.regions[id.0].range
-    }
-
     /// Number of attached memories.
     pub fn len(&self) -> usize {
         self.regions.len()

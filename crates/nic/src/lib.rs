@@ -15,15 +15,12 @@
 //! * [`prefetch`] — the multi-stride RPC prefetcher (§V-B2).
 //! * [`layout`] — in-memory object-graph layout of protobuf messages,
 //!   producing the line-granular access streams serialization reads.
-//! * [`ring`] — descriptor rings shared by both designs.
 
 pub mod layout;
 pub mod prefetch;
 pub mod rao;
-pub mod ring;
 pub mod rpc;
 
 pub use prefetch::MultiStridePrefetcher;
 pub use rao::{CxlRaoNic, PcieRaoNic, RaoResult};
-pub use ring::DescriptorRing;
 pub use rpc::{RpcNicModel, RpcTiming, SerializeMode};

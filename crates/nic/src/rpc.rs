@@ -393,14 +393,6 @@ impl RpcNicModel {
     }
 }
 
-impl RpcNicModel {
-    /// Debug entry point exposing the CXL.cache serializer directly.
-    #[doc(hidden)]
-    pub fn serialize_cxl_cache_debug(&mut self, w: &BenchWorkload, prefetch: bool) -> RpcResult {
-        self.serialize_cxl_cache(w, prefetch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,19 +1,12 @@
-//! PCIe substrate: link/TLP model, configuration space with BAR
-//! enumeration, strictly-ordered MMIO, and a descriptor-based DMA engine.
+//! PCIe substrate: link/TLP model and a descriptor-based DMA engine.
 //!
 //! This crate models the *baseline* interconnect the paper compares
-//! against (PCIe-FPGA / PCIe-ASIC): high per-transaction latency, strict
-//! write ordering for MMIO, and DMA transfers with substantial per-
-//! transfer setup overhead that only amortizes for bulk messages
-//! (paper §II-A). CXL.io reuses these models for device enumeration and
-//! bulk DMA (paper §IV-B1).
+//! against (PCIe-FPGA / PCIe-ASIC): high per-transaction latency and DMA
+//! transfers with substantial per-transfer setup overhead that only
+//! amortizes for bulk messages (paper §II-A).
 
-pub mod config_space;
 pub mod dma;
 pub mod link;
-pub mod mmio;
 
-pub use config_space::{Bar, BarKind, ConfigSpace, PcieBus};
 pub use dma::{DmaConfig, DmaDirection, DmaEngine};
 pub use link::{PcieGen, PcieLink, PcieLinkConfig};
-pub use mmio::{MmioConfig, MmioPort};

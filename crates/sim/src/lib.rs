@@ -2,11 +2,10 @@
 //! Discrete-event simulation kernel used by every SimCXL component.
 //!
 //! The kernel follows gem5's conventions: simulated time is measured in
-//! integer [`Tick`]s where one tick equals one picosecond. Components are
-//! clocked by a [`Clock`] that converts cycles of an arbitrary frequency
-//! into ticks, events are ordered by an [`EventQueue`], shared transport
-//! resources are modelled by [`Link`]s (latency + serialization bandwidth),
-//! and measurements are collected with [`stats`] helpers.
+//! integer [`Tick`]s where one tick equals one picosecond. Events are
+//! ordered by an [`EventQueue`], shared transport resources are modelled
+//! by [`Link`]s (latency + serialization bandwidth), and measurements are
+//! collected with [`stats`] helpers.
 //!
 //! # Example
 //!
@@ -21,7 +20,6 @@
 //! assert_eq!(q.pop(), None);
 //! ```
 
-pub mod clock;
 pub mod event;
 pub mod fxhash;
 pub mod link;
@@ -29,10 +27,9 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use clock::Clock;
 pub use event::EventQueue;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use link::{Link, LinkConfig};
 pub use rng::{mix64, SimRng};
 pub use stats::{mape, Counter, Summary};
-pub use time::{Freq, Tick, Window};
+pub use time::{Tick, Window};

@@ -75,11 +75,6 @@ impl SimRng {
         self.inner.gen_range(lo..hi)
     }
 
-    /// Uniform float in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
-    }
-
     /// Bernoulli trial with probability `p`.
     ///
     /// # Panics

@@ -1,4 +1,4 @@
-//! Simulated time: [`Tick`] (one picosecond, like gem5) and [`Freq`].
+//! Simulated time: [`Tick`] (one picosecond, like gem5) and [`Window`].
 
 use std::fmt;
 use std::iter::Sum;
@@ -213,60 +213,6 @@ impl fmt::Display for Window {
     }
 }
 
-/// A clock frequency in hertz.
-///
-/// ```
-/// use sim_core::Freq;
-/// let f = Freq::mhz(400);
-/// assert_eq!(f.period().as_ps(), 2_500);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Freq(u64);
-
-impl Freq {
-    /// Creates a frequency from hertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hz` is zero.
-    pub fn hz(hz: u64) -> Self {
-        assert!(hz > 0, "frequency must be nonzero");
-        Freq(hz)
-    }
-
-    /// Creates a frequency from megahertz.
-    pub fn mhz(mhz: u64) -> Self {
-        Self::hz(mhz * 1_000_000)
-    }
-
-    /// Creates a frequency from gigahertz.
-    pub fn ghz(ghz: u64) -> Self {
-        Self::hz(ghz * 1_000_000_000)
-    }
-
-    /// Raw hertz.
-    pub const fn as_hz(self) -> u64 {
-        self.0
-    }
-
-    /// The period of one cycle, rounded to the nearest picosecond.
-    pub fn period(self) -> Tick {
-        Tick::from_ps(((1e12 / self.0 as f64) + 0.5) as u64)
-    }
-}
-
-impl fmt::Display for Freq {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_multiple_of(1_000_000_000) {
-            write!(f, "{}GHz", self.0 / 1_000_000_000)
-        } else if self.0.is_multiple_of(1_000_000) {
-            write!(f, "{}MHz", self.0 / 1_000_000)
-        } else {
-            write!(f, "{}Hz", self.0)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,18 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn freq_periods() {
-        assert_eq!(Freq::mhz(400).period().as_ps(), 2_500);
-        assert_eq!(Freq::ghz(1).period().as_ps(), 1_000);
-        assert_eq!(Freq::mhz(1500).period().as_ps(), 667);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(Tick::from_ps(7).to_string(), "7ps");
         assert_eq!(Tick::from_ns(7).to_string(), "7.000ns");
         assert_eq!(Tick::from_us(7).to_string(), "7.000us");
-        assert_eq!(Freq::mhz(400).to_string(), "400MHz");
-        assert_eq!(Freq::ghz(2).to_string(), "2GHz");
     }
 }
