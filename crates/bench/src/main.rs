@@ -1,15 +1,15 @@
-//! `simcxl-report`: regenerates every table and figure of the paper.
+//! `simcxl-report`: runs, writes and checks the bench suites, the
+//! paper's figures among them.
 //!
 //! ```text
-//! simcxl-report [table1|fig12|fig13|fig14|fig15|fig16|fig17|fig18|
-//!                calibration|headline|shapes|ablations|<suite>|all]
-//!               [--json] [--summary [--github]] [--check-determinism]
+//! simcxl-report [<suite>|all] [--json] [--summary [--github]] [--check-determinism]
 //! ```
 //!
-//! A `<suite>` is any entry of `simcxl_bench::report::SUITES`. Naming
-//! one runs its full workload and prints its report; `--json` also
-//! writes the committed report file. The suite's in-process gates are
-//! asserted before anything is printed.
+//! A `<suite>` is any entry of `simcxl_bench::report::SUITES`; `all`
+//! (the default) means every suite. Naming one runs its full workload
+//! and prints its report; `--json` also writes the committed report
+//! file. The suite's in-process gates are asserted before anything is
+//! printed.
 //!
 //! Two modes work on one suite, or on every suite with `all`:
 //!
@@ -26,7 +26,7 @@
 
 use simcxl_bench::report::{self, SUITES};
 
-const USAGE: &str = "usage: simcxl-report [REPORT|SUITE|all] [--json] \
+const USAGE: &str = "usage: simcxl-report [SUITE|all] [--json] \
                      [--summary [--github]] [--check-determinism]";
 
 fn usage_error(msg: &str) -> ! {
@@ -48,95 +48,54 @@ fn main() {
         }
     }
     let arg = arg.unwrap_or_else(|| "all".to_owned());
-    if summary || check {
-        let suites: Vec<_> = if arg == "all" {
-            SUITES.iter().collect()
-        } else {
-            match report::suite(&arg) {
-                Some(s) => vec![s],
-                None => usage_error(&format!(
-                    "--summary/--check-determinism apply to a bench suite or `all`, not {arg:?}"
-                )),
-            }
-        };
-        // `all` aggregates: every suite is checked and every failure
-        // reported, so a drift in one suite cannot mask another.
-        let mut failures = Vec::new();
-        for suite in suites {
-            let committed = suite.load().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-            if summary {
-                if github {
-                    print!("{}", suite.github_summary(&committed));
-                } else {
-                    print!("{}", suite.summary(&committed));
-                }
-            }
-            if !check {
-                continue;
-            }
-            match suite.check_committed(&committed, &suite.report(false)) {
-                Ok(msg) => println!("determinism ok [{}]: {msg}", suite.name),
-                Err(e) => failures.push(format!("{}: {e}", suite.name)),
-            }
-        }
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("determinism check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(suite) = report::suite(&arg) {
-        let report = if json {
-            suite
-                .write()
-                .unwrap_or_else(|e| panic!("writing {} failed: {e}", suite.file))
-        } else {
-            suite.report(false)
-        };
-        println!("{report}\n");
-        return;
-    }
-    let run = |name: &str| {
-        match name {
-            "table1" => simcxl_bench::table1(),
-            "fig12" => simcxl_bench::fig12(200),
-            "fig13" => simcxl_bench::fig13(100),
-            "fig14" => simcxl_bench::fig14(),
-            "fig15" => simcxl_bench::fig15(),
-            "fig16" => simcxl_bench::fig16(),
-            "fig17" => simcxl_bench::fig17(2048),
-            "fig18" => simcxl_bench::fig18(0),
-            "calibration" => simcxl_bench::calibration(100),
-            "headline" => simcxl_bench::headline(100),
-            "shapes" => simcxl_bench::bench_shapes(),
-            "ablations" => simcxl_bench::ablations(),
-            other => usage_error(&format!("unknown report: {other}")),
-        }
-        println!();
-    };
-    if arg == "all" {
-        for name in [
-            "table1",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17",
-            "fig18",
-            "calibration",
-            "headline",
-            "shapes",
-            "ablations",
-        ] {
-            run(name);
-        }
+    let suites: Vec<_> = if arg == "all" {
+        SUITES.iter().collect()
     } else {
-        run(&arg);
+        match report::suite(&arg) {
+            Some(s) => vec![s],
+            None => usage_error(&format!("unknown suite {arg:?}")),
+        }
+    };
+    if !(summary || check) {
+        for suite in suites {
+            let report = if json {
+                suite
+                    .write()
+                    .unwrap_or_else(|e| panic!("writing {} failed: {e}", suite.file))
+            } else {
+                suite.report(false)
+            };
+            println!("{report}\n");
+        }
+        return;
+    }
+    // `all` aggregates: every suite is checked and every failure
+    // reported, so a drift in one suite cannot mask another.
+    let mut failures = Vec::new();
+    for suite in suites {
+        let committed = suite.load().unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
+        if summary {
+            if github {
+                print!("{}", suite.github_summary(&committed));
+            } else {
+                print!("{}", suite.summary(&committed));
+            }
+        }
+        if !check {
+            continue;
+        }
+        match suite.check_committed(&committed, &suite.report(false)) {
+            Ok(msg) => println!("determinism ok [{}]: {msg}", suite.name),
+            Err(e) => failures.push(format!("{}: {e}", suite.name)),
+        }
+    }
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("determinism check FAILED: {f}");
+        }
+        std::process::exit(1);
     }
 }

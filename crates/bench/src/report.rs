@@ -1,4 +1,4 @@
-//! One report framework for the four bench suites: the [`Suite`] table,
+//! One report framework for the five bench suites: the [`Suite`] table,
 //! a small std-only [`Json`] value with a writer, a parser and a tree
 //! diff, and the generic write / summary / GitHub-digest /
 //! determinism-check code behind `simcxl-report`.
@@ -16,11 +16,12 @@ use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 
 /// Every bench suite, in the order `simcxl-report all` checks them.
-pub const SUITES: [Suite; 4] = [
+pub const SUITES: [Suite; 5] = [
     crate::hotpath::SUITE,
     crate::scenarios::SUITE,
     crate::faults::SUITE,
     crate::rebalance::SUITE,
+    crate::figures::SUITE,
 ];
 
 /// Looks a suite up by its `simcxl-report` name.
@@ -784,7 +785,7 @@ pub(crate) mod tests {
         let mut edited = report.clone();
         let leaf = edit_array_leaf(&mut edited, "").expect("report has an array of objects");
         assert!(
-            ["per_home[", "phases[", "adaptive.epochs["]
+            ["per_home[", "phases[", "adaptive.epochs[", "rows["]
                 .iter()
                 .any(|a| leaf.contains(a)),
             "{leaf}"

@@ -33,3 +33,14 @@ fn unknown_expect_mode_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
+
+/// The stdout printers are gone: a former report name such as `fig13`
+/// is no suite, so it is a usage error (its numbers live in the
+/// `figures` suite).
+#[test]
+fn removed_report_name_is_a_usage_error() {
+    let out = run(&["fig13"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may be printed");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+}

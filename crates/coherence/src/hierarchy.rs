@@ -7,11 +7,9 @@
 //! the requested replica."
 //!
 //! This module implements that two-level scheme as a standalone model so
-//! the ablation bench can quantify how much global traffic the local
-//! agents absorb as the supernode scales.
+//! the figures suite's `hierarchy` section can quantify how much global
+//! traffic the local agents absorb as the supernode scales.
 
-use crate::msg::AgentId;
-use crate::topology::{HomeId, Topology};
 use sim_core::Tick;
 use sim_core::{FxHashMap, FxHashSet};
 use simcxl_mem::PhysAddr;
@@ -69,40 +67,22 @@ pub struct HierarchicalDirectory {
     /// Per-node local replica sets.
     local: Vec<FxHashSet<u64>>,
     global: FxHashMap<u64, GlobalEntry>,
-    /// How the global agent itself is sharded across homes; escalations
-    /// are attributed to the home owning the address.
-    topology: Topology,
-    global_consults_per_home: Vec<u64>,
     stats: HierarchyStats,
 }
 
 impl HierarchicalDirectory {
-    /// Creates a supernode with `nodes` children and a single
-    /// (monolithic) global agent.
+    /// Creates a supernode with `nodes` children and one global agent.
     ///
     /// # Panics
     ///
     /// Panics if `nodes` is zero.
     pub fn new(nodes: usize, cost: HierarchyCost) -> Self {
-        Self::with_topology(nodes, cost, Topology::single())
-    }
-
-    /// Creates a supernode whose global agent is sharded across the
-    /// homes of `topology`, so escalation traffic can be attributed per
-    /// directory shard (multi-socket / multi-expander supernodes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn with_topology(nodes: usize, cost: HierarchyCost, topology: Topology) -> Self {
         assert!(nodes > 0, "supernode needs at least one child");
         HierarchicalDirectory {
             nodes,
             cost,
             local: vec![FxHashSet::default(); nodes],
             global: FxHashMap::default(),
-            global_consults_per_home: vec![0; topology.homes()],
-            topology,
             stats: HierarchyStats::default(),
         }
     }
@@ -129,7 +109,6 @@ impl HierarchicalDirectory {
         }
         // Local miss (or a remote owner exists): consult the global agent.
         self.stats.global_consults += 1;
-        self.global_consults_per_home[self.topology.home_for(addr).index()] += 1;
         let entry = self.global.entry(key).or_default();
         if let Some(owner) = entry.owner.take() {
             if owner != node {
@@ -151,7 +130,6 @@ impl HierarchicalDirectory {
             return self.cost.local;
         }
         self.stats.global_consults += 1;
-        self.global_consults_per_home[self.topology.home_for(addr).index()] += 1;
         // Invalidate all other replicas and owners.
         let others = entry.replicas.iter().filter(|&&n| n != node).count()
             + usize::from(entry.owner.is_some() && entry.owner != Some(node));
@@ -175,25 +153,6 @@ impl HierarchicalDirectory {
     /// design: every transaction crosses the global fabric.
     pub fn flat_cost(&self) -> Tick {
         self.cost.local + self.cost.global
-    }
-
-    /// Home agent id used when embedding in reports (always global).
-    pub fn global_agent(&self) -> AgentId {
-        AgentId::HOME
-    }
-
-    /// Global-agent escalations attributed to one directory shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `home` is not part of the topology.
-    pub fn global_consults_for(&self, home: HomeId) -> u64 {
-        self.global_consults_per_home[home.index()]
-    }
-
-    /// The topology sharding the global agent.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 }
 
@@ -249,25 +208,6 @@ mod tests {
         // Both now share; subsequent reads local on both.
         assert_eq!(d.read(NodeId(0), a), HierarchyCost::default().local);
         assert_eq!(d.read(NodeId(1), a), HierarchyCost::default().local);
-    }
-
-    #[test]
-    fn sharded_global_agent_attributes_consults_per_home() {
-        let mut d = HierarchicalDirectory::with_topology(
-            4,
-            HierarchyCost::default(),
-            Topology::line_interleaved(2),
-        );
-        // Even lines home at 0, odd lines at 1.
-        d.read(NodeId(0), PhysAddr::new(0x00)); // home 0
-        d.read(NodeId(1), PhysAddr::new(0x40)); // home 1
-        d.write(NodeId(2), PhysAddr::new(0x80)); // home 0
-        assert_eq!(d.global_consults_for(HomeId(0)), 2);
-        assert_eq!(d.global_consults_for(HomeId(1)), 1);
-        assert_eq!(
-            d.stats().global_consults,
-            d.global_consults_for(HomeId(0)) + d.global_consults_for(HomeId(1))
-        );
     }
 
     #[test]

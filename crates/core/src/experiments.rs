@@ -1,11 +1,12 @@
 //! Experiment runners regenerating every evaluation figure (§VI).
 //!
-//! Each function returns plain data rows so tests can assert on shapes
-//! and the `bench` crate can print the same series the paper plots.
+//! Each function returns plain data rows: the `bench` crate's figures
+//! suite reports them beside the paper's values and asserts the paper
+//! tolerances, and `perfbench` times them.
 
 use crate::profile::{reference, DeviceProfile};
 use protowire::{genbench, BenchId};
-use sim_core::{mape, Summary, Tick};
+use sim_core::{Summary, Tick};
 use simcxl_coherence::array::LineState;
 use simcxl_coherence::prelude::*;
 use simcxl_mem::{AddrRange, DramConfig, DramKind, MemoryInterface, PhysAddr, CACHELINE_BYTES};
@@ -358,13 +359,6 @@ pub fn calibration_points(trials: usize) -> Vec<(String, f64, f64)> {
     pts
 }
 
-/// Mean absolute percentage error over [`calibration_points`].
-pub fn calibration_mape(trials: usize) -> f64 {
-    let pts = calibration_points(trials);
-    let pairs: Vec<(f64, f64)> = pts.iter().map(|&(_, r, m)| (r, m)).collect();
-    mape(&pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,7 +484,11 @@ mod tests {
 
     #[test]
     fn calibration_error_is_small() {
-        let err = calibration_mape(4);
+        let pairs: Vec<(f64, f64)> = calibration_points(4)
+            .into_iter()
+            .map(|(_, r, m)| (r, m))
+            .collect();
+        let err = sim_core::mape(&pairs);
         assert!(err < 5.0, "calibration MAPE {err:.2}% too large");
     }
 

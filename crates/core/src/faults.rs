@@ -281,8 +281,10 @@ fn plan(specs: Vec<(ScenarioSpec, PhaseMode)>) -> Vec<Segment> {
         .collect()
 }
 
-/// Splits `clients` evenly over `parts` segments, remainder on the last.
-fn split(clients: u64, parts: u64) -> Vec<u64> {
+/// Splits `clients` evenly over `parts` parts (at least one client
+/// each), remainder on the last. The fault segments and the rebalance
+/// epochs share it.
+pub(crate) fn split(clients: u64, parts: u64) -> Vec<u64> {
     let each = (clients / parts).max(1);
     let mut v = vec![each; parts as usize];
     if clients > each * parts {

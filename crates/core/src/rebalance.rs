@@ -46,6 +46,7 @@
 //! monotone by construction, which is exactly what the benchmark
 //! trajectory pins.
 
+use crate::faults::split;
 use crate::system::CohetSystem;
 use crate::topo::TopologySpec;
 use cohet_os::{migration, AccessKind, Accessor, Process, PAGE_SIZE};
@@ -423,16 +424,6 @@ fn background(epoch: u32, seed: u64, clients: u64, epoch_len: Tick) -> ScenarioS
             Traffic::Steady { rate: 1.0 },
         )],
     }
-}
-
-/// Splits `clients` evenly over `epochs`, remainder on the last.
-fn split(clients: u64, epochs: u64) -> Vec<u64> {
-    let each = (clients / epochs).max(1);
-    let mut v = vec![each; epochs as usize];
-    if clients > each * epochs {
-        *v.last_mut().expect("epochs >= 1") += clients - each * epochs;
-    }
-    v
 }
 
 /// The epoch engine shared by the adaptive run and the static control:
