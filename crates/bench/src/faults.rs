@@ -133,21 +133,6 @@ mod tests {
         assert_eq!(pinned, names);
     }
 
-    /// The quick-mode pins are live: re-running the quick cases
-    /// reproduces them bit-for-bit.
-    #[test]
-    fn quick_cases_reproduce_their_pins() {
-        for ((case, clients), &(name, _, pin)) in populations(true).into_iter().zip(SUITE.pins) {
-            let out = case.run(clients, BENCH_SEED, 1);
-            out.assert_gates(false);
-            assert_eq!(out.name, name);
-            assert_eq!(
-                out.checksum, pin,
-                "{name} quick checksum drifted from its pin"
-            );
-        }
-    }
-
     #[test]
     fn determinism_check_flags_drift_and_missing_fields() {
         crate::report::tests::check_suite(&SUITE);

@@ -1,3 +1,4 @@
+#![warn(missing_docs)]
 //! The `simcxl-report` library: the five bench suites behind the
 //! committed, fully deterministic `BENCH_*.json` reports
 //! ([`report::SUITES`]), the paper's figures among them

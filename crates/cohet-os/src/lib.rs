@@ -1,3 +1,4 @@
+#![warn(missing_docs)]
 //! Library OS for the Cohet framework (paper §III-C2).
 //!
 //! The paper modifies the Linux kernel so that CPUs and XPUs appear as

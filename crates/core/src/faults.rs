@@ -262,15 +262,45 @@ struct Segment {
     end: Tick,
 }
 
-/// Lays segments out back to back with [`SEGMENT_GUARD`] of idle time
-/// after each, so every segment drains before the next window opens.
-fn plan(specs: Vec<(ScenarioSpec, PhaseMode)>) -> Vec<Segment> {
+/// What every segment of one case shares: key space, table size,
+/// session machine and arrival shape.
+struct Workload {
+    keys: u64,
+    buckets: u64,
+    machine: MachineSpec,
+    traffic: Traffic,
+}
+
+/// Builds a case's four single-phase segments from a `(name, mode,
+/// duration)` table and lays them out back to back with
+/// [`SEGMENT_GUARD`] of idle time after each, so every segment drains
+/// before the next window opens. Segment `i` runs
+/// `split(clients, 4)[i]` clients seeded `seed + i`.
+fn plan(
+    w: &Workload,
+    clients: u64,
+    seed: u64,
+    segments: [(&str, PhaseMode, Tick); 4],
+) -> Vec<Segment> {
     let mut at = Tick::ZERO;
-    specs
+    segments
         .into_iter()
-        .map(|(spec, mode)| {
+        .zip(split(clients, 4))
+        .zip(seed..)
+        .map(|(((name, mode, duration), clients), seed)| {
             let start = at;
-            at = start + spec.total_duration() + SEGMENT_GUARD;
+            at = start + duration + SEGMENT_GUARD;
+            let spec = ScenarioSpec {
+                name: name.into(),
+                seed,
+                clients,
+                agents: 16,
+                keys: w.keys,
+                buckets: w.buckets,
+                arrival: Arrival::Open,
+                machine: w.machine,
+                phases: vec![PhaseSpec::new(name, duration, w.traffic)],
+            };
             Segment {
                 spec,
                 mode,
@@ -291,31 +321,6 @@ pub(crate) fn split(clients: u64, parts: u64) -> Vec<u64> {
         *v.last_mut().expect("parts >= 1") += clients - each * parts;
     }
     v
-}
-
-/// Builds one single-phase segment spec.
-#[allow(clippy::too_many_arguments)]
-fn segment(
-    name: &str,
-    seed: u64,
-    clients: u64,
-    keys: u64,
-    buckets: u64,
-    machine: MachineSpec,
-    duration: Tick,
-    traffic: Traffic,
-) -> ScenarioSpec {
-    ScenarioSpec {
-        name: name.into(),
-        seed,
-        clients,
-        agents: 16,
-        keys,
-        buckets,
-        arrival: Arrival::Open,
-        machine,
-        phases: vec![PhaseSpec::new(name, duration, traffic)],
-    }
 }
 
 /// Accumulates segment outcomes into the case-level totals.
@@ -398,70 +403,29 @@ impl Acc {
 /// Case 1: every cache↔home transfer on a four-home host directory
 /// retries with exponential backoff during the degraded window.
 fn flaky_link(clients: u64, seed: u64) -> FaultOutcome {
-    let machine = MachineSpec::GetPut {
-        get_ratio: 0.6,
-        think: Tick::from_ns(150),
-    };
     // A working set the warmup segment fully saturates: the healthy and
     // recovered baselines then measure the same steady state (lines
     // ping-ponging between the 16 agents), not a cache-warming slope.
-    let (keys, buckets) = (1 << 11, 1 << 12);
-    let q = split(clients, 4);
-    let steady = Traffic::Steady { rate: 1.0 };
-    let segs = plan(vec![
-        (
-            segment(
-                "warmup",
-                seed,
-                q[0],
-                keys,
-                buckets,
-                machine,
-                Tick::from_us(150),
-                steady,
-            ),
-            PhaseMode::Warmup,
-        ),
-        (
-            segment(
-                "healthy",
-                seed + 1,
-                q[1],
-                keys,
-                buckets,
-                machine,
-                Tick::from_us(300),
-                steady,
-            ),
-            PhaseMode::Healthy,
-        ),
-        (
-            segment(
-                "degraded",
-                seed + 2,
-                q[2],
-                keys,
-                buckets,
-                machine,
-                Tick::from_us(300),
-                steady,
-            ),
-            PhaseMode::Degraded,
-        ),
-        (
-            segment(
-                "recovered",
-                seed + 3,
-                q[3],
-                keys,
-                buckets,
-                machine,
-                Tick::from_us(300),
-                steady,
-            ),
-            PhaseMode::Recovered,
-        ),
-    ]);
+    let workload = Workload {
+        keys: 1 << 11,
+        buckets: 1 << 12,
+        machine: MachineSpec::GetPut {
+            get_ratio: 0.6,
+            think: Tick::from_ns(150),
+        },
+        traffic: Traffic::Steady { rate: 1.0 },
+    };
+    let segs = plan(
+        &workload,
+        clients,
+        seed,
+        [
+            ("warmup", PhaseMode::Warmup, Tick::from_us(150)),
+            ("healthy", PhaseMode::Healthy, Tick::from_us(300)),
+            ("degraded", PhaseMode::Degraded, Tick::from_us(300)),
+            ("recovered", PhaseMode::Recovered, Tick::from_us(300)),
+        ],
+    );
     let plan = FaultPlan::new(seed ^ 0xF1A6).with(
         segs[2].start,
         segs[2].end,
@@ -494,57 +458,34 @@ fn flaky_link(clients: u64, seed: u64) -> FaultOutcome {
 /// window, then stalls outright mid-window; every access is a cold
 /// expander read so the port is on the critical path of every request.
 fn stalling_expander(clients: u64, seed: u64) -> FaultOutcome {
-    let machine = MachineSpec::GetPut {
-        get_ratio: 1.0,
-        think: Tick::from_ns(1),
-    };
     // A key space far larger than the access count: every session reads
     // a line nobody has cached, so healthy and recovered segments are
     // equally cold and the recovery band is tight by construction.
-    let (keys, buckets) = (1 << 20, 1 << 21);
-    let q = split(clients, 4);
-    let diurnal = Traffic::Diurnal {
-        low: 0.5,
-        high: 1.5,
-        cycles: 2,
+    let workload = Workload {
+        keys: 1 << 20,
+        buckets: 1 << 21,
+        machine: MachineSpec::GetPut {
+            get_ratio: 1.0,
+            think: Tick::from_ns(1),
+        },
+        traffic: Traffic::Diurnal {
+            low: 0.5,
+            high: 1.5,
+            cycles: 2,
+        },
     };
     let d = Tick::from_us(300);
-    let segs = plan(vec![
-        (
-            segment("healthy", seed, q[0], keys, buckets, machine, d, diurnal),
-            PhaseMode::Healthy,
-        ),
-        (
-            segment("slow", seed + 1, q[1], keys, buckets, machine, d, diurnal),
-            PhaseMode::Degraded,
-        ),
-        (
-            segment(
-                "stalled",
-                seed + 2,
-                q[2],
-                keys,
-                buckets,
-                machine,
-                d,
-                diurnal,
-            ),
-            PhaseMode::Degraded,
-        ),
-        (
-            segment(
-                "recovered",
-                seed + 3,
-                q[3],
-                keys,
-                buckets,
-                machine,
-                d,
-                diurnal,
-            ),
-            PhaseMode::Recovered,
-        ),
-    ]);
+    let segs = plan(
+        &workload,
+        clients,
+        seed,
+        [
+            ("healthy", PhaseMode::Healthy, d),
+            ("slow", PhaseMode::Degraded, d),
+            ("stalled", PhaseMode::Degraded, d),
+            ("recovered", PhaseMode::Recovered, d),
+        ],
+    );
     let expander_port = HomeId(2);
     let plan = FaultPlan::new(seed ^ 0x57A1)
         .with(
@@ -569,7 +510,7 @@ fn stalling_expander(clients: u64, seed: u64) -> FaultOutcome {
         );
     let expander_bytes: u64 = 128 << 20;
     assert!(
-        buckets * 64 <= expander_bytes,
+        workload.buckets * 64 <= expander_bytes,
         "table must fit the expander"
     );
     let sys = CohetSystem::builder()
@@ -598,69 +539,28 @@ fn stalling_expander(clients: u64, seed: u64) -> FaultOutcome {
 /// [`TopologySpec::Ranges`], and traffic continues against the moved
 /// directory state.
 fn drain_under_load(clients: u64, seed: u64) -> FaultOutcome {
-    let machine = MachineSpec::GetPut {
-        get_ratio: 0.7,
-        think: Tick::from_ns(120),
-    };
     // Small, warm working set: the drain moves live directory entries,
     // and the recovered segment re-runs against them at the new homes.
-    let (keys, buckets) = (1 << 12, 1 << 13);
-    let q = split(clients, 4);
-    let steady = Traffic::Steady { rate: 1.0 };
-    let segs = plan(vec![
-        (
-            segment(
-                "warmup",
-                seed,
-                q[0],
-                keys,
-                buckets,
-                machine,
-                Tick::from_us(150),
-                steady,
-            ),
-            PhaseMode::Warmup,
-        ),
-        (
-            segment(
-                "healthy",
-                seed + 1,
-                q[1],
-                keys,
-                buckets,
-                machine,
-                Tick::from_us(300),
-                steady,
-            ),
-            PhaseMode::Healthy,
-        ),
-        (
-            segment(
-                "draining",
-                seed + 2,
-                q[2],
-                keys,
-                buckets,
-                machine,
-                Tick::from_us(300),
-                steady,
-            ),
-            PhaseMode::Degraded,
-        ),
-        (
-            segment(
-                "recovered",
-                seed + 3,
-                q[3],
-                keys,
-                buckets,
-                machine,
-                Tick::from_us(300),
-                steady,
-            ),
-            PhaseMode::Recovered,
-        ),
-    ]);
+    let workload = Workload {
+        keys: 1 << 12,
+        buckets: 1 << 13,
+        machine: MachineSpec::GetPut {
+            get_ratio: 0.7,
+            think: Tick::from_ns(120),
+        },
+        traffic: Traffic::Steady { rate: 1.0 },
+    };
+    let segs = plan(
+        &workload,
+        clients,
+        seed,
+        [
+            ("warmup", PhaseMode::Warmup, Tick::from_us(150)),
+            ("healthy", PhaseMode::Healthy, Tick::from_us(300)),
+            ("draining", PhaseMode::Degraded, Tick::from_us(300)),
+            ("recovered", PhaseMode::Recovered, Tick::from_us(300)),
+        ],
+    );
     let backoff = Tick::from_ns(80);
     let plan = FaultPlan::new(seed ^ 0xD4A1).with(
         segs[2].start,
@@ -699,7 +599,7 @@ fn drain_under_load(clients: u64, seed: u64) -> FaultOutcome {
     // The drain proper, at the draining/recovered boundary. OS side:
     // the working set's pages migrate off the expander through the
     // page-table/HMM machinery, which prices each move.
-    let footprint = buckets * 64;
+    let footprint = workload.buckets * 64;
     let pages = footprint.div_ceil(PAGE_SIZE);
     let mut os = Process::new(fabric.numa);
     let buf = os.malloc(footprint).expect("drain buffer fits");
@@ -801,7 +701,7 @@ mod tests {
         assert!(d.wire_time > Tick::ZERO);
         assert!(d.moved_lines > 0, "the warm set lived at the expander home");
         assert!(d.with_peers > 0, "live cached lines migrated");
-        // The drained home saw the first three segments, then nothing.
+        // A rerun is bit-identical (the thread count has no effect).
         let b = FaultCase::DrainUnderLoad.run(1200, 3, 2);
         assert_eq!(a, b);
     }

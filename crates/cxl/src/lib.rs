@@ -1,3 +1,4 @@
+#![warn(missing_docs)]
 //! CXL models behind the Cohet system (SimCXL §IV).
 //!
 //! * [`ats`] — the address translation service: a device-side ATC per

@@ -1,3 +1,4 @@
+#![warn(missing_docs)]
 //! NIC models: the paper's two killer-app offload designs on both
 //! interconnects (§V).
 //!

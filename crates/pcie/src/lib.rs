@@ -1,3 +1,4 @@
+#![warn(missing_docs)]
 //! PCIe substrate: link/TLP model and a descriptor-based DMA engine.
 //!
 //! This crate models the *baseline* interconnect the paper compares

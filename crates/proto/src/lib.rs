@@ -1,3 +1,4 @@
+#![warn(missing_docs)]
 //! A protobuf wire-format implementation plus a HyperProtoBench-like
 //! workload generator.
 //!

@@ -1,3 +1,4 @@
+#![warn(missing_docs)]
 //! Workload generators for the Cohet evaluation.
 //!
 //! * [`circustent`] — the six atomic-memory-operation patterns of the

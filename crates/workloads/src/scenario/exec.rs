@@ -20,7 +20,7 @@
 //! Both streams are deterministic functions of the spec, so the
 //! completion-stream checksum is too.
 
-use super::machine::{Action, StepCtx, TransitionTable};
+use super::machine::{Action, State, StepCtx};
 use super::phase::PhaseSpec;
 use super::report::{PhaseAcc, ScenarioOutcome};
 use super::session::{Session, SessionSlab};
@@ -125,8 +125,7 @@ fn fold_checksum(acc: u64, c: &Completion) -> u64 {
 }
 
 /// Runs `spec` on `eng`, multiplexing its clients over `agents`, with
-/// the key table based at `base`. Builds the machine from
-/// `spec.machine`; use [`run_with_machine`] to supply a custom one.
+/// the key table based at `base`.
 ///
 /// # Panics
 ///
@@ -138,8 +137,7 @@ pub fn run(
     agents: &[AgentId],
     base: PhysAddr,
 ) -> ScenarioOutcome {
-    let table = spec.machine.build();
-    run_with_machine(spec, &table, eng, agents, base)
+    run_from(spec, eng, agents, base, Tick::ZERO)
 }
 
 /// [`run`], but the arrival schedule starts at `start` instead of
@@ -153,34 +151,6 @@ pub fn run(
 /// As [`run`].
 pub fn run_from(
     spec: &ScenarioSpec,
-    eng: &mut ProtocolEngine,
-    agents: &[AgentId],
-    base: PhysAddr,
-    start: Tick,
-) -> ScenarioOutcome {
-    let table = spec.machine.build();
-    run_inner(spec, &table, eng, agents, base, start)
-}
-
-/// [`run`], but with an explicit [`TransitionTable`] (the spec's
-/// `machine` field is ignored).
-///
-/// # Panics
-///
-/// As [`run`].
-pub fn run_with_machine(
-    spec: &ScenarioSpec,
-    table: &TransitionTable,
-    eng: &mut ProtocolEngine,
-    agents: &[AgentId],
-    base: PhysAddr,
-) -> ScenarioOutcome {
-    run_inner(spec, table, eng, agents, base, Tick::ZERO)
-}
-
-fn run_inner(
-    spec: &ScenarioSpec,
-    table: &TransitionTable,
     eng: &mut ProtocolEngine,
     agents: &[AgentId],
     base: PhysAddr,
@@ -200,7 +170,6 @@ fn run_inner(
     let mut arrivals = Arrivals::new(if closed { &[] } else { &spec.phases }, &quotas, t0);
     let mut exec = Exec {
         spec,
-        table,
         agents,
         base,
         rng: SimRng::new(spec.seed),
@@ -300,7 +269,6 @@ fn run_inner(
 
 struct Exec<'a> {
     spec: &'a ScenarioSpec,
-    table: &'a TransitionTable,
     agents: &'a [AgentId],
     base: PhysAddr,
     rng: SimRng,
@@ -332,10 +300,9 @@ impl Exec<'_> {
         let slot = self.sessions.insert(Session {
             client,
             phase,
-            state: self.table.start(),
+            state: State::START,
             steps: 0,
             last_key: 0,
-            last_value: 0,
         });
         self.accs[phase as usize].sessions += 1;
         self.step(eng, slot, now);
@@ -345,24 +312,18 @@ impl Exec<'_> {
     /// state at `now`.
     fn step(&mut self, eng: &mut ProtocolEngine, slot: u32, now: Tick) {
         let s = *self.sessions.get_mut(slot);
-        if self.table.is_terminal(s.state) {
-            self.finish(slot, now, false);
-            return;
-        }
-        if s.steps >= self.table.cap() {
+        if s.steps >= self.spec.machine.safety_cap() {
             self.finish(slot, now, true);
             return;
         }
         let mut ctx = StepCtx {
-            client: s.client,
             step: s.steps,
             keys: self.spec.keys,
             hot: self.hots[s.phase as usize],
             last_key: s.last_key,
-            last_value: s.last_value,
             rng: &mut self.rng,
         };
-        let action = self.table.dispatch(s.state, &mut ctx);
+        let action = self.spec.machine.step(s.state, &mut ctx);
         let sess = self.sessions.get_mut(slot);
         sess.steps += 1;
         match action {
@@ -397,12 +358,8 @@ impl Exec<'_> {
             .outstanding
             .remove(&c.req)
             .expect("completion matches an outstanding scenario request");
-        {
-            let s = self.sessions.get_mut(slot);
-            s.last_value = c.value;
-            let phase = s.phase as usize;
-            self.accs[phase].record(c.issued, c.done);
-        }
+        let phase = self.sessions.get_mut(slot).phase as usize;
+        self.accs[phase].record(c.issued, c.done);
         self.step(eng, slot, c.done);
     }
 

@@ -2,27 +2,29 @@
 //!
 //! Every logical client runs one small state machine describing its
 //! session: which key to touch next, whether to read or write, and how
-//! long to think between accesses. The machine is a transition table —
-//! a map from [`State`] to a boxed [`Handler`] — with explicit terminal
-//! states and a global safety cap bounding runaway sessions, so a buggy
-//! handler can stall one client but never the scenario.
+//! long to think between accesses. [`MachineSpec::step`] is the whole
+//! machine — one `match` over `(machine, state)` — and
+//! [`MachineSpec::safety_cap`] bounds the steps a session may take, so
+//! a runaway session is force-finished instead of stalling the
+//! scenario.
 
-use sim_core::{FxHashMap, FxHashSet, SimRng, Tick};
+use super::spec::MachineSpec;
+use sim_core::{SimRng, Tick};
 
 /// A state in a client session machine. Plain `u8` newtype: machines
 /// are small (a handful of states), and a million concurrent sessions
 /// each carry one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct State(pub u8);
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct State(pub(crate) u8);
 
 impl State {
-    /// The conventional entry state.
-    pub const START: State = State(0);
+    /// The entry state of every machine.
+    pub(crate) const START: State = State(0);
 }
 
 /// What a session does on entering a state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
+pub(crate) enum Action {
     /// Issue one coherent access to `key`'s slot, transition to `then`
     /// when the access completes.
     Access {
@@ -46,32 +48,27 @@ pub enum Action {
     Done,
 }
 
-/// Per-step context handed to a [`Handler`]: everything a handler may
-/// consult or mutate. Handlers themselves are stateless — all mutable
-/// session state lives here and in the executor's session record.
-pub struct StepCtx<'a> {
-    /// Logical client id (unique per session).
-    pub client: u64,
+/// Per-step context handed to [`MachineSpec::step`]: the session's own
+/// record fields plus the scenario state a step may consult.
+pub(crate) struct StepCtx<'a> {
     /// Steps this session has executed so far.
-    pub step: u32,
+    pub(crate) step: u32,
     /// Size of the scenario's key space.
-    pub keys: u64,
+    pub(crate) keys: u64,
     /// Hot-set override from the active traffic phase:
     /// `(hot_keys, hot_fraction)`.
-    pub hot: Option<(u64, f64)>,
+    pub(crate) hot: Option<(u64, f64)>,
     /// Key touched by this session's most recent access.
-    pub last_key: u64,
-    /// Value observed by this session's most recent access.
-    pub last_value: u64,
+    pub(crate) last_key: u64,
     /// The scenario's deterministic RNG (shared; draw order is part of
     /// the reproducible schedule).
-    pub rng: &'a mut SimRng,
+    pub(crate) rng: &'a mut SimRng,
 }
 
 impl StepCtx<'_> {
     /// Draws a key honoring the active phase's hot-set skew (uniform
     /// over the key space when no hot set is active).
-    pub fn pick_key(&mut self) -> u64 {
+    pub(crate) fn pick_key(&mut self) -> u64 {
         if let Some((hot_keys, hot_fraction)) = self.hot {
             let hot = hot_keys.min(self.keys).max(1);
             if self.rng.chance(hot_fraction) {
@@ -85,118 +82,53 @@ impl StepCtx<'_> {
     }
 }
 
-/// A state's behavior. Implemented for free by any
-/// `Fn(&mut StepCtx<'_>) -> Action` closure.
-pub trait Handler {
-    /// Decides the session's next action on entering the state.
-    fn on_enter(&self, ctx: &mut StepCtx<'_>) -> Action;
-}
-
-impl<F: Fn(&mut StepCtx<'_>) -> Action> Handler for F {
-    fn on_enter(&self, ctx: &mut StepCtx<'_>) -> Action {
-        self(ctx)
-    }
-}
-
-/// The session machine: `State -> Handler` transition table plus
-/// terminal states and the global safety cap.
-///
-/// ```
-/// use simcxl_workloads::scenario::{Action, State, TransitionTable};
-///
-/// // Read one random key, then write it back, then done.
-/// let table = TransitionTable::new(State::START)
-///     .on(State(0), |ctx: &mut simcxl_workloads::scenario::StepCtx<'_>| {
-///         let key = ctx.pick_key();
-///         Action::Access { key, write: false, then: State(1) }
-///     })
-///     .on(State(1), |ctx: &mut simcxl_workloads::scenario::StepCtx<'_>| {
-///         Action::Access { key: ctx.last_key, write: true, then: State(2) }
-///     })
-///     .terminal(State(2));
-/// assert!(table.is_terminal(State(2)));
-/// assert_eq!(table.start(), State::START);
-/// ```
-pub struct TransitionTable {
-    handlers: FxHashMap<State, Box<dyn Handler>>,
-    terminal: FxHashSet<State>,
-    start: State,
-    safety_cap: u32,
-}
-
-impl TransitionTable {
-    /// Default per-session step bound: generous for any sane session,
-    /// tiny next to a scenario's total work.
-    pub const DEFAULT_SAFETY_CAP: u32 = 256;
-
-    /// Creates an empty table entered at `start`.
-    pub fn new(start: State) -> Self {
-        TransitionTable {
-            handlers: FxHashMap::default(),
-            terminal: FxHashSet::default(),
-            start,
-            safety_cap: Self::DEFAULT_SAFETY_CAP,
+impl MachineSpec {
+    /// Decides the session's next action on entering `state`. States
+    /// past a machine's last access (GetPut's 3, ScanThenWrite's 1) end
+    /// the session.
+    pub(crate) fn step(&self, state: State, ctx: &mut StepCtx<'_>) -> Action {
+        match (*self, state.0) {
+            (MachineSpec::GetPut { .. }, 0) => Action::Access {
+                key: ctx.pick_key(),
+                write: false,
+                then: State(1),
+            },
+            (MachineSpec::GetPut { get_ratio, think }, 1) => {
+                if ctx.rng.chance(get_ratio) {
+                    Action::Done
+                } else {
+                    Action::Think {
+                        delay: think,
+                        then: State(2),
+                    }
+                }
+            }
+            (MachineSpec::GetPut { .. }, 2) => Action::Access {
+                key: ctx.last_key,
+                write: true,
+                then: State(3),
+            },
+            (MachineSpec::ScanThenWrite { reads }, 0) => {
+                let write = ctx.step + 1 >= reads;
+                Action::Access {
+                    key: ctx.pick_key(),
+                    write,
+                    then: State(write as u8),
+                }
+            }
+            _ => Action::Done,
         }
     }
 
-    /// Registers `handler` for `state` (replacing any previous one).
-    pub fn on(mut self, state: State, handler: impl Handler + 'static) -> Self {
-        self.handlers.insert(state, Box::new(handler));
-        self
-    }
-
-    /// Marks `state` terminal: a session entering it is complete.
-    pub fn terminal(mut self, state: State) -> Self {
-        self.terminal.insert(state);
-        self
-    }
-
-    /// Overrides the per-session step bound. A session reaching the cap
-    /// is force-finished (and reported as capped) instead of looping
-    /// forever.
-    pub fn safety_cap(mut self, cap: u32) -> Self {
-        assert!(cap > 0, "a zero cap would finish every session at birth");
-        self.safety_cap = cap;
-        self
-    }
-
-    /// The entry state.
-    pub fn start(&self) -> State {
-        self.start
-    }
-
-    /// The per-session step bound.
-    pub fn cap(&self) -> u32 {
-        self.safety_cap
-    }
-
-    /// Whether `state` ends the session.
-    pub fn is_terminal(&self, state: State) -> bool {
-        self.terminal.contains(&state)
-    }
-
-    /// Runs the handler for `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine has no handler for a non-terminal `state`
-    /// — a malformed table, caught loudly rather than stalling clients.
-    pub fn dispatch(&self, state: State, ctx: &mut StepCtx<'_>) -> Action {
-        match self.handlers.get(&state) {
-            Some(h) => h.on_enter(ctx),
-            None => panic!("no handler for non-terminal {state:?}"),
+    /// Per-session step bound: generous for any sane session, tiny next
+    /// to a scenario's total work. A session reaching it is
+    /// force-finished and reported as capped.
+    pub(crate) fn safety_cap(&self) -> u32 {
+        const CAP: u32 = 256;
+        match *self {
+            MachineSpec::GetPut { .. } => CAP,
+            MachineSpec::ScanThenWrite { reads } => reads.saturating_mul(4).max(CAP),
         }
-    }
-}
-
-impl std::fmt::Debug for TransitionTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TransitionTable")
-            .field("states", &self.handlers.len())
-            .field("terminal", &self.terminal.len())
-            .field("start", &self.start)
-            .field("safety_cap", &self.safety_cap)
-            .finish()
     }
 }
 
@@ -206,48 +138,100 @@ mod tests {
 
     fn ctx_with(rng: &mut SimRng) -> StepCtx<'_> {
         StepCtx {
-            client: 0,
             step: 0,
             keys: 100,
             hot: None,
             last_key: 0,
-            last_value: 0,
             rng,
         }
     }
 
-    #[test]
-    fn closure_handlers_dispatch() {
-        let table = TransitionTable::new(State(0))
-            .on(State(0), |_: &mut StepCtx<'_>| Action::Done)
-            .terminal(State(1));
-        let mut rng = SimRng::new(1);
+    /// Drives one session of `machine` the way the executor does,
+    /// returning every action up to and including `Done`.
+    fn walk(machine: MachineSpec) -> Vec<Action> {
+        let mut rng = SimRng::new(3);
         let mut ctx = ctx_with(&mut rng);
-        assert_eq!(table.dispatch(State(0), &mut ctx), Action::Done);
-        assert!(table.is_terminal(State(1)));
-        assert!(!table.is_terminal(State(0)));
+        let mut state = State::START;
+        let mut actions = Vec::new();
+        loop {
+            assert!(ctx.step < machine.safety_cap(), "ran into the cap");
+            let action = machine.step(state, &mut ctx);
+            actions.push(action);
+            ctx.step += 1;
+            match action {
+                Action::Access { key, then, .. } => {
+                    ctx.last_key = key;
+                    state = then;
+                }
+                Action::Think { then, .. } => state = then,
+                Action::Done => return actions,
+            }
+        }
+    }
+
+    /// Each action with its key dropped (keys are random draws).
+    fn shape(actions: &[Action]) -> Vec<String> {
+        actions
+            .iter()
+            .map(|a| match *a {
+                Action::Access {
+                    write: false, then, ..
+                } => format!("load>{}", then.0),
+                Action::Access {
+                    write: true, then, ..
+                } => format!("store>{}", then.0),
+                Action::Think { then, .. } => format!("think>{}", then.0),
+                Action::Done => "done".into(),
+            })
+            .collect()
     }
 
     #[test]
-    #[should_panic(expected = "no handler")]
-    fn missing_handler_is_loud() {
-        let table = TransitionTable::new(State(0));
-        let mut rng = SimRng::new(1);
-        let mut ctx = ctx_with(&mut rng);
-        table.dispatch(State(9), &mut ctx);
+    fn get_put_reads_then_maybe_writes_back() {
+        let think = Tick::from_ns(100);
+        let put = walk(MachineSpec::GetPut {
+            get_ratio: 0.0,
+            think,
+        });
+        assert_eq!(shape(&put), ["load>1", "think>2", "store>3", "done"]);
+        assert_eq!(
+            put[1],
+            Action::Think {
+                delay: think,
+                then: State(2)
+            }
+        );
+        let (Action::Access { key: read, .. }, Action::Access { key: written, .. }) =
+            (put[0], put[2])
+        else {
+            unreachable!("shape checked above");
+        };
+        assert_eq!(read, written, "the write-back hits the key read");
+        let get = walk(MachineSpec::GetPut {
+            get_ratio: 1.0,
+            think,
+        });
+        assert_eq!(shape(&get), ["load>1", "done"]);
+    }
+
+    #[test]
+    fn scan_reads_then_writes_once() {
+        let scan = walk(MachineSpec::ScanThenWrite { reads: 3 });
+        assert_eq!(shape(&scan), ["load>0", "load>0", "store>1", "done"]);
+        let one = walk(MachineSpec::ScanThenWrite { reads: 1 });
+        assert_eq!(shape(&one), ["store>1", "done"]);
+        let long = MachineSpec::ScanThenWrite { reads: 200 };
+        assert_eq!(long.safety_cap(), 800, "the cap scales with reads");
+        assert_eq!(walk(long).len(), 201);
     }
 
     #[test]
     fn hot_set_skews_key_choice() {
         let mut rng = SimRng::new(7);
         let mut ctx = StepCtx {
-            client: 0,
-            step: 0,
             keys: 1000,
             hot: Some((10, 0.9)),
-            last_key: 0,
-            last_value: 0,
-            rng: &mut rng,
+            ..ctx_with(&mut rng)
         };
         let hot = (0..2000).filter(|_| ctx.pick_key() < 10).count();
         let frac = hot as f64 / 2000.0;

@@ -7,17 +7,16 @@
 //! This module turns that shape into data:
 //!
 //! * [`ScenarioSpec`] — the declarative description: client population,
-//!   [`Arrival`] discipline (open or closed loop), per-client
-//!   [`MachineSpec`] session machine, key space, and a sequence of
-//!   [`PhaseSpec`]s with [`Traffic`] shapes.
-//! * [`TransitionTable`] — the session machine engine: a
-//!   `State -> Handler` table with terminal states and a global safety
-//!   cap, so arbitrary custom sessions plug in without touching the
-//!   executor.
-//! * [`run`] / [`run_with_machine`] — the executor: multiplexes
-//!   millions of logical sessions as lightweight records over a handful
-//!   of real cache agents, interleaving a scenario-side calendar queue
-//!   with the engine's event loop.
+//!   [`Arrival`] discipline (open or closed loop), per-client session
+//!   machine, key space, and a sequence of [`PhaseSpec`]s with
+//!   [`Traffic`] shapes.
+//! * [`MachineSpec`] — the session machine, GET/PUT or
+//!   scan-then-write: its transitions are one `match`, and a
+//!   per-session safety cap force-finishes a runaway session.
+//! * [`run`] / [`run_from`] — the executor: multiplexes millions of
+//!   logical sessions as lightweight records over a handful of real
+//!   cache agents, interleaving a scenario-side calendar queue with the
+//!   engine's event loop.
 //! * [`ScenarioOutcome`] — per-phase p50/p95/p99 latency, throughput,
 //!   and the order-sensitive completion checksum (same folding as the
 //!   hotpath determinism canary).
@@ -34,11 +33,9 @@ mod report;
 mod session;
 mod spec;
 
-pub use exec::{run, run_from, run_with_machine};
-pub use machine::{Action, Handler, State, StepCtx, TransitionTable};
+pub use exec::{run, run_from};
 pub use phase::{PhaseSpec, Traffic};
 pub use report::{PhaseReport, ScenarioOutcome};
-pub use session::{Session, SessionSlab};
 pub use spec::{hot_key_storm, ramp_then_burst, steady_closed, Arrival, MachineSpec, ScenarioSpec};
 
 #[cfg(test)]
@@ -153,35 +150,6 @@ mod tests {
         for p in &out.phases {
             assert!(p.p50_ns <= p.p95_ns && p.p95_ns <= p.p99_ns);
         }
-    }
-
-    #[test]
-    fn safety_cap_fences_runaway_machines() {
-        let spec = small(50, 3);
-        // A machine that never terminates: ping-pong between two states.
-        let table = TransitionTable::new(State(0))
-            .on(State(0), |ctx: &mut StepCtx<'_>| {
-                let key = ctx.pick_key();
-                Action::Access {
-                    key,
-                    write: false,
-                    then: State(1),
-                }
-            })
-            .on(State(1), |ctx: &mut StepCtx<'_>| {
-                let key = ctx.pick_key();
-                Action::Access {
-                    key,
-                    write: true,
-                    then: State(0),
-                }
-            })
-            .safety_cap(8);
-        let (mut eng, agents) = engine_for(&spec, 1);
-        let out = run_with_machine(&spec, &table, &mut eng, &agents, PhysAddr::new(0));
-        assert_eq!(out.capped, spec.clients, "every session hits the cap");
-        assert_eq!(out.completed, 0);
-        assert_eq!(out.accesses, spec.clients * 8);
     }
 
     #[test]

@@ -10,25 +10,23 @@ use super::machine::State;
 
 /// One live logical client session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Session {
+pub(crate) struct Session {
     /// Logical client id (unique across the scenario).
-    pub client: u64,
+    pub(crate) client: u64,
     /// Phase this session is attributed to.
-    pub phase: u16,
+    pub(crate) phase: u16,
     /// Current machine state.
-    pub state: State,
+    pub(crate) state: State,
     /// Steps executed (compared against the machine's safety cap).
-    pub steps: u32,
+    pub(crate) steps: u32,
     /// Key touched by the most recent access.
-    pub last_key: u64,
-    /// Value observed by the most recent access.
-    pub last_value: u64,
+    pub(crate) last_key: u64,
 }
 
 /// A recycling slab of sessions. Indices (`u32` slots) stay stable for
 /// a session's lifetime and are reused afterwards.
 #[derive(Debug, Default)]
-pub struct SessionSlab {
+pub(crate) struct SessionSlab {
     slots: Vec<Session>,
     free: Vec<u32>,
     live: usize,
@@ -37,12 +35,12 @@ pub struct SessionSlab {
 
 impl SessionSlab {
     /// Creates an empty slab.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Stores `session`, returning its slot.
-    pub fn insert(&mut self, session: Session) -> u32 {
+    pub(crate) fn insert(&mut self, session: Session) -> u32 {
         self.live += 1;
         self.peak = self.peak.max(self.live);
         match self.free.pop() {
@@ -63,25 +61,25 @@ impl SessionSlab {
     ///
     /// Panics on an out-of-range slot (freed slots are *not* detected —
     /// the executor's request maps are the only slot holders).
-    pub fn get_mut(&mut self, slot: u32) -> &mut Session {
+    pub(crate) fn get_mut(&mut self, slot: u32) -> &mut Session {
         &mut self.slots[slot as usize]
     }
 
     /// Removes the session in `slot`, returning it and recycling the
     /// slot.
-    pub fn remove(&mut self, slot: u32) -> Session {
+    pub(crate) fn remove(&mut self, slot: u32) -> Session {
         self.live -= 1;
         self.free.push(slot);
         self.slots[slot as usize]
     }
 
     /// Currently live sessions.
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.live
     }
 
     /// Peak concurrent sessions seen so far.
-    pub fn peak(&self) -> usize {
+    pub(crate) fn peak(&self) -> usize {
         self.peak
     }
 }
@@ -97,7 +95,6 @@ mod tests {
             state: State(0),
             steps: 0,
             last_key: 0,
-            last_value: 0,
         }
     }
 

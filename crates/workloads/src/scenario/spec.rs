@@ -6,7 +6,6 @@
 //! draw flows from the spec's seed through [`sim_core::SimRng`], and
 //! arrival schedules are computed, not sampled.
 
-use super::machine::{Action, State, StepCtx, TransitionTable};
 use super::phase::{PhaseSpec, Traffic};
 use sim_core::Tick;
 
@@ -25,10 +24,8 @@ pub enum Arrival {
     },
 }
 
-/// Canonical session machines, named so a spec stays plain data.
-/// [`MachineSpec::build`] produces the actual [`TransitionTable`];
-/// custom machines can be run through
-/// [`run_with_machine`](super::exec::run_with_machine) instead.
+/// The session machines, named so a spec stays plain data. Their
+/// transitions are one `match` in the `machine` module.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MachineSpec {
     /// Classic KV session: look a key up; with probability `get_ratio`
@@ -46,72 +43,6 @@ pub enum MachineSpec {
         /// Keys scanned before the write.
         reads: u32,
     },
-}
-
-impl MachineSpec {
-    /// Builds the transition table for this machine.
-    pub fn build(&self) -> TransitionTable {
-        match *self {
-            MachineSpec::GetPut { get_ratio, think } => {
-                assert!(
-                    (0.0..=1.0).contains(&get_ratio),
-                    "get_ratio is a probability"
-                );
-                TransitionTable::new(State(0))
-                    .on(State(0), |ctx: &mut StepCtx<'_>| {
-                        let key = ctx.pick_key();
-                        Action::Access {
-                            key,
-                            write: false,
-                            then: State(1),
-                        }
-                    })
-                    .on(State(1), move |ctx: &mut StepCtx<'_>| {
-                        if ctx.rng.chance(get_ratio) {
-                            Action::Done
-                        } else {
-                            Action::Think {
-                                delay: think,
-                                then: State(2),
-                            }
-                        }
-                    })
-                    .on(State(2), |ctx: &mut StepCtx<'_>| Action::Access {
-                        key: ctx.last_key,
-                        write: true,
-                        then: State(3),
-                    })
-                    .terminal(State(3))
-            }
-            MachineSpec::ScanThenWrite { reads } => {
-                assert!(reads > 0, "scan of zero keys");
-                TransitionTable::new(State(0))
-                    .on(State(0), move |ctx: &mut StepCtx<'_>| {
-                        if ctx.step + 1 < reads {
-                            let key = ctx.pick_key();
-                            Action::Access {
-                                key,
-                                write: false,
-                                then: State(0),
-                            }
-                        } else {
-                            let key = ctx.pick_key();
-                            Action::Access {
-                                key,
-                                write: true,
-                                then: State(1),
-                            }
-                        }
-                    })
-                    .terminal(State(1))
-                    .safety_cap(
-                        reads
-                            .saturating_mul(4)
-                            .max(TransitionTable::DEFAULT_SAFETY_CAP),
-                    )
-            }
-        }
-    }
 }
 
 /// A complete scenario description: who arrives, when, and what each
@@ -178,8 +109,9 @@ impl ScenarioSpec {
     /// # Panics
     ///
     /// Panics on an empty phase list, zero clients/keys/buckets, an
-    /// agent count outside the engine's peer budget, or a zero
-    /// closed-loop concurrency.
+    /// agent count outside the engine's peer budget, a zero
+    /// closed-loop concurrency, a `get_ratio` outside `[0, 1]`, or a
+    /// scan of zero keys.
     pub fn validate(&self) {
         assert!(
             !self.phases.is_empty(),
@@ -193,6 +125,13 @@ impl ScenarioSpec {
         );
         if let Arrival::Closed { concurrency } = self.arrival {
             assert!(concurrency > 0, "closed loop needs concurrency");
+        }
+        match self.machine {
+            MachineSpec::GetPut { get_ratio, .. } => assert!(
+                (0.0..=1.0).contains(&get_ratio),
+                "get_ratio is a probability"
+            ),
+            MachineSpec::ScanThenWrite { reads } => assert!(reads > 0, "scan of zero keys"),
         }
         let weight: f64 = self
             .phases
@@ -356,21 +295,22 @@ mod tests {
     }
 
     #[test]
-    fn get_put_machine_shape() {
-        let t = MachineSpec::GetPut {
-            get_ratio: 0.5,
-            think: Tick::from_ns(100),
-        }
-        .build();
-        assert_eq!(t.start(), State(0));
-        assert!(t.is_terminal(State(3)));
-        assert!(!t.is_terminal(State(0)));
+    #[should_panic(expected = "get_ratio is a probability")]
+    fn get_ratio_outside_unit_interval_rejected() {
+        let mut spec = ramp_then_burst(10, 1);
+        spec.machine = MachineSpec::GetPut {
+            get_ratio: 1.5,
+            think: Tick::ZERO,
+        };
+        spec.validate();
     }
 
     #[test]
-    fn scan_machine_caps_scale_with_reads() {
-        let t = MachineSpec::ScanThenWrite { reads: 200 }.build();
-        assert!(t.cap() >= 800);
+    #[should_panic(expected = "scan of zero keys")]
+    fn empty_scan_rejected() {
+        let mut spec = steady_closed(10, 1);
+        spec.machine = MachineSpec::ScanThenWrite { reads: 0 };
+        spec.validate();
     }
 
     #[test]
