@@ -5,7 +5,7 @@
 //! the determinism checksums.
 //!
 //! `full` mode produces the committed workspace-root report, `quick`
-//! mode is the unit-test variant; [`SUITE`] pins every case's checksum.
+//! mode is the unit-test variant; `SUITE` pins every case's checksum.
 //! Before a report is produced, every case's degradation gates are
 //! asserted in-process ([`FaultOutcome::assert_gates`]): degraded
 //! medians strictly above the healthy baseline, and — in full mode —
@@ -16,12 +16,12 @@ use cohet::faults::FaultCase;
 use cohet::FaultOutcome;
 
 /// The fixed seed: these runs exist to be reproduced, not sampled.
-pub const BENCH_SEED: u64 = 0xFA17;
+pub(crate) const BENCH_SEED: u64 = 0xFA17;
 
 /// The `simcxl-faults/v2` suite. Its pins are the per-case checksums
 /// `(name, full, quick)`: the committed full-mode report and the quick
 /// one the unit tests run.
-pub const SUITE: Suite = Suite {
+pub(crate) const SUITE: Suite = Suite {
     name: "faults",
     schema: "simcxl-faults/v2",
     file: "BENCH_faults.json",
@@ -42,7 +42,7 @@ pub const SUITE: Suite = Suite {
 
 /// Logical client populations per case at full or quick (unit-test)
 /// scale.
-pub fn populations(quick: bool) -> [(FaultCase, u64); 3] {
+pub(crate) fn populations(quick: bool) -> [(FaultCase, u64); 3] {
     let (flaky, stall, drain) = if quick {
         (4_000, 2_400, 4_000)
     } else {
@@ -102,7 +102,7 @@ fn case_json(clients: u64, r: &FaultOutcome) -> Json {
 }
 
 /// Runs all three canonical cases and asserts their degradation gates
-/// in-process; the report body of [`SUITE`] (see README for the
+/// in-process; the report body of `SUITE` (see README for the
 /// field-by-field description).
 ///
 /// # Panics

@@ -9,7 +9,7 @@
 //! `model` (the paper prints no number).
 //!
 //! `full` mode uses the trial counts of the committed report, `quick`
-//! mode those of the unit tests. [`SUITE`] pins the checksums of the
+//! mode those of the unit tests. `SUITE` pins the checksums of the
 //! seven figures and the calibration; the full-mode pins equal
 //! `perfbench`'s figure digests. Each section function asserts its
 //! paper tolerances before the report is produced.
@@ -30,7 +30,7 @@ use simcxl_workloads::kvstore::KvConfig;
 
 /// The `simcxl-figures/v1` suite. Its pins are the section checksums
 /// `(name, full, quick)` of the seven figures and the calibration.
-pub const SUITE: Suite = Suite {
+pub(crate) const SUITE: Suite = Suite {
     name: "figures",
     schema: "simcxl-figures/v1",
     file: "BENCH_figures.json",
@@ -110,7 +110,7 @@ fn assert_within(rows: &[Row], tolerance: f64) {
 }
 
 /// Runs every section and asserts the paper tolerances; the report body
-/// of [`SUITE`] (see README for the field-by-field description).
+/// of `SUITE` (see README for the field-by-field description).
 ///
 /// # Panics
 ///

@@ -30,11 +30,11 @@ use simcxl_mem::{AddrRange, DramConfig, DramKind, MemoryInterface, PhysAddr};
 /// calendar-queue engine landed; behavior-preserving changes must
 /// reproduce it bit-for-bit ([`Suite::check_committed`] gates CI on
 /// it).
-pub const PINNED_STRESS_CHECKSUM_FULL: u64 = 0x8b604ff32e480de3;
+pub(crate) const PINNED_STRESS_CHECKSUM_FULL: u64 = 0x8b604ff32e480de3;
 /// The pinned quick-mode (unit-test) `stress` checksum — the same
 /// stream anchor at the reduced request count, also pinned by
 /// `n1_reproduces_pre_refactor_completion_stream`.
-pub const PINNED_STRESS_CHECKSUM_QUICK: u64 = 0xb1e18caf05b4d6a4;
+pub(crate) const PINNED_STRESS_CHECKSUM_QUICK: u64 = 0xb1e18caf05b4d6a4;
 
 /// The pinned full-mode checksum of the dense upfront batch — the
 /// `stress_upfront` entry's stream (the whole multihome workload issued
@@ -42,14 +42,14 @@ pub const PINNED_STRESS_CHECKSUM_QUICK: u64 = 0xb1e18caf05b4d6a4;
 /// stream the dense-contention hot path (pending slab, snoop batching)
 /// reshapes internally, so it is pinned separately from the
 /// wave-driven `stress` anchor: [`SUITE`]'s pins cover both.
-pub const PINNED_UPFRONT_CHECKSUM_FULL: u64 = 0x09b49727d30b6680;
+pub(crate) const PINNED_UPFRONT_CHECKSUM_FULL: u64 = 0x09b49727d30b6680;
 /// The pinned quick-mode upfront-batch checksum (also pinned by
 /// `upfront_quick_stress_checksum_pinned`).
-pub const PINNED_UPFRONT_CHECKSUM_QUICK: u64 = 0x0c896c524bd5265a;
+pub(crate) const PINNED_UPFRONT_CHECKSUM_QUICK: u64 = 0x0c896c524bd5265a;
 
 /// Parameters of the stress workload.
 #[derive(Debug, Clone)]
-pub struct StressConfig {
+pub(crate) struct StressConfig {
     /// Number of peer caches (half CPU-L1-like, half HMC-like).
     pub caches: usize,
     /// Total external requests issued.
@@ -73,7 +73,7 @@ pub struct StressConfig {
 
 impl StressConfig {
     /// The reference configuration the acceptance numbers use.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         StressConfig {
             caches: 8,
             requests: 400_000,
@@ -87,7 +87,7 @@ impl StressConfig {
     }
 
     /// A sub-second configuration for unit tests.
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         StressConfig {
             requests: 20_000,
             ..Self::full()
@@ -98,7 +98,7 @@ impl StressConfig {
     /// directory line-interleaved across four home agents (two host
     /// sockets + two expander-side shards is the smallest topology the
     /// paper's multi-device figures need).
-    pub fn multihome() -> Self {
+    pub(crate) fn multihome() -> Self {
         StressConfig {
             homes: 4,
             ..Self::full()
@@ -106,7 +106,7 @@ impl StressConfig {
     }
 
     /// Sub-second multi-home configuration for unit tests.
-    pub fn multihome_quick() -> Self {
+    pub(crate) fn multihome_quick() -> Self {
         StressConfig {
             homes: 4,
             ..Self::quick()
@@ -116,7 +116,7 @@ impl StressConfig {
     /// The stripe weights of the weighted stress variant: one big host
     /// home next to a half-size and two quarter-size pools — the
     /// acceptance shape for capacity-proportional balance.
-    pub const WEIGHTED_WEIGHTS: [u64; 4] = [4, 2, 1, 1];
+    pub(crate) const WEIGHTED_WEIGHTS: [u64; 4] = [4, 2, 1, 1];
 
     /// The weighted-interleave stress variant: the same wave workload
     /// with the directory striped 4:2:1:1 across four homes at
@@ -124,7 +124,7 @@ impl StressConfig {
     /// it spans the full 8-stripe repeat pattern (16 lines cover only
     /// half the pattern, which would skew the hot 20% of traffic away
     /// from the weights regardless of the interleave's quality).
-    pub fn multihome_weighted() -> Self {
+    pub(crate) fn multihome_weighted() -> Self {
         StressConfig {
             homes: 4,
             hot_lines: 32,
@@ -134,7 +134,7 @@ impl StressConfig {
     }
 
     /// Sub-second weighted configuration for unit tests.
-    pub fn multihome_weighted_quick() -> Self {
+    pub(crate) fn multihome_weighted_quick() -> Self {
         StressConfig {
             requests: 20_000,
             ..Self::multihome_weighted()
@@ -144,7 +144,7 @@ impl StressConfig {
 
 /// Outcome of one stress run.
 #[derive(Debug, Clone)]
-pub struct StressResult {
+pub(crate) struct StressResult {
     /// Events dispatched by the engine.
     pub events: u64,
     /// External requests completed.
@@ -253,10 +253,10 @@ fn fold_checksum(acc: u64, c: &Completion) -> u64 {
 /// [`HomeStatsView::balance_error`] exceeds this, so the committed
 /// number cannot silently regress (quick mode is exempt — 20k requests
 /// carry statistical noise; its unit test bounds it separately).
-pub const BALANCE_ERROR_GATE: f64 = 0.05;
+pub(crate) const BALANCE_ERROR_GATE: f64 = 0.05;
 
 /// Runs the stress workload in waves and reports its counters.
-pub fn stress(cfg: &StressConfig) -> StressResult {
+pub(crate) fn stress(cfg: &StressConfig) -> StressResult {
     let (mut eng, agents) = build_engine(cfg);
     let mut rng = SimRng::new(cfg.seed);
     let mut issued = 0usize;
@@ -301,7 +301,7 @@ pub fn stress(cfg: &StressConfig) -> StressResult {
 /// the wave driver (MSHR occupancy mean ~48 vs ~3), so it exercises
 /// deep pending lists, snoop batching and the far-future queue tier
 /// harder.
-pub fn stress_upfront(cfg: &StressConfig) -> StressResult {
+pub(crate) fn stress_upfront(cfg: &StressConfig) -> StressResult {
     let (mut eng, agents) = build_engine(cfg);
     let mut rng = SimRng::new(cfg.seed);
     for i in 0..cfg.requests {
@@ -343,7 +343,7 @@ fn run_twice(cfg: &StressConfig, run: fn(&StressConfig) -> StressResult) -> Stre
 /// The `simcxl-hotpath/v9` suite: the four stress variants, pinning
 /// the wave-driven `stress` and the dense upfront-batch
 /// `stress_upfront` streams.
-pub const SUITE: Suite = Suite {
+pub(crate) const SUITE: Suite = Suite {
     name: "hotpath",
     schema: "simcxl-hotpath/v9",
     file: "BENCH_hotpath.json",

@@ -21,6 +21,9 @@
 //!   with the regeneration, naming the first differing dotted path.
 //!   Every failing suite is listed, not just the first.
 //!
+//! At most one suite may be named, `--github` needs `--summary`, and
+//! `--json` combines with neither mode; anything else is a usage error.
+//!
 //! Exit codes: 0 on success, 1 on a determinism failure, 2 on a usage
 //! error or an unreadable report.
 
@@ -44,8 +47,15 @@ fn main() {
             "--github" => github = true,
             "--check-determinism" => check = true,
             flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
-            _ => arg = arg.or(Some(a)),
+            _ if arg.is_some() => usage_error(&format!("unexpected second suite {a:?}")),
+            _ => arg = Some(a),
         }
+    }
+    if github && !summary {
+        usage_error("--github needs --summary");
+    }
+    if json && (summary || check) {
+        usage_error("--json writes a fresh report; it does not combine with a gate mode");
     }
     let arg = arg.unwrap_or_else(|| "all".to_owned());
     let suites: Vec<_> = if arg == "all" {

@@ -6,7 +6,7 @@
 //! adaptive run and its static-weights control.
 //!
 //! `full` mode produces the committed workspace-root report, `quick`
-//! mode is the unit-test variant; [`SUITE`] pins every case's checksum.
+//! mode is the unit-test variant; `SUITE` pins every case's checksum.
 //! Before a report is produced, every case's convergence gates are
 //! asserted in-process
 //! ([`RebalanceOutcome::assert_gates`]): the gated cases must end
@@ -19,12 +19,12 @@ use cohet::rebalance::RebalanceCase;
 use cohet::RebalanceOutcome;
 
 /// The fixed seed: these runs exist to be reproduced, not sampled.
-pub const BENCH_SEED: u64 = 0x5EBA;
+pub(crate) const BENCH_SEED: u64 = 0x5EBA;
 
 /// The `simcxl-rebalance/v2` suite. Its pins are the per-case checksums
 /// `(name, full, quick)`: the committed full-mode report and the quick
 /// one the unit tests run.
-pub const SUITE: Suite = Suite {
+pub(crate) const SUITE: Suite = Suite {
     name: "rebalance",
     schema: "simcxl-rebalance/v2",
     file: "BENCH_rebalance.json",
@@ -47,7 +47,7 @@ pub const SUITE: Suite = Suite {
 /// scale. The hot tenant mass is fixed per case, so this scales only
 /// the weight-tracking background floor the controller has to see
 /// through.
-pub fn populations(quick: bool) -> [(RebalanceCase, u64); 3] {
+pub(crate) fn populations(quick: bool) -> [(RebalanceCase, u64); 3] {
     let (drift, stationary, noop) = if quick {
         (360, 240, 240)
     } else {
@@ -111,7 +111,7 @@ fn case_json(r: &RebalanceOutcome) -> Json {
 }
 
 /// Runs all three canonical cases and asserts their convergence gates
-/// in-process; the report body of [`SUITE`] (see README for the
+/// in-process; the report body of `SUITE` (see README for the
 /// field-by-field description).
 ///
 /// # Panics

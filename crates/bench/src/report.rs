@@ -145,7 +145,7 @@ impl Suite {
     ///
     /// A description of the first drifted pin, or of a missing mode,
     /// section or checksum, or of a checksum that is not `0x` plus hex.
-    pub fn check_determinism(&self, report: &Json) -> Result<String, String> {
+    pub(crate) fn check_determinism(&self, report: &Json) -> Result<String, String> {
         let mode = report
             .get("mode")
             .and_then(Json::as_str)
@@ -193,7 +193,7 @@ impl Suite {
     /// # Errors
     ///
     /// The first failing pin (committed report first), else the dotted
-    /// path of the first field that differs (see [`Json::diff`]).
+    /// path of the first field that differs (see `Json::diff`).
     pub fn check_committed(&self, committed: &Json, regenerated: &Json) -> Result<String, String> {
         self.check_determinism(committed)
             .map_err(|e| format!("committed {}: {e}", self.file))?;
@@ -245,13 +245,13 @@ pub enum Json {
 
 impl Json {
     /// An object from `(key, value)` pairs, in order.
-    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+    pub(crate) fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
         Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// `x` printed with `decimals` digits after the point (`null` when
     /// `x` is not finite, which JSON cannot spell).
-    pub fn fixed(x: f64, decimals: usize) -> Json {
+    pub(crate) fn fixed(x: f64, decimals: usize) -> Json {
         if x.is_finite() {
             Json::Num(format!("{x:.decimals$}"))
         } else {
@@ -260,12 +260,12 @@ impl Json {
     }
 
     /// A checksum: the string `0x` plus 16 hex digits.
-    pub fn hex(x: u64) -> Json {
+    pub(crate) fn hex(x: u64) -> Json {
         Json::Str(format!("{x:#018x}"))
     }
 
     /// An object's members (empty for any other value).
-    pub fn members(&self) -> &[(String, Json)] {
+    pub(crate) fn members(&self) -> &[(String, Json)] {
         match self {
             Json::Obj(m) => m,
             _ => &[],
@@ -273,7 +273,7 @@ impl Json {
     }
 
     /// The member named `key`, if this is an object that has one.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         self.members()
             .iter()
             .find(|(k, _)| k == key)
@@ -281,12 +281,12 @@ impl Json {
     }
 
     /// The value at a dotted member path (`"adaptive.rebalances"`).
-    pub fn path(&self, dotted: &str) -> Option<&Json> {
+    pub(crate) fn path(&self, dotted: &str) -> Option<&Json> {
         dotted.split('.').try_fold(self, |v, key| v.get(key))
     }
 
     /// The string, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -298,7 +298,7 @@ impl Json {
     /// `stress.per_home[2].requests: committed 1234, regenerated 1235`.
     /// A member only one side has is reported as missing or not
     /// regenerated. `None` when the trees are equal.
-    pub fn diff(&self, regenerated: &Json) -> Option<String> {
+    pub(crate) fn diff(&self, regenerated: &Json) -> Option<String> {
         first_diff("", self, regenerated)
     }
 
@@ -309,7 +309,7 @@ impl Json {
     /// A message with the byte offset of the first malformed token,
     /// including truncated input and trailing characters. Never panics:
     /// the gate feeds it hand-editable committed files.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    pub(crate) fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser { text, at: 0 };
         let v = p.value(0)?;
         p.skip_ws();

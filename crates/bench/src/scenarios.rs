@@ -5,7 +5,7 @@
 //!
 //! `full` mode produces the committed workspace-root report (≥ 1 M
 //! logical clients per scenario), `quick` mode is the unit-test
-//! variant; [`SUITE`] pins every scenario's checksum.
+//! variant; `SUITE` pins every scenario's checksum.
 
 use crate::report::{Json, Suite};
 use cohet::{CohetSystem, TopologySpec};
@@ -14,7 +14,7 @@ use simcxl_workloads::scenario::{self, ScenarioOutcome, ScenarioSpec};
 /// The `simcxl-scenarios/v2` suite. Its pins are the per-scenario
 /// checksums `(name, full, quick)`: the committed full-mode report and
 /// the quick one the unit tests run.
-pub const SUITE: Suite = Suite {
+pub(crate) const SUITE: Suite = Suite {
     name: "scenarios",
     schema: "simcxl-scenarios/v2",
     file: "BENCH_scenarios.json",
@@ -36,7 +36,7 @@ pub const SUITE: Suite = Suite {
 /// runs on. The three canonical cases deliberately exercise three
 /// different [`TopologySpec`] variants so the report also tracks the
 /// topology router.
-pub struct ScenarioCase {
+pub(crate) struct ScenarioCase {
     /// The scenario itself.
     pub spec: ScenarioSpec,
     /// Directory topology of the system under test.
@@ -48,7 +48,7 @@ pub struct ScenarioCase {
 
 impl ScenarioCase {
     /// Builds the system and runs the scenario.
-    pub fn run(&self) -> ScenarioOutcome {
+    pub(crate) fn run(&self) -> ScenarioOutcome {
         let mut builder = CohetSystem::builder().topology(self.topology.clone());
         if let Some(bytes) = self.expander_mem {
             builder = builder.expander_memory(bytes);
@@ -60,7 +60,7 @@ impl ScenarioCase {
 /// The three canonical cases at full (≥ 1 M logical clients each) or
 /// quick (unit-test) scale. The seed is fixed: these runs exist to be
 /// reproduced, not sampled.
-pub fn cases(quick: bool) -> Vec<ScenarioCase> {
+pub(crate) fn cases(quick: bool) -> Vec<ScenarioCase> {
     let (ramp, steady, storm) = if quick {
         (30_000, 24_000, 24_000)
     } else {
@@ -123,7 +123,7 @@ fn case_json(case: &ScenarioCase, r: &ScenarioOutcome) -> Json {
     ])
 }
 
-/// Runs all three canonical cases; the report body of [`SUITE`] (see
+/// Runs all three canonical cases; the report body of `SUITE` (see
 /// README for the field-by-field description).
 fn run(quick: bool) -> Json {
     Json::obj(cases(quick).iter().map(|case| {

@@ -44,3 +44,34 @@ fn removed_report_name_is_a_usage_error() {
     assert!(out.stdout.is_empty(), "nothing may be printed");
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
+
+/// Asserts `args` exit 2 with a usage line naming `needle` and print
+/// nothing on stdout.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = run(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    assert!(out.stdout.is_empty(), "{args:?}: nothing may be printed");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(needle) && err.contains("usage:"), "{err}");
+}
+
+/// One run reports one suite (or `all`); a second name is rejected, not
+/// ignored.
+#[test]
+fn second_suite_is_a_usage_error() {
+    assert_usage_error(&["faults", "figures"], "\"figures\"");
+}
+
+/// `--github` only changes how `--summary` prints.
+#[test]
+fn github_without_summary_is_a_usage_error() {
+    assert_usage_error(&["faults", "--github"], "--github");
+}
+
+/// `--json` writes a freshly run report; the gate modes read the
+/// committed one, so the pair would ignore `--json`.
+#[test]
+fn json_with_a_gate_mode_is_a_usage_error() {
+    assert_usage_error(&["faults", "--json", "--summary"], "--json");
+    assert_usage_error(&["faults", "--json", "--check-determinism"], "--json");
+}

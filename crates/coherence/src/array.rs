@@ -16,14 +16,14 @@ pub enum LineState {
 
 impl LineState {
     /// Whether a store may proceed without a coherence transaction.
-    pub fn writable(self) -> bool {
+    pub(crate) fn writable(self) -> bool {
         matches!(self, LineState::Modified | LineState::Exclusive)
     }
 }
 
 /// One resident line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Line {
+pub(crate) struct Line {
     /// Line-aligned address.
     pub addr: PhysAddr,
     /// Current stable state.
@@ -37,18 +37,8 @@ pub struct Line {
 }
 
 /// A set-associative array of [`Line`]s with true-LRU replacement.
-///
-/// ```
-/// use simcxl_coherence::array::{CacheArray, LineState};
-/// use simcxl_mem::PhysAddr;
-///
-/// let mut a = CacheArray::new(128 * 1024, 4); // the paper's 128 KB 4-way HMC
-/// assert_eq!(a.sets(), 512);
-/// a.insert(PhysAddr::new(0), LineState::Exclusive);
-/// assert!(a.get(PhysAddr::new(0x20)).is_some()); // same line
-/// ```
 #[derive(Debug, Clone)]
-pub struct CacheArray {
+pub(crate) struct CacheArray {
     sets: usize,
     ways: usize,
     lines: Vec<Option<Line>>,
@@ -62,7 +52,7 @@ impl CacheArray {
     /// # Panics
     ///
     /// Panics unless the resulting set count is a nonzero power of two.
-    pub fn new(size_bytes: u64, ways: usize) -> Self {
+    pub(crate) fn new(size_bytes: u64, ways: usize) -> Self {
         assert!(ways > 0, "associativity must be nonzero");
         let lines_total = size_bytes / CACHELINE_BYTES;
         let sets = (lines_total / ways as u64) as usize;
@@ -78,21 +68,6 @@ impl CacheArray {
         }
     }
 
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.sets * self.ways) as u64 * CACHELINE_BYTES
-    }
-
     fn set_of(&self, addr: PhysAddr) -> usize {
         ((addr.line().raw() / CACHELINE_BYTES) % self.sets as u64) as usize
     }
@@ -101,23 +76,8 @@ impl CacheArray {
         set * self.ways..(set + 1) * self.ways
     }
 
-    /// Looks up the line containing `addr`, updating LRU on hit.
-    pub fn get(&mut self, addr: PhysAddr) -> Option<&Line> {
-        let line_addr = addr.line();
-        let range = self.slot_range(self.set_of(addr));
-        self.tick += 1;
-        let tick = self.tick;
-        for l in self.lines[range].iter_mut().flatten() {
-            if l.addr == line_addr {
-                l.lru = tick;
-                return Some(l);
-            }
-        }
-        None
-    }
-
     /// Looks up the line mutably, updating LRU on hit.
-    pub fn get_mut(&mut self, addr: PhysAddr) -> Option<&mut Line> {
+    pub(crate) fn get_mut(&mut self, addr: PhysAddr) -> Option<&mut Line> {
         let line_addr = addr.line();
         let range = self.slot_range(self.set_of(addr));
         self.tick += 1;
@@ -132,7 +92,7 @@ impl CacheArray {
     }
 
     /// Looks up without touching LRU (snoops should not refresh recency).
-    pub fn peek(&self, addr: PhysAddr) -> Option<&Line> {
+    pub(crate) fn peek(&self, addr: PhysAddr) -> Option<&Line> {
         let line_addr = addr.line();
         let range = self.slot_range(self.set_of(addr));
         self.lines[range]
@@ -143,7 +103,7 @@ impl CacheArray {
 
     /// Inserts a line (which must not already be resident), evicting the
     /// LRU way if the set is full; the victim is returned.
-    pub fn insert(&mut self, addr: PhysAddr, state: LineState) -> Option<Line> {
+    pub(crate) fn insert(&mut self, addr: PhysAddr, state: LineState) -> Option<Line> {
         let line_addr = addr.line();
         debug_assert!(
             self.peek(addr).is_none(),
@@ -180,7 +140,7 @@ impl CacheArray {
     }
 
     /// Removes the line containing `addr`, returning it.
-    pub fn remove(&mut self, addr: PhysAddr) -> Option<Line> {
+    pub(crate) fn remove(&mut self, addr: PhysAddr) -> Option<Line> {
         let line_addr = addr.line();
         let range = self.slot_range(self.set_of(addr));
         for slot in &mut self.lines[range] {
@@ -192,20 +152,8 @@ impl CacheArray {
     }
 
     /// Iterates over all resident lines.
-    pub fn iter(&self) -> impl Iterator<Item = &Line> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Line> {
         self.lines.iter().flatten()
-    }
-
-    /// Number of resident lines.
-    pub fn occupancy(&self) -> usize {
-        self.lines.iter().flatten().count()
-    }
-
-    /// Drops every line (CLFLUSH-all analog).
-    pub fn clear(&mut self) {
-        for slot in &mut self.lines {
-            *slot = None;
-        }
     }
 }
 
@@ -219,19 +167,22 @@ mod tests {
 
     #[test]
     fn geometry() {
+        // The paper's 128 KB 4-way HMC.
         let a = CacheArray::new(128 * 1024, 4);
-        assert_eq!(a.sets(), 512);
-        assert_eq!(a.ways(), 4);
-        assert_eq!(a.capacity_bytes(), 128 * 1024);
+        assert_eq!((a.sets, a.ways), (512, 4));
+        assert_eq!(a.lines.len() as u64 * CACHELINE_BYTES, 128 * 1024);
     }
 
     #[test]
     fn hit_and_miss() {
         let mut a = tiny();
-        assert!(a.get(PhysAddr::new(0)).is_none());
+        assert!(a.get_mut(PhysAddr::new(0)).is_none());
         a.insert(PhysAddr::new(0), LineState::Shared);
-        assert_eq!(a.get(PhysAddr::new(0x3f)).unwrap().state, LineState::Shared);
-        assert!(a.get(PhysAddr::new(0x40)).is_none());
+        assert_eq!(
+            a.get_mut(PhysAddr::new(0x3f)).unwrap().state,
+            LineState::Shared
+        );
+        assert!(a.get_mut(PhysAddr::new(0x40)).is_none());
     }
 
     #[test]
@@ -241,7 +192,7 @@ mod tests {
         a.insert(s(0), LineState::Shared);
         a.insert(s(1), LineState::Shared);
         // Touch line 0 so line 1 becomes LRU.
-        a.get(s(0));
+        a.get_mut(s(0));
         let victim = a.insert(s(2), LineState::Shared).expect("eviction");
         assert_eq!(victim.addr, s(1));
         assert!(a.peek(s(0)).is_some());
@@ -265,17 +216,8 @@ mod tests {
         a.insert(PhysAddr::new(0), LineState::Modified);
         let line = a.remove(PhysAddr::new(0x10)).unwrap();
         assert_eq!(line.state, LineState::Modified);
-        assert_eq!(a.occupancy(), 0);
+        assert_eq!(a.iter().count(), 0);
         assert!(a.remove(PhysAddr::new(0)).is_none());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut a = tiny();
-        a.insert(PhysAddr::new(0), LineState::Shared);
-        a.insert(PhysAddr::new(64), LineState::Shared);
-        a.clear();
-        assert_eq!(a.occupancy(), 0);
     }
 
     #[test]

@@ -57,7 +57,7 @@ struct EvictState {
     dirty: bool,
 }
 
-/// Statistics exposed by a [`CacheAgent`].
+/// Statistics exposed by a `CacheAgent`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests that hit locally.
@@ -74,7 +74,7 @@ pub struct CacheStats {
 
 /// A peer cache: tag array + MSHRs + the CXL.cache request port.
 #[derive(Debug)]
-pub struct CacheAgent {
+pub(crate) struct CacheAgent {
     id: AgentId,
     cfg: CacheConfig,
     array: CacheArray,
@@ -110,27 +110,27 @@ impl CacheAgent {
     }
 
     /// MSHR-occupancy histogram (profile layer).
-    pub fn mshr_occupancy(&self) -> DepthHist {
+    pub(crate) fn mshr_occupancy(&self) -> DepthHist {
         self.mshr_occupancy
     }
 
     /// Agent id.
-    pub fn id(&self) -> AgentId {
+    pub(crate) fn id(&self) -> AgentId {
         self.id
     }
 
     /// Configuration used to build this agent.
-    pub fn config(&self) -> &CacheConfig {
+    pub(crate) fn config(&self) -> &CacheConfig {
         &self.cfg
     }
 
     /// Counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
     /// Current line state (tests / invariant checking).
-    pub fn line_state(&self, addr: simcxl_mem::PhysAddr) -> Option<LineState> {
+    pub(crate) fn line_state(&self, addr: simcxl_mem::PhysAddr) -> Option<LineState> {
         self.array.peek(addr).map(|l| l.state)
     }
 

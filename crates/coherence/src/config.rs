@@ -6,7 +6,7 @@
 
 use sim_core::{LinkConfig, Tick};
 
-/// Configuration of one peer cache ([`crate::cache::CacheAgent`]).
+/// Configuration of one peer cache (`crate::cache::CacheAgent`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// Capacity in bytes.

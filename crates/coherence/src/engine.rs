@@ -469,8 +469,9 @@ impl ProtocolEngine {
         &self.topology
     }
 
-    /// Line state at a given cache (tests).
-    pub fn line_state(&self, agent: AgentId, addr: PhysAddr) -> Option<LineState> {
+    /// Line state at a given cache.
+    #[cfg(test)]
+    fn line_state(&self, agent: AgentId, addr: PhysAddr) -> Option<LineState> {
         self.caches[agent.index() - 2].line_state(addr)
     }
 
@@ -816,12 +817,6 @@ impl ProtocolEngine {
     /// (CLDEMOTE analog: data demoted from a core cache into the LLC).
     pub fn preload_llc(&mut self, addr: PhysAddr) {
         self.home_of_mut(addr).preload(addr, DirEntry::default());
-    }
-
-    /// Removes a line everywhere, consulting the home that owns it
-    /// (CLFLUSH analog). The line must be idle.
-    pub fn flush_line(&mut self, addr: PhysAddr) {
-        self.home_of_mut(addr).flush_line(addr);
     }
 
     /// Whether all agents are idle and the event queue is empty.
@@ -1512,7 +1507,7 @@ mod tests {
         eng.verify_invariants();
         let llc_only = PhysAddr::new(0x140); // home 1
         eng.preload_llc(llc_only);
-        eng.flush_line(llc_only);
+        eng.home_of_mut(llc_only).flush_line(llc_only);
         assert!(eng.homes[1].dir_entry(llc_only).is_none());
         eng.verify_invariants();
     }

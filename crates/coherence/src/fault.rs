@@ -131,7 +131,8 @@ pub struct FaultEvent {
 ///         backoff: Tick::from_ns(50),
 ///     },
 /// );
-/// assert_eq!(plan.events().len(), 1);
+/// let engine = simcxl_coherence::ProtocolEngine::builder().fault_plan(plan).build();
+/// assert!(engine.fault_stats().is_some());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -185,24 +186,14 @@ impl FaultPlan {
         self
     }
 
-    /// The sampling seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The scheduled events, in insertion order.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
     /// Whether the plan schedules anything at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
     /// The largest home/port index any event names, for validation
     /// against the engine's home count.
-    pub fn max_home(&self) -> Option<usize> {
+    pub(crate) fn max_home(&self) -> Option<usize> {
         self.events
             .iter()
             .filter_map(|e| match e.kind {
@@ -508,11 +499,6 @@ impl FaultStatsView {
     /// Aggregate link retry/backoff counters (both link classes).
     pub fn link(&self) -> &LinkFaultStats {
         &self.link
-    }
-
-    /// Per-port counters, indexed by home.
-    pub fn ports(&self) -> &[PortFaultStats] {
-        &self.ports
     }
 
     /// Counters for one home's memory port.

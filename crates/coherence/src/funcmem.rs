@@ -33,7 +33,7 @@ pub enum AtomicKind {
 
 impl AtomicKind {
     /// Applies the operation to `old`, returning the new value.
-    pub fn apply(self, old: u64, operand: u64, operand2: u64) -> u64 {
+    pub(crate) fn apply(self, old: u64, operand: u64, operand2: u64) -> u64 {
         match self {
             AtomicKind::FetchAdd => old.wrapping_add(operand),
             AtomicKind::CompareSwap => {
@@ -55,14 +55,15 @@ impl AtomicKind {
 
 /// Sparse 8-byte-granular functional memory.
 ///
+/// Each [`ProtocolEngine`](crate::ProtocolEngine) holds one; stores
+/// and atomics write it as they complete.
+///
 /// ```
-/// use simcxl_coherence::FuncMem;
+/// use simcxl_coherence::ProtocolEngine;
 /// use simcxl_mem::PhysAddr;
 ///
-/// let mut m = FuncMem::new();
-/// m.write_u64(PhysAddr::new(0x40), 9);
-/// assert_eq!(m.read_u64(PhysAddr::new(0x40)), 9);
-/// assert_eq!(m.read_u64(PhysAddr::new(0x48)), 0); // untouched reads zero
+/// let mut engine = ProtocolEngine::builder().build();
+/// assert_eq!(engine.func_mem().read_u64(PhysAddr::new(0x48)), 0); // untouched reads zero
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FuncMem {
@@ -73,7 +74,7 @@ pub struct FuncMem {
 
 impl FuncMem {
     /// Creates an all-zero memory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FuncMem {
             words: FxHashMap::default(),
         }
@@ -89,7 +90,7 @@ impl FuncMem {
     }
 
     /// Writes the aligned 8-byte word containing `addr`.
-    pub fn write_u64(&mut self, addr: PhysAddr, value: u64) {
+    pub(crate) fn write_u64(&mut self, addr: PhysAddr, value: u64) {
         self.words.insert(Self::key(addr), value);
     }
 
@@ -98,16 +99,17 @@ impl FuncMem {
     /// Single hash probe: the read-modify-write runs in place on the
     /// word's entry rather than hashing once to read and again to
     /// write.
-    pub fn rmw(&mut self, addr: PhysAddr, kind: AtomicKind, operand: u64, operand2: u64) -> u64 {
+    pub(crate) fn rmw(
+        &mut self,
+        addr: PhysAddr,
+        kind: AtomicKind,
+        operand: u64,
+        operand2: u64,
+    ) -> u64 {
         let word = self.words.entry(Self::key(addr)).or_insert(0);
         let old = *word;
         *word = kind.apply(old, operand, operand2);
         old
-    }
-
-    /// Number of distinct words ever written.
-    pub fn footprint_words(&self) -> usize {
-        self.words.len()
     }
 }
 
@@ -147,6 +149,6 @@ mod tests {
         let mut m = FuncMem::new();
         m.write_u64(PhysAddr::new(0x43), 1); // lands in word 0x40
         assert_eq!(m.read_u64(PhysAddr::new(0x40)), 1);
-        assert_eq!(m.footprint_words(), 1);
+        assert_eq!(m.words.len(), 1);
     }
 }

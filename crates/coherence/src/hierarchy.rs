@@ -62,7 +62,6 @@ struct GlobalEntry {
 /// compare against a single-level directory over the same trace.
 #[derive(Debug)]
 pub struct HierarchicalDirectory {
-    nodes: usize,
     cost: HierarchyCost,
     /// Per-node local replica sets.
     local: Vec<FxHashSet<u64>>,
@@ -79,17 +78,11 @@ impl HierarchicalDirectory {
     pub fn new(nodes: usize, cost: HierarchyCost) -> Self {
         assert!(nodes > 0, "supernode needs at least one child");
         HierarchicalDirectory {
-            nodes,
             cost,
             local: vec![FxHashSet::default(); nodes],
             global: FxHashMap::default(),
             stats: HierarchyStats::default(),
         }
-    }
-
-    /// Number of child nodes.
-    pub fn nodes(&self) -> usize {
-        self.nodes
     }
 
     /// Counters so far.

@@ -32,32 +32,27 @@ impl SharerSet {
     }
 
     /// Adds an agent; no-op if already present.
-    pub fn insert(&mut self, agent: AgentId) {
+    pub(crate) fn insert(&mut self, agent: AgentId) {
         self.0 |= Self::bit(agent);
     }
 
     /// Removes an agent; no-op if absent.
-    pub fn remove(&mut self, agent: &AgentId) {
+    pub(crate) fn remove(&mut self, agent: &AgentId) {
         self.0 &= !Self::bit(*agent);
     }
 
     /// Whether the agent is present.
-    pub fn contains(&self, agent: &AgentId) -> bool {
+    pub(crate) fn contains(&self, agent: &AgentId) -> bool {
         self.0 & Self::bit(*agent) != 0
     }
 
     /// Whether no agents are present.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.0 == 0
     }
 
-    /// Number of sharers.
-    pub fn len(&self) -> usize {
-        self.0.count_ones() as usize
-    }
-
     /// Drops all sharers.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.0 = 0;
     }
 
@@ -69,7 +64,7 @@ impl SharerSet {
     }
 
     /// Iterates sharers in ascending agent-index order.
-    pub fn iter(&self) -> impl Iterator<Item = AgentId> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = AgentId> + '_ {
         let mut bits = self.0;
         std::iter::from_fn(move || {
             if bits == 0 {
@@ -131,7 +126,7 @@ impl BusyLine {
     }
 }
 
-/// Statistics exposed by the [`HomeAgent`].
+/// Statistics exposed by the `HomeAgent`.
 ///
 /// In a multi-home topology each home keeps its own copy; summing them
 /// (via [`AddAssign`](std::ops::AddAssign)) yields the aggregate the
@@ -176,8 +171,8 @@ impl std::ops::AddAssign for HomeStats {
 ///
 /// Obtain one from
 /// [`ProtocolEngine::home_stats_view`](crate::engine::ProtocolEngine::home_stats_view),
-/// or assemble one with [`new`](Self::new) when replaying recorded
-/// counters (the bench report's balance math goes through that path).
+/// or from recorded counters through
+/// [`balance_error_of`](crate::rebalance::balance_error_of).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HomeStatsView {
     stats: Vec<HomeStats>,
@@ -193,7 +188,7 @@ impl HomeStatsView {
     /// Panics if the lengths differ, the view would be empty, or a
     /// weight is zero ([`balance_error`](Self::balance_error) divides
     /// by each weight's share).
-    pub fn new(stats: Vec<HomeStats>, weights: Vec<u64>) -> Self {
+    pub(crate) fn new(stats: Vec<HomeStats>, weights: Vec<u64>) -> Self {
         assert_eq!(
             stats.len(),
             weights.len(),
@@ -231,12 +226,6 @@ impl HomeStatsView {
     /// The per-home counters as a slice, indexed by [`HomeId`].
     pub fn stats(&self) -> &[HomeStats] {
         &self.stats
-    }
-
-    /// The topology's relative load weight of each home (see
-    /// [`Topology::home_weights`](crate::topology::Topology::home_weights)).
-    pub fn weights(&self) -> &[u64] {
-        &self.weights
     }
 
     /// Counters summed over every home — the aggregate the single-home
@@ -278,7 +267,7 @@ impl HomeStatsView {
 /// only ever sees the slice of the address space its
 /// [`Topology`](crate::topology::Topology) assigns to it.
 #[derive(Debug)]
-pub struct HomeAgent {
+pub(crate) struct HomeAgent {
     /// This agent's shard id, stamped into every message it sends.
     id: HomeId,
     cfg: HomeConfig,
@@ -321,7 +310,7 @@ impl HomeAgent {
     }
 
     /// Hot-path profiling counters accumulated by this agent.
-    pub fn profile(&self) -> EngineProfile {
+    pub(crate) fn profile(&self) -> EngineProfile {
         self.profile
     }
 
@@ -330,17 +319,17 @@ impl HomeAgent {
     }
 
     /// This agent's shard id.
-    pub fn id(&self) -> HomeId {
+    pub(crate) fn id(&self) -> HomeId {
         self.id
     }
 
     /// Counters.
-    pub fn stats(&self) -> HomeStats {
+    pub(crate) fn stats(&self) -> HomeStats {
         self.stats
     }
 
     /// Directory entry for a line (tests / invariant checking).
-    pub fn dir_entry(&self, addr: simcxl_mem::PhysAddr) -> Option<&DirEntry> {
+    pub(crate) fn dir_entry(&self, addr: simcxl_mem::PhysAddr) -> Option<&DirEntry> {
         self.dir.get(&addr.line().raw())
     }
 

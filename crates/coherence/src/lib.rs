@@ -8,11 +8,11 @@
 //! (state, exclusive-owner ID, sharer bit-vector). This crate implements
 //! that protocol as a genuine message-passing, event-driven state machine:
 //!
-//! * [`CacheAgent`](cache::CacheAgent) — a peer cache (CPU L1 or device
+//! * `CacheAgent` — a peer cache (CPU L1 or device
 //!   HMC behind the DCOH), with MSHRs, LRU arrays, line locking for
 //!   atomics, and the CXL.cache D2H request set (`RdShared`, `RdOwn`,
 //!   `ItoMWr`/NC-P, `DirtyEvict`, `CleanEvict`).
-//! * [`HomeAgent`](home::HomeAgent) — the shared LLC home agent: serializes
+//! * `HomeAgent` — the shared LLC home agent: serializes
 //!   per-line transactions, snoops peers (`SnpInv`/`SnpData`), grants
 //!   `Data`+`GO-E`/`GO-S`, and pulls writebacks with `GO-WritePull`/`GO-I`
 //!   exactly as in the paper's Fig. 7.

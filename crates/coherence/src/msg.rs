@@ -15,12 +15,12 @@ pub struct AgentId(pub(crate) u8);
 
 impl AgentId {
     /// The home agent (shared LLC / directory).
-    pub const HOME: AgentId = AgentId(0);
+    pub(crate) const HOME: AgentId = AgentId(0);
     /// The memory agent.
-    pub const MEMORY: AgentId = AgentId(1);
+    pub(crate) const MEMORY: AgentId = AgentId(1);
 
     /// Raw index (stable for the lifetime of the engine).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -134,7 +134,7 @@ impl fmt::Display for HitLevel {
 
 /// Wire messages exchanged between agents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgKind {
+pub(crate) enum MsgKind {
     // ---- cache -> home (CXL.cache D2H request channel) ----
     /// Read for sharing.
     RdShared,
@@ -189,7 +189,7 @@ pub enum MsgKind {
 impl MsgKind {
     /// Approximate wire size in bytes (header-only vs data-carrying), used
     /// for link bandwidth accounting.
-    pub fn bytes(self) -> u64 {
+    pub(crate) fn bytes(self) -> u64 {
         match self {
             MsgKind::DataGoE
             | MsgKind::DataGoS
@@ -205,7 +205,7 @@ impl MsgKind {
 
 /// A protocol message in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Msg {
+pub(crate) struct Msg {
     /// Message type.
     pub kind: MsgKind,
     /// Cacheline address the message concerns.

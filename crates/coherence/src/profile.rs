@@ -17,7 +17,7 @@ use std::ops::AddAssign;
 /// Number of power-of-two buckets a [`DepthHist`] tracks; bucket `i ≥ 2`
 /// counts samples in `[2^(i-2)+1 .. 2^(i-1)]` (bucket 0 is exactly 0,
 /// bucket 1 is exactly 1), with the last bucket absorbing the tail.
-pub const HIST_BUCKETS: usize = 12;
+pub(crate) const HIST_BUCKETS: usize = 12;
 
 /// A power-of-two-bucketed histogram of small non-negative depths
 /// (queue lengths, fan-out sizes, chain lengths).
@@ -42,7 +42,7 @@ impl DepthHist {
     /// Records one sample. O(1): a leading-zeros instruction picks the
     /// bucket.
     #[inline]
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         let b = if v == 0 {
             0
         } else {
@@ -65,7 +65,8 @@ impl DepthHist {
     }
 
     /// Inclusive upper bound of bucket `i` (`u64::MAX` for the tail).
-    pub fn bucket_limit(i: usize) -> u64 {
+    #[cfg(test)]
+    fn bucket_limit(i: usize) -> u64 {
         match i {
             0 => 0,
             _ if i == HIST_BUCKETS - 1 => u64::MAX,

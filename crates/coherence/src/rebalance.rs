@@ -91,7 +91,6 @@ pub struct RebalanceController {
     /// Cumulative per-home `requests` at the previous epoch boundary.
     baseline: Vec<u64>,
     epochs: u32,
-    rebalances: u32,
 }
 
 impl RebalanceController {
@@ -114,28 +113,7 @@ impl RebalanceController {
             baseline: vec![0; initial.len()],
             weights: initial.to_vec(),
             epochs: 0,
-            rebalances: 0,
         }
-    }
-
-    /// The weight vector currently in force.
-    pub fn weights(&self) -> &[u64] {
-        &self.weights
-    }
-
-    /// The spec this controller was built with.
-    pub fn spec(&self) -> &RebalanceSpec {
-        &self.spec
-    }
-
-    /// Epoch boundaries consumed so far.
-    pub fn epochs(&self) -> u32 {
-        self.epochs
-    }
-
-    /// Boundaries at which the weights actually changed.
-    pub fn rebalances(&self) -> u32 {
-        self.rebalances
     }
 
     /// Consumes one epoch boundary: `cumulative` is the monotone
@@ -165,7 +143,6 @@ impl RebalanceController {
         let next = plan_weights(&self.spec, &self.weights, &delta);
         let changed = next != self.weights;
         if changed {
-            self.rebalances += 1;
             self.weights = next.clone();
         }
         let epoch = self.epochs;
@@ -186,8 +163,7 @@ impl RebalanceController {
 ///
 /// # Panics
 ///
-/// Panics on empty or length-mismatched inputs, or a zero weight (see
-/// [`HomeStatsView::new`]).
+/// Panics on empty or length-mismatched inputs, or a zero weight.
 pub fn balance_error_of(requests: &[u64], weights: &[u64]) -> f64 {
     let stats: Vec<HomeStats> = requests
         .iter()

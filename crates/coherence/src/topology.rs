@@ -36,13 +36,13 @@ use std::fmt;
 /// Distinct from [`crate::msg::AgentId`]: agent ids number the *ports*
 /// on the engine (home, memory, peer caches) while home ids number the
 /// directory shards. The single-home engine only ever sees
-/// [`HomeId::ZERO`].
+/// `HomeId(0)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct HomeId(pub usize);
 
 impl HomeId {
     /// The first (and in single-home topologies, only) home.
-    pub const ZERO: HomeId = HomeId(0);
+    pub(crate) const ZERO: HomeId = HomeId(0);
 
     /// Raw index into the engine's home vector.
     pub fn index(self) -> usize {
@@ -165,8 +165,7 @@ impl Topology {
     ///
     /// Panics on an empty or zero-containing weight vector, a non-pow2
     /// or sub-cacheline stride, or a gcd-reduced weight sum beyond
-    /// [`WeightedInterleave::MAX_PERIOD`] (see
-    /// [`WeightedInterleave::new`]).
+    /// 65 536 (see [`WeightedInterleave::new`]).
     pub fn weighted(weights: &[u64], stride: u64) -> Self {
         let wi = WeightedInterleave::new(weights, stride);
         if wi.is_uniform() && wi.ways().is_power_of_two() {
@@ -183,7 +182,7 @@ impl Topology {
     /// capacity's share of the total, so directory traffic tracks pool
     /// size. Exact when the capacities share a large gcd (the common
     /// pow2-sized-pool case); otherwise the shares are apportioned onto
-    /// a bounded pattern (≤ [`Self::CAPACITY_PATTERN_SLOTS`] stripes,
+    /// a bounded pattern (≤ 1024 stripes,
     /// largest-remainder rounding, every home at least one stripe).
     ///
     /// ```
@@ -240,7 +239,7 @@ impl Topology {
 
     /// Pattern length [`Self::capacity_weighted`] apportions onto when
     /// the reduced capacities would overflow a reasonable table.
-    pub const CAPACITY_PATTERN_SLOTS: u64 = 1024;
+    pub(crate) const CAPACITY_PATTERN_SLOTS: u64 = 1024;
 
     /// An asymmetric topology: each `(range, home)` claim routes its
     /// range to the named home; addresses outside every claim fall back

@@ -31,7 +31,7 @@ pub struct DeviceInstance(usize);
 
 /// Timing of the update/invalidate handshake.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HmmCost {
+pub(crate) struct HmmCost {
     /// Driver block + resume overhead.
     pub block_resume: Tick,
     /// Per-device ATC invalidation round trip.
@@ -57,7 +57,7 @@ pub struct Hmm {
 
 impl Hmm {
     /// Creates an HMM core with the given handshake costs.
-    pub fn new(cost: HmmCost) -> Self {
+    pub(crate) fn new(cost: HmmCost) -> Self {
         Hmm {
             devices: Vec::new(),
             cost,
@@ -73,15 +73,10 @@ impl Hmm {
         DeviceInstance(self.devices.len() - 1)
     }
 
-    /// Number of registered devices.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
     /// Performs a protected page-table update for the page at `va`:
     /// blocks every device, runs `update`, invalidates device ATCs, then
     /// resumes. Returns the handshake cost.
-    pub fn update_page(&mut self, va: VirtAddr, update: impl FnOnce()) -> Tick {
+    pub(crate) fn update_page(&mut self, va: VirtAddr, update: impl FnOnce()) -> Tick {
         self.updates += 1;
         for d in &mut self.devices {
             d.block();
@@ -99,13 +94,9 @@ impl Hmm {
         cost
     }
 
-    /// Protected updates performed.
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
     /// ATC invalidations issued.
-    pub fn invalidations(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn invalidations(&self) -> u64 {
         self.invalidations
     }
 }
@@ -204,7 +195,7 @@ mod tests {
         let expect = HmmCost::default().block_resume + HmmCost::default().invalidation * 3;
         assert_eq!(c, expect);
         assert_eq!(hmm.invalidations(), 3);
-        assert_eq!(hmm.updates(), 1);
-        assert_eq!(hmm.device_count(), 3);
+        assert_eq!(hmm.updates, 1);
+        assert_eq!(hmm.devices.len(), 3);
     }
 }

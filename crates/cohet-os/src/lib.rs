@@ -12,7 +12,7 @@
 //! * [`vma`] — virtual address space management (`mmap` regions).
 //! * [`numa`] — NUMA nodes (CPU, XPU, CPU-less memory) with frame
 //!   allocators.
-//! * [`process`] — the per-process view: `malloc`/`free`/`mmap` with
+//! * [`process`] — the per-process view: `malloc`/`free` with
 //!   overcommit, demand paging with first-touch placement, and unified
 //!   CPU/XPU access through one page table.
 //! * [`hmm`] — HMM notifier chains driving device ATC invalidation on

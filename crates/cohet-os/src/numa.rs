@@ -54,23 +54,13 @@ impl NumaNode {
         }
     }
 
-    /// Node id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
     /// Node kind.
     pub fn kind(&self) -> NodeKind {
         self.kind
     }
 
-    /// Physical range the node owns.
-    pub fn range(&self) -> AddrRange {
-        self.range
-    }
-
     /// Allocates one frame; `None` when the node is full.
-    pub fn alloc_frame(&mut self) -> Option<PhysAddr> {
+    pub(crate) fn alloc_frame(&mut self) -> Option<PhysAddr> {
         if let Some(f) = self.free_list.pop() {
             return Some(f);
         }
@@ -87,18 +77,20 @@ impl NumaNode {
     /// # Panics
     ///
     /// Panics if the frame does not belong to this node.
-    pub fn free_frame(&mut self, frame: PhysAddr) {
+    pub(crate) fn free_frame(&mut self, frame: PhysAddr) {
         assert!(self.range.contains(frame), "{frame} not in {}", self.id);
         self.free_list.push(frame);
     }
 
     /// Frames currently handed out.
-    pub fn frames_in_use(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn frames_in_use(&self) -> u64 {
         self.next_frame - self.free_list.len() as u64
     }
 
     /// Total frames the node can hold.
-    pub fn capacity_frames(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn capacity_frames(&self) -> u64 {
         self.range.size() / self.page_size
     }
 }
@@ -132,7 +124,8 @@ impl NumaTopology {
     }
 
     /// The node owning a physical address.
-    pub fn node_of(&self, addr: PhysAddr) -> Option<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn node_of(&self, addr: PhysAddr) -> Option<NodeId> {
         self.nodes
             .iter()
             .find(|n| n.range.contains(addr))
@@ -140,28 +133,19 @@ impl NumaTopology {
     }
 
     /// Access a node.
-    pub fn node(&self, id: NodeId) -> &NumaNode {
+    #[cfg(test)]
+    pub(crate) fn node(&self, id: NodeId) -> &NumaNode {
         &self.nodes[id.0]
     }
 
     /// Access a node mutably.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut NumaNode {
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut NumaNode {
         &mut self.nodes[id.0]
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether no nodes exist.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Allocates a frame on `preferred`, falling back to any node with
     /// free frames (the kernel's fallback zone list).
-    pub fn alloc_frame(&mut self, preferred: NodeId) -> Option<(NodeId, PhysAddr)> {
+    pub(crate) fn alloc_frame(&mut self, preferred: NodeId) -> Option<(NodeId, PhysAddr)> {
         if let Some(f) = self.nodes[preferred.0].alloc_frame() {
             return Some((preferred, f));
         }
@@ -230,7 +214,7 @@ mod tests {
         let t = topo();
         assert_eq!(t.node(NodeId(0)).capacity_frames(), 256);
         assert_eq!(t.node(NodeId(0)).frames_in_use(), 0);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.nodes.len(), 2);
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl PageTable {
     }
 
     /// Mutable walk (access counting, migration updates).
-    pub fn walk_mut(&mut self, va: VirtAddr) -> Option<&mut Pte> {
+    pub(crate) fn walk_mut(&mut self, va: VirtAddr) -> Option<&mut Pte> {
         let idx = indices(va);
         let mut node = &mut self.root;
         for &i in idx.iter().take(LEVELS - 1) {
@@ -173,7 +173,7 @@ impl PageTable {
     }
 
     /// Translates an arbitrary virtual address to its physical address.
-    pub fn translate(&self, va: VirtAddr) -> Option<PhysAddr> {
+    pub(crate) fn translate(&self, va: VirtAddr) -> Option<PhysAddr> {
         let (pte, _) = self.walk(va)?;
         Some(pte.frame + va.page_offset(PAGE_SIZE))
     }

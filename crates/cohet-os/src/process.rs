@@ -1,4 +1,4 @@
-//! The per-process OS view: `malloc`/`mmap`, demand paging with
+//! The per-process OS view: `malloc`/`free`, demand paging with
 //! first-touch placement, and unified CPU/XPU access.
 //!
 //! Paper §III-C2: "A malloc call allocates a page-table entry without
@@ -26,7 +26,7 @@ pub enum Accessor {
 
 impl Accessor {
     /// The NUMA node the accessor prefers.
-    pub fn node(self) -> NodeId {
+    pub(crate) fn node(self) -> NodeId {
         match self {
             Accessor::Cpu(n) | Accessor::Xpu(n) => n,
         }
@@ -131,13 +131,9 @@ impl Process {
     }
 
     /// The NUMA topology.
-    pub fn topology(&self) -> &NumaTopology {
+    #[cfg(test)]
+    pub(crate) fn topology(&self) -> &NumaTopology {
         &self.topo
-    }
-
-    /// The unified page table (read access for IOMMU walks).
-    pub fn page_table(&self) -> &PageTable {
-        &self.table
     }
 
     /// The unified page table, mutably (migration).
@@ -164,20 +160,12 @@ impl Process {
         Ok(vma.start)
     }
 
-    /// `mmap`: like [`malloc`](Self::malloc) with explicit protections.
-    pub fn mmap(&mut self, len: u64, prot: Prot) -> Result<VirtAddr, OsError> {
-        assert!(len > 0, "mmap(0)");
-        let vma = self.aspace.mmap(len, prot);
-        self.allocations.insert(vma.start.raw(), vma.len);
-        Ok(vma.start)
-    }
-
     /// `free`: unmaps the allocation and returns its frames.
     ///
     /// # Errors
     ///
     /// [`OsError::InvalidFree`] if `ptr` was not returned by
-    /// `malloc`/`mmap`.
+    /// [`malloc`](Self::malloc).
     pub fn free(&mut self, ptr: VirtAddr) -> Result<(), OsError> {
         let len = self
             .allocations
@@ -249,11 +237,6 @@ impl Process {
     pub fn translate(&self, va: VirtAddr) -> Option<PhysAddr> {
         self.table.translate(va)
     }
-
-    /// Bytes of virtual address space reserved.
-    pub fn reserved_bytes(&self) -> u64 {
-        self.allocations.values().sum()
-    }
 }
 
 impl fmt::Debug for Process {
@@ -286,13 +269,13 @@ mod tests {
     fn malloc_is_lazy() {
         let mut p = process();
         let ptr = p.malloc(1 << 16).unwrap();
-        assert_eq!(p.page_table().mapped_pages(), 0, "no frames before touch");
-        assert_eq!(p.reserved_bytes(), 1 << 16);
+        assert_eq!(p.table.mapped_pages(), 0, "no frames before touch");
+        assert_eq!(p.allocations.values().sum::<u64>(), 1 << 16);
         let r = p
             .access(Accessor::Cpu(NodeId(0)), ptr, AccessKind::Write)
             .unwrap();
         assert!(r.faulted);
-        assert_eq!(p.page_table().mapped_pages(), 1, "only the touched page");
+        assert_eq!(p.table.mapped_pages(), 1, "only the touched page");
     }
 
     #[test]
@@ -314,7 +297,7 @@ mod tests {
         let mut p = process();
         // Reserve 1 GB of virtual space against 2 MB of physical memory.
         let ptr = p.malloc(1 << 30).unwrap();
-        assert_eq!(p.reserved_bytes(), 1 << 30);
+        assert_eq!(p.allocations.values().sum::<u64>(), 1 << 30);
         // Touch only a little of it: fine.
         for i in 0..16 {
             p.access(
@@ -354,7 +337,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(e, OsError::Segfault(_)));
-        let ro = p.mmap(4096, Prot::Read).unwrap();
+        let ro = p.aspace.mmap(4096, Prot::Read).start;
         let e = p
             .access(Accessor::Cpu(NodeId(0)), ro, AccessKind::Write)
             .unwrap_err();

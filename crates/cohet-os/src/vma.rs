@@ -25,7 +25,7 @@ impl VirtAddr {
     }
 
     /// Byte offset within the page.
-    pub fn page_offset(self, page_size: u64) -> u64 {
+    pub(crate) fn page_offset(self, page_size: u64) -> u64 {
         self.0 & (page_size - 1)
     }
 }
@@ -71,13 +71,8 @@ pub struct Vma {
 }
 
 impl Vma {
-    /// One past the last byte.
-    pub fn end(&self) -> VirtAddr {
-        self.start + self.len
-    }
-
     /// Whether `va` falls inside the region.
-    pub fn contains(&self, va: VirtAddr) -> bool {
+    pub(crate) fn contains(&self, va: VirtAddr) -> bool {
         va >= self.start && va.raw() < self.start.raw() + self.len
     }
 }
@@ -85,7 +80,7 @@ impl Vma {
 /// A process's virtual address-space layout: a set of non-overlapping
 /// VMAs plus a simple top-down `mmap` allocator.
 #[derive(Debug)]
-pub struct AddressSpace {
+pub(crate) struct AddressSpace {
     vmas: BTreeMap<u64, Vma>,
     page_size: u64,
     next_mmap: u64,
@@ -94,7 +89,7 @@ pub struct AddressSpace {
 impl AddressSpace {
     /// Creates an empty layout whose anonymous mappings grow upward from
     /// `mmap_base`.
-    pub fn new(page_size: u64, mmap_base: VirtAddr) -> Self {
+    pub(crate) fn new(page_size: u64, mmap_base: VirtAddr) -> Self {
         assert!(page_size.is_power_of_two());
         AddressSpace {
             vmas: BTreeMap::new(),
@@ -103,13 +98,8 @@ impl AddressSpace {
         }
     }
 
-    /// Page size of the layout.
-    pub fn page_size(&self) -> u64 {
-        self.page_size
-    }
-
     /// Maps `len` bytes (rounded up to pages) at an OS-chosen address.
-    pub fn mmap(&mut self, len: u64, prot: Prot) -> Vma {
+    pub(crate) fn mmap(&mut self, len: u64, prot: Prot) -> Vma {
         assert!(len > 0, "empty mapping");
         let len = len.div_ceil(self.page_size) * self.page_size;
         let start = VirtAddr::new(self.next_mmap);
@@ -120,12 +110,12 @@ impl AddressSpace {
     }
 
     /// Unmaps the VMA starting exactly at `start`; returns it.
-    pub fn munmap(&mut self, start: VirtAddr) -> Option<Vma> {
+    pub(crate) fn munmap(&mut self, start: VirtAddr) -> Option<Vma> {
         self.vmas.remove(&start.raw())
     }
 
     /// Finds the VMA containing `va`.
-    pub fn find(&self, va: VirtAddr) -> Option<&Vma> {
+    pub(crate) fn find(&self, va: VirtAddr) -> Option<&Vma> {
         self.vmas
             .range(..=va.raw())
             .next_back()
@@ -134,18 +124,8 @@ impl AddressSpace {
     }
 
     /// Number of live VMAs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.vmas.len()
-    }
-
-    /// Whether no VMAs exist.
-    pub fn is_empty(&self) -> bool {
-        self.vmas.is_empty()
-    }
-
-    /// Iterates over VMAs in address order.
-    pub fn iter(&self) -> impl Iterator<Item = &Vma> {
-        self.vmas.values()
     }
 }
 
@@ -164,7 +144,7 @@ mod tests {
         assert_eq!(v.len, 4096);
         let w = a.mmap(4097, Prot::Read);
         assert_eq!(w.len, 8192);
-        assert_eq!(w.start, v.end());
+        assert_eq!(w.start, v.start + v.len);
     }
 
     #[test]
@@ -182,7 +162,7 @@ mod tests {
         let v = a.mmap(4096, Prot::ReadWrite);
         assert_eq!(a.munmap(v.start), Some(v));
         assert!(a.find(v.start).is_none());
-        assert!(a.is_empty());
+        assert!(a.vmas.is_empty());
     }
 
     #[test]
@@ -191,7 +171,7 @@ mod tests {
         let regions: Vec<Vma> = (0..16).map(|_| a.mmap(12_288, Prot::ReadWrite)).collect();
         for (i, r) in regions.iter().enumerate() {
             for s in &regions[i + 1..] {
-                assert!(r.end() <= s.start || s.end() <= r.start);
+                assert!(r.start + r.len <= s.start || s.start + s.len <= r.start);
             }
         }
         assert_eq!(a.len(), 16);

@@ -27,45 +27,29 @@ fn engine_for(profile: &DeviceProfile, jitter: Option<(u64, f64)>) -> (ProtocolE
 
 /// Which placement tier a latency/bandwidth test exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
+pub(crate) enum Tier {
     /// Line preloaded into the device HMC.
-    HmcHit,
+    Hmc,
     /// Line demoted to the host LLC (CLDEMOTE analog).
-    LlcHit,
+    Llc,
     /// Line flushed to memory (CLFLUSH analog).
-    MemHit,
-}
-
-impl Tier {
-    /// All tiers in Fig. 13/15 order.
-    pub fn all() -> [Tier; 3] {
-        [Tier::HmcHit, Tier::LlcHit, Tier::MemHit]
-    }
-
-    /// Label matching the paper.
-    pub fn label(self) -> &'static str {
-        match self {
-            Tier::HmcHit => "HMC Hit",
-            Tier::LlcHit => "LLC Hit",
-            Tier::MemHit => "Mem Hit",
-        }
-    }
+    Mem,
 }
 
 fn place(eng: &mut ProtocolEngine, hmc: AgentId, tier: Tier, base: PhysAddr, lines: u64) {
     for i in 0..lines {
         let a = base + i * CACHELINE_BYTES;
         match tier {
-            Tier::HmcHit => eng.preload(hmc, a, LineState::Exclusive),
-            Tier::LlcHit => eng.preload_llc(a),
-            Tier::MemHit => {}
+            Tier::Hmc => eng.preload(hmc, a, LineState::Exclusive),
+            Tier::Llc => eng.preload_llc(a),
+            Tier::Mem => {}
         }
     }
 }
 
 /// Measures the median (and percentile spread) of 64 B load latency for
 /// one tier: the paper's LSU test, 32 sequential loads × `trials`.
-pub fn cxl_load_latency(profile: &DeviceProfile, tier: Tier, trials: usize) -> Summary {
+pub(crate) fn cxl_load_latency(profile: &DeviceProfile, tier: Tier, trials: usize) -> Summary {
     let (mut eng, hmc) = engine_for(profile, Some((42, 1.5)));
     let mut sum = Summary::new();
     for t in 0..trials {
@@ -73,10 +57,10 @@ pub fn cxl_load_latency(profile: &DeviceProfile, tier: Tier, trials: usize) -> S
         // the same 32 lines stay resident across trials. The other tiers
         // use fresh lines each trial so earlier trials cannot warm them.
         let base = match tier {
-            Tier::HmcHit => PhysAddr::new(0x100_0000),
+            Tier::Hmc => PhysAddr::new(0x100_0000),
             _ => PhysAddr::new(0x100_0000 + (t as u64 + 1) * 32 * CACHELINE_BYTES),
         };
-        if tier != Tier::HmcHit || t == 0 {
+        if tier != Tier::Hmc || t == 0 {
             place(&mut eng, hmc, tier, base, 32);
         }
         // Serial issue: the LSU measures per-request round trips.
@@ -113,16 +97,16 @@ pub fn fig13(profile: &DeviceProfile, trials: usize) -> Fig13Row {
     let dma = DmaEngine::new(profile.dma);
     Fig13Row {
         config: profile.name.to_owned(),
-        hmc_ns: med(Tier::HmcHit),
-        llc_ns: med(Tier::LlcHit),
-        mem_ns: med(Tier::MemHit),
+        hmc_ns: med(Tier::Hmc),
+        llc_ns: med(Tier::Llc),
+        mem_ns: med(Tier::Mem),
         dma64_ns: dma.unloaded_latency(64).as_ns_f64(),
     }
 }
 
 /// Measures sustained CXL.cache load bandwidth (GB/s) for a tier: the
 /// paper's 2048-request (128 KB) burst.
-pub fn cxl_load_bandwidth(profile: &DeviceProfile, tier: Tier) -> f64 {
+pub(crate) fn cxl_load_bandwidth(profile: &DeviceProfile, tier: Tier) -> f64 {
     let (mut eng, hmc) = engine_for(profile, None);
     let base = PhysAddr::new(0x100_0000);
     let reqs = lsu::bandwidth_burst(base);
@@ -171,9 +155,9 @@ pub fn fig15(profile: &DeviceProfile) -> Fig15Row {
     let mut dma = DmaEngine::new(profile.dma);
     Fig15Row {
         config: profile.name.to_owned(),
-        hmc_gbps: cxl_load_bandwidth(profile, Tier::HmcHit),
-        llc_gbps: cxl_load_bandwidth(profile, Tier::LlcHit),
-        mem_gbps: cxl_load_bandwidth(profile, Tier::MemHit),
+        hmc_gbps: cxl_load_bandwidth(profile, Tier::Hmc),
+        llc_gbps: cxl_load_bandwidth(profile, Tier::Llc),
+        mem_gbps: cxl_load_bandwidth(profile, Tier::Mem),
         dma64_gbps: dma.stream_bandwidth(64, 2048) / 1e9,
     }
 }
@@ -364,66 +348,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fig13_fpga_matches_paper_within_tolerance() {
-        let row = fig13(&DeviceProfile::fpga_400mhz(), 4);
-        let (hmc, llc, mem, dma) = reference::FIG13_FPGA_NS;
-        for (got, want) in [
-            (row.hmc_ns, hmc),
-            (row.llc_ns, llc),
-            (row.mem_ns, mem),
-            (row.dma64_ns, dma),
-        ] {
-            let err = ((got - want) / want).abs();
-            assert!(err < 0.08, "latency {got:.1} vs {want:.1} ({err:.3})");
-        }
-    }
-
-    #[test]
-    fn fig13_asic_matches_paper_within_tolerance() {
-        let row = fig13(&DeviceProfile::asic_1500mhz(), 4);
-        let (hmc, llc, mem, dma) = reference::FIG13_ASIC_NS;
-        for (got, want) in [
-            (row.hmc_ns, hmc),
-            (row.llc_ns, llc),
-            (row.mem_ns, mem),
-            (row.dma64_ns, dma),
-        ] {
-            let err = ((got - want) / want).abs();
-            assert!(err < 0.10, "latency {got:.1} vs {want:.1} ({err:.3})");
-        }
-    }
-
-    #[test]
-    fn fig15_fpga_matches_paper_within_tolerance() {
-        let row = fig15(&DeviceProfile::fpga_400mhz());
-        let (hmc, llc, mem, dma) = reference::FIG15_FPGA_GBPS;
-        for (got, want) in [
-            (row.hmc_gbps, hmc),
-            (row.llc_gbps, llc),
-            (row.mem_gbps, mem),
-            (row.dma64_gbps, dma),
-        ] {
-            let err = ((got - want) / want).abs();
-            assert!(err < 0.10, "bw {got:.2} vs {want:.2} ({err:.3})");
-        }
-    }
-
-    #[test]
-    fn fig12_medians_track_numa_distance() {
-        let sums = fig12(&DeviceProfile::fpga_400mhz(), 8);
-        let medians: Vec<f64> = sums.into_iter().map(|mut s| s.median()).collect();
-        // Node 7 nearest, node 3 farthest; gap close to the paper's 88 ns.
-        assert!(medians[3] > medians[7] + 60.0, "gap too small: {medians:?}");
-        assert!(medians[3] < medians[7] + 120.0, "gap too big: {medians:?}");
-        for n in [0, 1, 2, 3] {
-            assert!(
-                medians[n] > medians[6],
-                "remote socket node{n} faster than local: {medians:?}"
-            );
-        }
-    }
-
-    #[test]
     fn dma_sweep_shapes() {
         let rows = dma_sweep(&DeviceProfile::fpga_400mhz());
         assert_eq!(rows[0].0, 64);
@@ -446,7 +370,7 @@ mod tests {
         // transfers". The crossover must exist and sit between 64 B and
         // 256 KB.
         let profile = DeviceProfile::fpga_400mhz();
-        let cxl_bw = cxl_load_bandwidth(&profile, Tier::MemHit);
+        let cxl_bw = cxl_load_bandwidth(&profile, Tier::Mem);
         let rows = dma_sweep(&profile);
         let small = rows.first().expect("nonempty").2;
         let bulk = rows.last().expect("nonempty").2;
@@ -461,75 +385,5 @@ mod tests {
             (512..=16 * 1024).contains(&crossover),
             "crossover at {crossover} B is implausible"
         );
-    }
-
-    #[test]
-    fn headline_ratios_hold() {
-        // §VI: "CXL.cache reduces latency by 68% and increases bandwidth
-        // by 14.4x compared to DMA transfers at cacheline granularity".
-        let profile = DeviceProfile::fpga_400mhz();
-        let f13 = fig13(&profile, 4);
-        let reduction = 1.0 - f13.mem_ns / f13.dma64_ns;
-        assert!(
-            (reduction - reference::HEADLINE_LATENCY_REDUCTION).abs() < 0.05,
-            "latency reduction {reduction:.2}"
-        );
-        let f15 = fig15(&profile);
-        let ratio = f15.mem_gbps / f15.dma64_gbps;
-        assert!(
-            (ratio / reference::HEADLINE_BW_RATIO - 1.0).abs() < 0.15,
-            "bandwidth ratio {ratio:.1}"
-        );
-    }
-
-    #[test]
-    fn calibration_error_is_small() {
-        let pairs: Vec<(f64, f64)> = calibration_points(4)
-            .into_iter()
-            .map(|(_, r, m)| (r, m))
-            .collect();
-        let err = sim_core::mape(&pairs);
-        assert!(err < 5.0, "calibration MAPE {err:.2}% too large");
-    }
-
-    #[test]
-    fn fig17_speedups_in_paper_band() {
-        let rows = fig17(&DeviceProfile::fpga_400mhz(), 384);
-        let get = |p: CtPattern| rows.iter().find(|r| r.0 == p).unwrap().1;
-        assert!(get(CtPattern::Central) > 25.0 && get(CtPattern::Central) < 55.0);
-        assert!(get(CtPattern::Rand) > 4.0 && get(CtPattern::Rand) < 10.0);
-        assert!(get(CtPattern::Stride1) > get(CtPattern::Scatter));
-        assert!(get(CtPattern::Central) > get(CtPattern::Stride1));
-    }
-
-    #[test]
-    fn fig18_shapes_hold() {
-        for row in fig18(30) {
-            assert!(
-                row.deser_speedup() > 1.05,
-                "{:?} deser speedup {:.2}",
-                row.bench,
-                row.deser_speedup()
-            );
-            // All CXL serialization modes beat RpcNIC; CXL.mem fastest.
-            for mode in [
-                SerializeMode::CxlCacheNoPrefetch,
-                SerializeMode::CxlCachePrefetch,
-                SerializeMode::CxlMem,
-            ] {
-                assert!(
-                    row.ser_speedup(mode) > 1.0,
-                    "{:?} {mode:?} {:.2}",
-                    row.bench,
-                    row.ser_speedup(mode)
-                );
-            }
-            assert!(
-                row.ser_speedup(SerializeMode::CxlMem)
-                    >= row.ser_speedup(SerializeMode::CxlCachePrefetch),
-                "{:?}: CXL.mem must be fastest",
-                row.bench
-            );
-        }
     }
 }

@@ -32,7 +32,6 @@ use sim_core::Tick;
 use simcxl_coherence::{
     AgentId, CacheConfig, FaultKind, FaultPlan, HomeId, LinkClass, ProtocolEngine,
 };
-use simcxl_cxl::FlitCounter;
 use simcxl_mem::{AddrRange, PhysAddr};
 use simcxl_pcie::{PcieLink, PcieLinkConfig};
 use simcxl_workloads::scenario::{self, Arrival, MachineSpec, PhaseSpec, ScenarioSpec, Traffic};
@@ -42,6 +41,15 @@ use simcxl_workloads::scenario::{self, Arrival, MachineSpec, PhaseSpec, Scenario
 /// stall-window releases) must drain before the next segment — and the
 /// next fault window — begins, so windows and traffic stay aligned.
 const SEGMENT_GUARD: Tick = Tick::from_us(100);
+
+/// Flits one link-layer retry puts back on the wire: the retried
+/// transfer replays its header and cacheline data, five 16-byte slots,
+/// which round up to two four-slot flits.
+const FLITS_PER_REPLAY: u64 = 2;
+
+/// Wire bytes of one CXL 1.1/2.0 flit: 64 B of slots, a 2 B CRC and a
+/// 2 B protocol ID.
+const FLIT_BYTES: u64 = 68;
 
 /// What a segment measures, and how the recovery gates treat it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +163,7 @@ pub struct FaultOutcome {
 
 impl FaultOutcome {
     /// The healthy-baseline median, if a healthy segment ran.
-    pub fn healthy_p50(&self) -> Option<f64> {
+    pub(crate) fn healthy_p50(&self) -> Option<f64> {
         self.phases
             .iter()
             .find(|p| p.mode == PhaseMode::Healthy)
@@ -216,15 +224,6 @@ pub enum FaultCase {
 }
 
 impl FaultCase {
-    /// All cases, in canonical report order.
-    pub fn all() -> [FaultCase; 3] {
-        [
-            FaultCase::FlakyLink,
-            FaultCase::StallingExpander,
-            FaultCase::DrainUnderLoad,
-        ]
-    }
-
     /// Stable case name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -371,11 +370,7 @@ impl Acc {
         let stats = eng.fault_stats().expect("fault cases arm a plan");
         let link = stats.link();
         let ports = stats.port_total();
-        // Wire cost of the retries in the 68-byte flit model: every
-        // retried transfer replays its header + cacheline data (five
-        // slots → two flits per replay).
-        let mut fc = FlitCounter::new();
-        fc.add_replay(link.retries * 2);
+        let replay_flits = link.retries * FLITS_PER_REPLAY;
         FaultOutcome {
             name: name.into(),
             completed: self.completed,
@@ -389,8 +384,8 @@ impl Acc {
             link_faulted: link.faulted,
             link_retries: link.retries,
             link_backoff: link.backoff,
-            replay_flits: fc.replay_flits(),
-            replay_wire_bytes: fc.total_wire_bytes(),
+            replay_flits,
+            replay_wire_bytes: replay_flits * FLIT_BYTES,
             port_slowed: ports.slowed,
             port_stalled: ports.stalled,
             port_starved: ports.starved,

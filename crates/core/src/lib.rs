@@ -4,7 +4,7 @@
 //!
 //! This crate is the paper's primary contribution: CPU and XPU compute
 //! pools sharing a single coherent memory pool and a single per-process
-//! page table, programmed through plain `malloc`/`mmap` plus an
+//! page table, programmed through plain `malloc` plus an
 //! OpenCL-style kernel launch (paper §III). The substrates live in the
 //! sibling crates (`sim-core`, `simcxl-mem`, `simcxl-coherence`,
 //! `simcxl-pcie`, `simcxl-cxl`, `cohet-os`, `simcxl-nic`); this crate

@@ -10,8 +10,8 @@
 //!
 //! 1. verifies the coherence invariants,
 //! 2. reads the cumulative per-home request counters and hands them to
-//!    the [`RebalanceController`] (armed through
-//!    [`CohetSystemBuilder::rebalance`](crate::system::CohetSystemBuilder::rebalance)),
+//!    the [`RebalanceController`] built from the case's
+//!    [`RebalanceSpec`],
 //! 3. when the controller moves the weights, charges the migration of
 //!    the minimal changed line-set — every stripe whose home changes
 //!    pays a metered `cohet-os` page move plus its PCIe wire
@@ -185,8 +185,8 @@ pub struct RebalanceOutcome {
     pub name: String,
     /// Total background sessions per run.
     pub clients: u64,
-    /// The controller spec in force (read back through
-    /// [`CohetSystem::rebalance_spec`]).
+    /// The controller spec both runs used
+    /// ([`RebalanceCase::spec`]).
     pub spec: RebalanceSpec,
     /// The run with the controller closing the loop.
     pub adaptive: RebalanceRun,
@@ -199,14 +199,14 @@ pub struct RebalanceOutcome {
 
 impl RebalanceOutcome {
     /// Convergence bound the gated cases must reach by the final epoch.
-    pub const FINAL_ERROR_BOUND: f64 = 0.05;
+    pub(crate) const FINAL_ERROR_BOUND: f64 = 0.05;
 
     /// Asserts the case's gates.
     ///
     /// * [`DriftingHotSet`](RebalanceCase::DriftingHotSet) and
     ///   [`StationaryHotSet`](RebalanceCase::StationaryHotSet): the
     ///   adaptive run's final-epoch balance error is at most
-    ///   [`FINAL_ERROR_BOUND`](Self::FINAL_ERROR_BOUND) **and** strictly
+    ///   `FINAL_ERROR_BOUND` (0.05) **and** strictly
     ///   below the static baseline's, and the adaptation was not free —
     ///   stripes moved and their migration was metered.
     /// * [`UniformNoop`](RebalanceCase::UniformNoop): the controller
@@ -441,14 +441,7 @@ fn run_epochs(
             weights: initial.clone(),
             stride: STRIDE,
         })
-        .rebalance(spec.clone())
         .build();
-    // The driver consumes the spec the builder armed, not a copy the
-    // caller happened to hold — the round-trip is the contract.
-    let spec = sys
-        .rebalance_spec()
-        .expect("rebalance cases arm a spec")
-        .clone();
     let fabric = sys.fabric();
     let cpu_node = fabric.cpu_node;
     let xpu_node = fabric.xpu_nodes[0];

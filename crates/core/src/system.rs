@@ -5,7 +5,7 @@ use crate::topo::TopologySpec;
 use cohet_os::{AccessKind, Accessor, NodeId, NodeKind, NumaTopology, OsError, Process, VirtAddr};
 use sim_core::Tick;
 use simcxl_coherence::prelude::*;
-use simcxl_coherence::{AtomicKind, RebalanceSpec};
+use simcxl_coherence::AtomicKind;
 use simcxl_cxl::{Atc, AtcConfig, IommuConfig};
 use simcxl_mem::{AddrRange, DramConfig, DramKind, MemoryInterface, PhysAddr};
 use simcxl_workloads::scenario::{self, ScenarioOutcome, ScenarioSpec};
@@ -47,7 +47,6 @@ pub struct CohetSystem {
     expander_mem: Option<u64>,
     topo: TopologySpec,
     fault: Option<FaultPlan>,
-    rebalance: Option<RebalanceSpec>,
 }
 
 /// Builder for [`CohetSystem`].
@@ -63,7 +62,6 @@ pub struct CohetSystemBuilder {
     expander_mem: Option<u64>,
     topo: TopologySpec,
     fault: Option<FaultPlan>,
-    rebalance: Option<RebalanceSpec>,
 }
 
 impl Default for CohetSystemBuilder {
@@ -76,7 +74,6 @@ impl Default for CohetSystemBuilder {
             expander_mem: None,
             topo: TopologySpec::SingleHome,
             fault: None,
-            rebalance: None,
         }
     }
 }
@@ -144,7 +141,7 @@ impl CohetSystemBuilder {
     /// # Panics
     ///
     /// Spawning a process or scenario panics on invalid spec parameters
-    /// (see [`TopologySpec::resolve`]).
+    /// (see [`TopologySpec`]).
     pub fn topology(mut self, spec: TopologySpec) -> Self {
         self.topo = spec;
         self
@@ -185,16 +182,6 @@ impl CohetSystemBuilder {
         self
     }
 
-    /// Arms the epoch-based online re-interleave controller (see
-    /// [`crate::rebalance`]): the epoch driver reads this spec back via
-    /// [`CohetSystem::rebalance_spec`] and consults a
-    /// [`simcxl_coherence::RebalanceController`] at quiescent epoch
-    /// boundaries.
-    pub fn rebalance(mut self, spec: RebalanceSpec) -> Self {
-        self.rebalance = Some(spec);
-        self
-    }
-
     /// Finishes the description.
     pub fn build(self) -> CohetSystem {
         CohetSystem {
@@ -205,7 +192,6 @@ impl CohetSystemBuilder {
             expander_mem: self.expander_mem,
             topo: self.topo,
             fault: self.fault,
-            rebalance: self.rebalance,
         }
     }
 }
@@ -214,12 +200,6 @@ impl CohetSystem {
     /// Starts building a system.
     pub fn builder() -> CohetSystemBuilder {
         CohetSystemBuilder::default()
-    }
-
-    /// The armed rebalance controller spec, if
-    /// [`rebalance`](CohetSystemBuilder::rebalance) was called.
-    pub fn rebalance_spec(&self) -> Option<&RebalanceSpec> {
-        self.rebalance.as_ref()
     }
 
     /// Builds the physical memory fabric shared by
@@ -307,7 +287,6 @@ impl CohetSystem {
             cpu_node: fabric.cpu_node,
             xpu_agents,
             xpu_nodes: fabric.xpu_nodes,
-            expander_node: fabric.expander_node,
             atcs,
             clock: Tick::ZERO,
         }
@@ -419,7 +398,7 @@ impl KernelCtx<'_> {
 }
 
 /// A running Cohet process: one unified page table shared by CPU and
-/// XPU threads, standard `malloc`/`mmap`, coherent access everywhere.
+/// XPU threads, standard `malloc`, coherent access everywhere.
 pub struct CohetProcess {
     os: Process,
     engine: ProtocolEngine,
@@ -427,7 +406,6 @@ pub struct CohetProcess {
     cpu_node: NodeId,
     xpu_agents: Vec<AgentId>,
     xpu_nodes: Vec<NodeId>,
-    expander_node: Option<NodeId>,
     atcs: Vec<Atc>,
     clock: Tick,
 }
@@ -531,30 +509,6 @@ impl CohetProcess {
     /// The underlying protocol engine (inspection).
     pub fn engine(&self) -> &ProtocolEngine {
         &self.engine
-    }
-
-    /// The expander's NUMA node, if one was configured.
-    pub fn expander_node(&self) -> Option<NodeId> {
-        self.expander_node
-    }
-
-    /// Migrates the page containing `va` onto the expander node
-    /// (capacity tiering onto CXL.mem, paper §VII related work).
-    ///
-    /// # Errors
-    ///
-    /// [`CohetError::Os`] if no expander exists (surfaced as OOM), the
-    /// page is unmapped, or the expander is full.
-    pub fn demote_to_expander(&mut self, va: VirtAddr) -> Result<Tick, CohetError> {
-        let node = self
-            .expander_node
-            .ok_or(CohetError::Os(OsError::OutOfMemory))?;
-        Ok(cohet_os::migration::migrate_page(
-            &mut self.os,
-            va,
-            node,
-            cohet_os::migration::MigrationCost::default(),
-        )?)
     }
 
     fn cpu_access(&mut self, va: VirtAddr, op: MemOp) -> Result<u64, CohetError> {
@@ -682,15 +636,14 @@ mod tests {
     }
 
     #[test]
-    fn expander_extends_capacity_and_serves_demotions() {
-        // Tiny host memory + an expander: spill and demotion both work.
+    fn expander_extends_capacity() {
+        // Tiny host memory + an expander: spills land on the expander.
         let mut p = CohetSystem::builder()
             .host_memory(64 * 1024)
             .xpu_memory(64 * 1024)
             .expander_memory(8 << 20)
             .build()
             .spawn_process();
-        let node = p.expander_node().expect("expander configured");
         // Fill host + XPU memory (32 frames), then keep going: spills
         // land on the CPU-less expander node.
         let buf = p.malloc(64 << 20).unwrap();
@@ -704,11 +657,6 @@ mod tests {
         for i in 0..64u64 {
             assert_eq!(p.read_u64(buf + i * 4096).unwrap(), i);
         }
-        // Explicit demotion of a host page onto the expander.
-        let cost = p.demote_to_expander(buf).unwrap();
-        assert!(cost > sim_core::Tick::ZERO);
-        assert_eq!(p.read_u64(buf).unwrap(), 0);
-        let _ = node;
     }
 
     #[test]
@@ -756,9 +704,11 @@ mod tests {
         assert_eq!(p.engine().num_homes(), 3);
         let buf = p.malloc(4096).unwrap();
         p.write_u64(buf, 77).unwrap();
-        // Demote the page onto the expander: subsequent accesses are
-        // homed at the expander's own agent.
-        p.demote_to_expander(buf).unwrap();
+        // Migrate the page onto the expander (NUMA node 2, after the CPU
+        // and the one XPU): subsequent accesses are homed at the
+        // expander's own agent.
+        let cost = cohet_os::migration::MigrationCost::default();
+        cohet_os::migration::migrate_page(&mut p.os, buf, NodeId(2), cost).unwrap();
         p.write_u64(buf, 78).unwrap();
         assert_eq!(p.read_u64(buf).unwrap(), 78);
         let pa = p.os.translate(buf).unwrap();
@@ -781,14 +731,6 @@ mod tests {
             .build()
             .spawn_process();
         assert_eq!(p.engine().num_homes(), 1);
-    }
-
-    #[test]
-    fn demotion_without_expander_fails() {
-        let mut p = proc();
-        let buf = p.malloc(4096).unwrap();
-        p.write_u64(buf, 1).unwrap();
-        assert!(p.demote_to_expander(buf).is_err());
     }
 
     #[test]

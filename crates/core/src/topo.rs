@@ -4,7 +4,7 @@
 //! One [`TopologySpec`] value states the whole directory layout —
 //! host-home count, stride, weights, and what happens when a CXL
 //! expander is attached (the auto-homing/auto-weighting rule; see
-//! [`TopologySpec::resolve`]).
+//! `TopologySpec::resolve`).
 
 use simcxl_coherence::{HomeId, Topology};
 use simcxl_mem::AddrRange;
@@ -111,34 +111,35 @@ impl TopologySpec {
     /// auto-homing/auto-weighting rule lives.
     ///
     /// ```
-    /// use cohet::TopologySpec;
-    /// use simcxl_coherence::{HomeId, Topology};
-    /// use simcxl_mem::{AddrRange, PhysAddr};
+    /// use cohet::{CohetSystem, TopologySpec};
     ///
-    /// const M: u64 = 1 << 20;
-    /// let expander = AddrRange::new(PhysAddr::new(1 << 30), 64 * M);
+    /// // 256 MB of host memory (the default) and a 64 MB expander.
+    /// let homes_for = |spec: TopologySpec| {
+    ///     let proc = CohetSystem::builder()
+    ///         .topology(spec)
+    ///         .expander_memory(64 << 20)
+    ///         .build()
+    ///         .spawn_process();
+    ///     proc.engine().topology().clone()
+    /// };
     ///
     /// // Interleaved + expander: the expander range gets its own home.
-    /// let spec = TopologySpec::Interleaved {
+    /// let topo = homes_for(TopologySpec::Interleaved {
     ///     homes: 2,
     ///     stride: 4096,
-    /// };
-    /// let topo = spec.resolve(256 * M, Some(expander));
+    /// });
     /// assert_eq!(topo.homes(), 3);
-    /// assert_eq!(topo.home_for(PhysAddr::new(1 << 30)), HomeId(2));
     ///
     /// // Weighted + expander: the expander joins the stripe at a
     /// // capacity-derived weight (64 MB / (256 MB / 4 units) = 1).
-    /// let spec = TopologySpec::Weighted {
+    /// let topo = homes_for(TopologySpec::Weighted {
     ///     weights: vec![3, 1],
     ///     stride: 4096,
-    /// };
-    /// let topo = spec.resolve(256 * M, Some(expander));
+    /// });
     /// assert_eq!(topo.home_weights(), vec![3, 1, 1]);
     ///
     /// // SingleHome keeps the legacy shape even with an expander.
-    /// let topo = TopologySpec::SingleHome.resolve(256 * M, Some(expander));
-    /// assert!(topo.is_single());
+    /// assert!(homes_for(TopologySpec::SingleHome).is_single());
     /// ```
     ///
     /// # Panics
@@ -146,7 +147,7 @@ impl TopologySpec {
     /// Panics on invalid parameters (non-pow2 `homes`/`stride`, empty
     /// or zero weights — see the [`Topology`] constructors) or a zero
     /// `host_mem` for the capacity-derived variants.
-    pub fn resolve(&self, host_mem: u64, expander: Option<AddrRange>) -> Topology {
+    pub(crate) fn resolve(&self, host_mem: u64, expander: Option<AddrRange>) -> Topology {
         match self {
             TopologySpec::SingleHome => Topology::single(),
             TopologySpec::Interleaved { homes: 1, .. } => Topology::single(),

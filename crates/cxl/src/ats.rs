@@ -64,15 +64,6 @@ pub enum TranslationOutcome {
     },
 }
 
-impl TranslationOutcome {
-    /// Physical page base either way.
-    pub fn ppn(self) -> u64 {
-        match self {
-            TranslationOutcome::Hit { ppn } | TranslationOutcome::Miss { ppn } => ppn,
-        }
-    }
-}
-
 /// The device-side address translation cache.
 ///
 /// Translations are resolved through a caller-supplied lookup (the OS
@@ -85,7 +76,6 @@ pub struct Atc {
     order: Vec<u64>,
     hits: u64,
     misses: u64,
-    invalidations: u64,
 }
 
 impl Atc {
@@ -98,7 +88,6 @@ impl Atc {
             order: Vec::new(),
             hits: 0,
             misses: 0,
-            invalidations: 0,
         }
     }
 
@@ -138,24 +127,6 @@ impl Atc {
         (TranslationOutcome::Miss { ppn }, done)
     }
 
-    /// Invalidates the translation covering `va` (HMM/ATS invalidation
-    /// handshake, paper §III-C2). Returns whether an entry was dropped.
-    pub fn invalidate(&mut self, va: u64) -> bool {
-        let vpn = self.vpn(va);
-        self.invalidations += 1;
-        if let Some(pos) = self.order.iter().position(|&v| v == vpn) {
-            self.order.remove(pos);
-        }
-        self.entries.remove(&vpn).is_some()
-    }
-
-    /// Invalidates everything.
-    pub fn invalidate_all(&mut self) {
-        self.invalidations += self.entries.len() as u64;
-        self.entries.clear();
-        self.order.clear();
-    }
-
     /// Hit count.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -164,21 +135,6 @@ impl Atc {
     /// Miss count.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Invalidation count.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
-    }
-
-    /// Resident translations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the ATC is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -200,8 +156,7 @@ mod tests {
     fn miss_then_hit() {
         let mut a = atc();
         let (o1, t1) = a.translate(Tick::ZERO, 0x1234, |vpn| vpn * 4096 + (1 << 30));
-        assert!(matches!(o1, TranslationOutcome::Miss { .. }));
-        assert_eq!(o1.ppn(), 4096 + (1 << 30));
+        assert!(matches!(o1, TranslationOutcome::Miss { ppn } if ppn == 4096 + (1 << 30)));
         let (o2, t2) = a.translate(t1, 0x1567, |_| unreachable!("should hit"));
         assert!(matches!(o2, TranslationOutcome::Hit { .. }));
         assert!(t2 - t1 < t1, "hit should be much cheaper than miss");
@@ -218,31 +173,10 @@ mod tests {
         // Touch page 0 so page 1 is LRU.
         a.translate(Tick::ZERO, 0, |_| unreachable!());
         a.translate(Tick::ZERO, 4 * 4096, |v| v); // evicts page 1
-        assert_eq!(a.len(), 4);
+        assert_eq!(a.entries.len(), 4);
         let (o, _) = a.translate(Tick::ZERO, 4096, |v| v); // page 1 misses
         assert!(matches!(o, TranslationOutcome::Miss { .. }));
         let (o, _) = a.translate(Tick::ZERO, 0, |_| unreachable!());
         assert!(matches!(o, TranslationOutcome::Hit { .. }));
-    }
-
-    #[test]
-    fn invalidate_forces_rewalk() {
-        let mut a = atc();
-        a.translate(Tick::ZERO, 0x2000, |v| v);
-        assert!(a.invalidate(0x2000));
-        assert!(!a.invalidate(0x2000));
-        let (o, _) = a.translate(Tick::ZERO, 0x2000, |v| v);
-        assert!(matches!(o, TranslationOutcome::Miss { .. }));
-        assert_eq!(a.invalidations(), 2);
-    }
-
-    #[test]
-    fn invalidate_all_clears() {
-        let mut a = atc();
-        for page in 0..3u64 {
-            a.translate(Tick::ZERO, page * 4096, |v| v);
-        }
-        a.invalidate_all();
-        assert!(a.is_empty());
     }
 }

@@ -5,15 +5,11 @@
 //!   XPU plus the host IOMMU's page-walk cost (§III-C1).
 //! * [`mem_path`] — CXL.mem: host loads and stores to device-attached
 //!   memory, and the configuration of the expander the system builds.
-//! * [`flit`] — 68-byte flit accounting, which turns message mixes into
-//!   wire bytes.
 //!
 //! CXL.cache itself is the directory-MESI engine in `simcxl_coherence`.
 
 pub mod ats;
-pub mod flit;
 pub mod mem_path;
 
 pub use ats::{Atc, AtcConfig, IommuConfig, TranslationOutcome};
-pub use flit::FlitCounter;
 pub use mem_path::{CxlMemConfig, CxlMemPath};

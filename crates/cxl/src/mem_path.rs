@@ -44,7 +44,6 @@ pub struct CxlMemPath {
     cfg: CxlMemConfig,
     dram: DramModel,
     link: Link,
-    loads: u64,
     stores: u64,
 }
 
@@ -57,14 +56,12 @@ impl CxlMemPath {
             cfg,
             dram,
             link,
-            loads: 0,
             stores: 0,
         }
     }
 
     /// A host load from device memory: full round trip plus DRAM access.
     pub fn load(&mut self, now: Tick, addr: PhysAddr, bytes: u64) -> Tick {
-        self.loads += 1;
         let at_device = self.link.send(now, 16);
         let data_ready = self.dram.read(at_device, addr, bytes);
         data_ready + self.cfg.link_latency
@@ -74,7 +71,7 @@ impl CxlMemPath {
     /// retire at link serialization rate; only the first store in a burst
     /// exposes part of the hop while the store buffer fills. Returns the
     /// time the store retires from the requester's perspective.
-    pub fn store(&mut self, now: Tick, addr: PhysAddr, bytes: u64) -> Tick {
+    pub(crate) fn store(&mut self, now: Tick, addr: PhysAddr, bytes: u64) -> Tick {
         let first = self.stores == 0;
         self.stores += 1;
         let at_device = self.link.send(now, 16 + bytes);
@@ -105,21 +102,10 @@ impl CxlMemPath {
         (dev - host) / host
     }
 
-    /// Load count.
-    pub fn loads(&self) -> u64 {
-        self.loads
-    }
-
-    /// Store count.
-    pub fn stores(&self) -> u64 {
-        self.stores
-    }
-
     /// Resets the path to idle.
     pub fn reset(&mut self) {
         self.dram.reset();
         self.link.reset();
-        self.loads = 0;
         self.stores = 0;
     }
 }
@@ -133,7 +119,6 @@ mod tests {
         let mut p = CxlMemPath::new(CxlMemConfig::expander_default());
         let done = p.load(Tick::ZERO, PhysAddr::new(0x100), 64);
         assert!(done > Tick::from_ns(170), "expander load too fast: {done}");
-        assert_eq!(p.loads(), 1);
     }
 
     #[test]
@@ -167,6 +152,6 @@ mod tests {
         let mut p = CxlMemPath::new(CxlMemConfig::expander_default());
         p.store(Tick::ZERO, PhysAddr::new(0), 64);
         p.reset();
-        assert_eq!(p.stores(), 0);
+        assert_eq!(p.stores, 0);
     }
 }

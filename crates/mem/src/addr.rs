@@ -15,7 +15,7 @@ pub const CACHELINE_BYTES: u64 = 64;
 /// use simcxl_mem::PhysAddr;
 /// let a = PhysAddr::new(0x1234);
 /// assert_eq!(a.line().raw(), 0x1200);
-/// assert_eq!(a.line_offset(), 0x34);
+/// assert!(!a.is_line_aligned());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(u64);
@@ -37,7 +37,7 @@ impl PhysAddr {
     }
 
     /// Byte offset within the cacheline.
-    pub const fn line_offset(self) -> u64 {
+    pub(crate) const fn line_offset(self) -> u64 {
         self.0 & (CACHELINE_BYTES - 1)
     }
 
@@ -54,11 +54,6 @@ impl PhysAddr {
     pub fn page(self, page_size: u64) -> PhysAddr {
         debug_assert!(page_size.is_power_of_two());
         PhysAddr(self.0 & !(page_size - 1))
-    }
-
-    /// Checked addition of a byte offset.
-    pub fn checked_add(self, bytes: u64) -> Option<PhysAddr> {
-        self.0.checked_add(bytes).map(PhysAddr)
     }
 }
 
@@ -127,7 +122,7 @@ impl AddrRange {
     }
 
     /// One past the last address.
-    pub fn end(self) -> PhysAddr {
+    pub(crate) fn end(self) -> PhysAddr {
         self.base + self.size
     }
 
@@ -139,16 +134,6 @@ impl AddrRange {
     /// Whether two ranges share any address.
     pub fn overlaps(self, other: AddrRange) -> bool {
         self.base.raw() < other.end().raw() && other.base.raw() < self.end().raw()
-    }
-
-    /// Byte offset of `addr` from the range base.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is not inside the range.
-    pub fn offset_of(self, addr: PhysAddr) -> u64 {
-        assert!(self.contains(addr), "{addr} outside {self:?}");
-        addr - self.base
     }
 }
 
@@ -201,22 +186,13 @@ impl Interleave {
 
     /// The trivial single-target interleave (every address maps to 0).
     pub const fn single() -> Self {
-        // Mask 0 makes the shift irrelevant for `index_of`, but keep
-        // `stride()` reporting a value `new` itself would accept.
-        Interleave {
-            shift: CACHELINE_BYTES.trailing_zeros(),
-            mask: 0,
-        }
+        // Mask 0 maps every address to target 0, whatever the shift.
+        Interleave { shift: 0, mask: 0 }
     }
 
     /// Number of interleave targets.
     pub fn ways(&self) -> usize {
         self.mask as usize + 1
-    }
-
-    /// Byte stride between consecutive targets.
-    pub fn stride(&self) -> u64 {
-        1 << self.shift
     }
 
     /// Which target owns `addr`; always `< ways()`.
@@ -249,8 +225,8 @@ impl Interleave {
 /// // A 4:2:1:1 split over 4 KiB stripes: target 0 owns half the space.
 /// let wi = WeightedInterleave::new(&[4, 2, 1, 1], 4096);
 /// assert_eq!(wi.ways(), 4);
-/// assert_eq!(wi.period(), 8);
-/// // The repeating pattern spreads each target evenly:
+/// // The repeating pattern of 4 + 2 + 1 + 1 stripes spreads each
+/// // target evenly:
 /// let pat: Vec<usize> = (0..8).map(|s| wi.index_of(PhysAddr::new(s * 4096))).collect();
 /// assert_eq!(pat, [0, 1, 0, 2, 3, 0, 1, 0]);
 /// // Stripe 8 wraps back to the pattern start.
@@ -273,7 +249,7 @@ pub struct WeightedInterleave {
 impl WeightedInterleave {
     /// Longest stripe pattern `new` accepts; weights are gcd-reduced
     /// first, so hitting this means genuinely incommensurate weights.
-    pub const MAX_PERIOD: u64 = 1 << 16;
+    pub(crate) const MAX_PERIOD: u64 = 1 << 16;
 
     /// Interleaves across `weights.len()` targets with the given byte
     /// `stride`, giving target `i` a `weights[i] / sum(weights)` share
@@ -284,7 +260,7 @@ impl WeightedInterleave {
     ///
     /// Panics if `weights` is empty or contains a zero, if `stride` is
     /// not a power of two of at least one cacheline, or if the reduced
-    /// weights sum beyond [`MAX_PERIOD`](Self::MAX_PERIOD).
+    /// weights sum beyond `MAX_PERIOD`.
     pub fn new(weights: &[u64], stride: u64) -> Self {
         assert!(!weights.is_empty(), "weighted interleave needs targets");
         assert!(
@@ -338,17 +314,6 @@ impl WeightedInterleave {
     /// Number of interleave targets.
     pub fn ways(&self) -> usize {
         self.weights.len()
-    }
-
-    /// Byte stride of one interleave slot.
-    pub fn stride(&self) -> u64 {
-        1 << self.shift
-    }
-
-    /// Length of the repeating stripe pattern (the gcd-reduced weight
-    /// sum).
-    pub fn period(&self) -> u64 {
-        self.pattern.len() as u64
     }
 
     /// The gcd-reduced weight vector.
@@ -421,7 +386,6 @@ mod tests {
         assert!(r.overlaps(s));
         let t = AddrRange::new(PhysAddr::new(0x2000), 0x1000);
         assert!(!r.overlaps(t));
-        assert_eq!(r.offset_of(PhysAddr::new(0x1800)), 0x800);
     }
 
     #[test]
@@ -441,7 +405,7 @@ mod tests {
             );
         }
         assert_eq!(il.ways(), 8);
-        assert_eq!(il.stride(), 256);
+        assert_eq!(1 << il.shift, 256);
     }
 
     #[test]
@@ -466,7 +430,7 @@ mod tests {
     #[test]
     fn weighted_matches_div_mod_pattern_reference() {
         let wi = WeightedInterleave::new(&[4, 2, 1, 1], 256);
-        assert_eq!(wi.period(), 8);
+        assert_eq!(wi.pattern.len(), 8);
         let pattern = [0usize, 1, 0, 2, 3, 0, 1, 0];
         for addr in [0u64, 64, 255, 256, 4096, 12345 * 64, u64::MAX - 63] {
             let stripe = addr / 256;
@@ -490,7 +454,7 @@ mod tests {
             let il = Interleave::new(ways, 4096);
             let wi = WeightedInterleave::new(&vec![3u64; ways], 4096);
             assert!(wi.is_uniform());
-            assert_eq!(wi.period(), ways as u64);
+            assert_eq!(wi.pattern.len(), ways);
             for addr in [0u64, 4095, 4096, 9 * 4096 + 17, u64::MAX] {
                 assert_eq!(
                     wi.index_of(PhysAddr::new(addr)),
@@ -507,14 +471,14 @@ mod tests {
         let b = WeightedInterleave::new(&[1, 2, 1], 64);
         assert_eq!(a, b);
         assert_eq!(a.weights(), &[1, 2, 1]);
-        assert_eq!(a.period(), 4);
+        assert_eq!(a.pattern.len(), 4);
     }
 
     #[test]
     fn weighted_non_pow2_period_uses_modulo_path() {
         // Weights [2, 1]: period 3, pattern [0, 1, 0].
         let wi = WeightedInterleave::new(&[2, 1], 64);
-        assert_eq!(wi.period(), 3);
+        assert_eq!(wi.pattern.len(), 3);
         let seq: Vec<usize> = (0..6).map(|s| wi.index_of(PhysAddr::new(s * 64))).collect();
         assert_eq!(seq, [0, 1, 0, 0, 1, 0]);
     }
@@ -554,6 +518,5 @@ mod tests {
         let a = PhysAddr::new(100);
         assert_eq!((a + 28).raw(), 128);
         assert_eq!(PhysAddr::new(128) - a, 28);
-        assert_eq!(a.checked_add(u64::MAX), None);
     }
 }

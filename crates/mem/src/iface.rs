@@ -36,14 +36,15 @@ struct Region {
 /// use sim_core::Tick;
 ///
 /// let mut mi = MemoryInterface::new();
-/// let host = mi.add_memory(
+/// mi.add_memory(
 ///     AddrRange::new(PhysAddr::new(0), 1 << 30),
 ///     DramConfig::preset(DramKind::Ddr5_4400),
 ///     Tick::ZERO,
 /// );
-/// assert_eq!(mi.route(PhysAddr::new(0x1000)), Some(host));
 /// let done = mi.read(Tick::ZERO, PhysAddr::new(0x1000), 64).unwrap();
 /// assert!(done > Tick::ZERO);
+/// // No memory claims the address: a bus error.
+/// assert_eq!(mi.read(Tick::ZERO, PhysAddr::new(1 << 31), 64), None);
 /// ```
 pub struct MemoryInterface {
     regions: Vec<Region>,
@@ -86,21 +87,11 @@ impl MemoryInterface {
     }
 
     /// Which memory services `addr`, if any.
-    pub fn route(&self, addr: PhysAddr) -> Option<MemoryId> {
+    pub(crate) fn route(&self, addr: PhysAddr) -> Option<MemoryId> {
         self.regions
             .iter()
             .position(|r| r.range.contains(addr))
             .map(MemoryId)
-    }
-
-    /// Number of attached memories.
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Whether no memories are attached.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
     }
 
     /// Reads `bytes` at `addr`; returns completion time, or `None` if no
@@ -179,7 +170,6 @@ mod tests {
         assert_eq!(mi.route(PhysAddr::new(0)), Some(host));
         assert_eq!(mi.route(PhysAddr::new((1 << 30) + 5)), Some(dev));
         assert_eq!(mi.route(PhysAddr::new(1 << 31)), None);
-        assert_eq!(mi.len(), 2);
     }
 
     #[test]
@@ -216,7 +206,6 @@ mod tests {
         mi.read(Tick::ZERO, PhysAddr::new(0), 64);
         mi.write(Tick::ZERO, PhysAddr::new(64), 64);
         assert_eq!(mi.memory(host).reads(), 1);
-        assert_eq!(mi.memory(host).writes(), 1);
         mi.reset();
         assert_eq!(mi.memory(host).reads(), 0);
     }

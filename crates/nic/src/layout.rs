@@ -53,25 +53,17 @@ impl Heap {
     }
 }
 
-/// The serializer's read stream over one message: each entry is one
-/// 64 B line fetch, in traversal order.
-pub fn serialize_read_stream(msg: &MessageValue, base: PhysAddr, seed: u64) -> Vec<PhysAddr> {
-    let mut lines = Vec::new();
-    StreamArena::new(base, seed).stream_into(msg, &mut lines);
-    lines
-}
-
 /// A persistent heap arena: successive messages allocate consecutively
 /// (as in a per-connection response buffer), so stride streams continue
 /// across message boundaries while nested objects still scatter.
 #[derive(Debug)]
-pub struct StreamArena {
+pub(crate) struct StreamArena {
     heap: Heap,
 }
 
 impl StreamArena {
     /// Creates an arena at `base` with fragmentation seed `seed`.
-    pub fn new(base: PhysAddr, seed: u64) -> Self {
+    pub(crate) fn new(base: PhysAddr, seed: u64) -> Self {
         StreamArena {
             heap: Heap {
                 base: base.raw(),
@@ -83,7 +75,7 @@ impl StreamArena {
 
     /// Lays out one message and replaces `lines` with its line-granular
     /// read stream (the caller's buffer is reused across messages).
-    pub fn stream_into(&mut self, msg: &MessageValue, lines: &mut Vec<PhysAddr>) {
+    pub(crate) fn stream_into(&mut self, msg: &MessageValue, lines: &mut Vec<PhysAddr>) {
         self.heap.align_slot();
         lines.clear();
         place(msg, &mut self.heap, lines);
@@ -132,26 +124,34 @@ fn place(msg: &MessageValue, heap: &mut Heap, lines: &mut Vec<PhysAddr>) {
     }
 }
 
-/// Fraction of stream entries that repeat or continue the previous
-/// line (+64 B): a cheap sequentiality metric.
-pub fn sequentiality(stream: &[PhysAddr]) -> f64 {
-    if stream.len() < 2 {
-        return 1.0;
-    }
-    let seq = stream
-        .windows(2)
-        .filter(|w| {
-            let d = w[1].raw() as i64 - w[0].raw() as i64;
-            (0..=CACHELINE_BYTES as i64).contains(&d)
-        })
-        .count();
-    seq as f64 / (stream.len() - 1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use protowire::{genbench, BenchId};
+
+    /// The serializer's read stream over one message: each entry is one
+    /// 64 B line fetch, in traversal order.
+    fn serialize_read_stream(msg: &MessageValue, base: PhysAddr, seed: u64) -> Vec<PhysAddr> {
+        let mut lines = Vec::new();
+        StreamArena::new(base, seed).stream_into(msg, &mut lines);
+        lines
+    }
+
+    /// Fraction of stream entries that repeat or continue the previous
+    /// line (+64 B): a cheap sequentiality metric.
+    fn sequentiality(stream: &[PhysAddr]) -> f64 {
+        if stream.len() < 2 {
+            return 1.0;
+        }
+        let seq = stream
+            .windows(2)
+            .filter(|w| {
+                let d = w[1].raw() as i64 - w[0].raw() as i64;
+                (0..=CACHELINE_BYTES as i64).contains(&d)
+            })
+            .count();
+        seq as f64 / (stream.len() - 1) as f64
+    }
 
     fn stream_for(id: BenchId) -> (Vec<PhysAddr>, usize) {
         let w = genbench::generate(id, 3);

@@ -30,10 +30,10 @@ pub struct PrefetchStats {
 
 /// A table of stride streams with confidence counters.
 ///
-/// Call [`access`](Self::access) with each demand line address; the
-/// prefetcher returns the lines to prefetch (prefetch degree 2 once a
-/// stream is confident). Track usefulness with
-/// [`was_prefetched`](Self::was_prefetched).
+/// Call `access` with each demand line address; the prefetcher returns
+/// the lines to prefetch (prefetch degree 2 once a stream is
+/// confident). [`coverage`](Self::coverage) reports how many accesses
+/// a prefetch covered.
 #[derive(Debug)]
 pub struct MultiStridePrefetcher {
     streams: Vec<Option<Stream>>,
@@ -53,7 +53,7 @@ impl MultiStridePrefetcher {
     /// # Panics
     ///
     /// Panics if `streams` or `degree` is zero.
-    pub fn new(streams: usize, degree: usize) -> Self {
+    pub(crate) fn new(streams: usize, degree: usize) -> Self {
         assert!(streams > 0 && degree > 0);
         MultiStridePrefetcher {
             streams: vec![None; streams],
@@ -66,13 +66,13 @@ impl MultiStridePrefetcher {
     }
 
     /// Default configuration: 8 streams, degree 2.
-    pub fn rpc_default() -> Self {
+    pub(crate) fn rpc_default() -> Self {
         Self::new(8, 2)
     }
 
     /// Observes a demand access to the line containing `addr`; returns
     /// line addresses to prefetch.
-    pub fn access(&mut self, addr: PhysAddr) -> Vec<PhysAddr> {
+    pub(crate) fn access(&mut self, addr: PhysAddr) -> Vec<PhysAddr> {
         let line = addr.line().raw();
         self.tick += 1;
         self.stats.accesses += 1;
@@ -151,12 +151,6 @@ impl MultiStridePrefetcher {
         out
     }
 
-    /// Whether `addr`'s line was covered by an issued (still-unused)
-    /// prefetch. Unlike [`access`](Self::access), this does not consume the entry.
-    pub fn was_prefetched(&self, addr: PhysAddr) -> bool {
-        self.issued.contains(&addr.line().raw())
-    }
-
     /// Counters.
     pub fn stats(&self) -> PrefetchStats {
         self.stats
@@ -225,7 +219,7 @@ mod tests {
         for i in 0..8u64 {
             p.access(PhysAddr::new(i * 64));
         }
-        assert!(p.was_prefetched(PhysAddr::new(8 * 64)));
+        assert!(p.issued.contains(&(8 * 64)));
         // Consuming it via access counts a hit and clears it.
         p.access(PhysAddr::new(8 * 64));
         assert!(p.stats().hits > 0);

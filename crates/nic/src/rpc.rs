@@ -95,7 +95,7 @@ pub struct RpcTiming {
 
 impl RpcTiming {
     /// Calibrated for the 1.5 GHz ASIC configuration used in Fig. 18.
-    pub fn asic_1500mhz() -> Self {
+    pub(crate) fn asic_1500mhz() -> Self {
         RpcTiming {
             per_field: Tick::from_ps(8_000),
             per_byte_ps: 333,
@@ -124,13 +124,6 @@ pub struct RpcResult {
     pub wire_bytes: u64,
 }
 
-impl RpcResult {
-    /// Mean time per message.
-    pub fn per_message(&self) -> Tick {
-        self.total / self.messages as u64
-    }
-}
-
 /// The RPC offload model: owns the DMA engine (PCIe paths) and a
 /// coherence engine with an HMC (CXL paths).
 #[derive(Debug)]
@@ -143,7 +136,7 @@ pub struct RpcNicModel {
 
 impl RpcNicModel {
     /// Creates a model.
-    pub fn new(
+    pub(crate) fn new(
         timing: RpcTiming,
         dma: DmaConfig,
         hmc_cfg: CacheConfig,
@@ -492,6 +485,6 @@ mod tests {
         let r = m.deserialize_rpcnic(&w);
         assert_eq!(r.messages, w.messages.len());
         assert_eq!(r.wire_bytes, w.total_wire_bytes());
-        assert!(r.per_message() > Tick::ZERO);
+        assert!(r.total > Tick::ZERO);
     }
 }

@@ -69,7 +69,7 @@ impl DmaConfig {
 impl PcieLinkConfig {
     /// Caps the link's serialization rate at the device datapath rate
     /// (GB/s); used when the endpoint, not the slot, bounds throughput.
-    pub fn with_engine_gbps(mut self, gbps: f64) -> Self {
+    pub(crate) fn with_engine_gbps(mut self, gbps: f64) -> Self {
         assert!(gbps > 0.0, "engine rate must be positive");
         self.engine_bytes_per_sec = Some(gbps * 1e9);
         self
@@ -93,8 +93,6 @@ pub struct DmaEngine {
     link: PcieLink,
     engine_free: Tick,
     ordered_free: Tick,
-    transfers: u64,
-    payload_bytes: u64,
 }
 
 impl DmaEngine {
@@ -106,14 +104,7 @@ impl DmaEngine {
             link,
             engine_free: Tick::ZERO,
             ordered_free: Tick::ZERO,
-            transfers: 0,
-            payload_bytes: 0,
         }
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &DmaConfig {
-        &self.cfg
     }
 
     /// Launches one transfer of `bytes`; returns its completion time.
@@ -123,8 +114,6 @@ impl DmaEngine {
         assert!(bytes > 0, "empty DMA transfer");
         let start = now.max(self.engine_free);
         self.engine_free = start + self.cfg.desc_gap;
-        self.transfers += 1;
-        self.payload_bytes += bytes;
         self.link.send(start + self.cfg.setup_latency, bytes)
     }
 
@@ -164,23 +153,11 @@ impl DmaEngine {
         (bytes * count) as f64 / last.as_secs_f64()
     }
 
-    /// Transfers launched so far.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Payload bytes moved so far.
-    pub fn payload_bytes(&self) -> u64 {
-        self.payload_bytes
-    }
-
     /// Resets the engine and its link to idle.
     pub fn reset(&mut self) {
         self.link.reset();
         self.engine_free = Tick::ZERO;
         self.ordered_free = Tick::ZERO;
-        self.transfers = 0;
-        self.payload_bytes = 0;
     }
 }
 
@@ -261,7 +238,6 @@ mod tests {
         let mut dma = DmaEngine::new(DmaConfig::fpga_400mhz());
         dma.transfer(Tick::ZERO, 4096);
         dma.reset();
-        assert_eq!(dma.transfers(), 0);
         let done = dma.transfer(Tick::ZERO, 64);
         assert!(done < Tick::from_us(3));
     }

@@ -15,7 +15,7 @@ pub enum PcieGen {
 
 impl PcieGen {
     /// Raw per-lane rate in GT/s.
-    pub fn gt_per_sec(self) -> f64 {
+    pub(crate) fn gt_per_sec(self) -> f64 {
         match self {
             PcieGen::Gen3 => 8.0,
             PcieGen::Gen4 => 16.0,
@@ -24,7 +24,7 @@ impl PcieGen {
     }
 
     /// Effective per-lane payload bytes/s after 128b/130b encoding.
-    pub fn lane_bytes_per_sec(self) -> f64 {
+    pub(crate) fn lane_bytes_per_sec(self) -> f64 {
         self.gt_per_sec() * 1e9 / 8.0 * (128.0 / 130.0)
     }
 }
@@ -49,7 +49,7 @@ pub struct PcieLinkConfig {
 
 impl PcieLinkConfig {
     /// The paper's testbed slot: Gen5 ×16.
-    pub fn gen5_x16() -> Self {
+    pub(crate) fn gen5_x16() -> Self {
         PcieLinkConfig {
             gen: PcieGen::Gen5,
             lanes: 16,
@@ -70,7 +70,7 @@ impl PcieLinkConfig {
 
     /// Raw link bandwidth in bytes/s (the slot rate, or the endpoint
     /// datapath rate when that is the bottleneck).
-    pub fn raw_bytes_per_sec(&self) -> f64 {
+    pub(crate) fn raw_bytes_per_sec(&self) -> f64 {
         let slot = self.gen.lane_bytes_per_sec() * self.lanes as f64;
         match self.engine_bytes_per_sec {
             Some(engine) => engine.min(slot),
@@ -79,18 +79,13 @@ impl PcieLinkConfig {
     }
 
     /// Number of TLPs needed for `bytes` of payload.
-    pub fn tlp_count(&self, bytes: u64) -> u64 {
+    pub(crate) fn tlp_count(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.max_payload).max(1)
     }
 
     /// Total wire bytes (payload + per-TLP overhead) for `bytes`.
-    pub fn wire_bytes(&self, bytes: u64) -> u64 {
+    pub(crate) fn wire_bytes(&self, bytes: u64) -> u64 {
         bytes + self.tlp_count(bytes) * self.tlp_overhead
-    }
-
-    /// Payload efficiency for a message of `bytes`.
-    pub fn efficiency(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.wire_bytes(bytes) as f64
     }
 }
 
@@ -101,9 +96,10 @@ impl PcieLinkConfig {
 /// use simcxl_pcie::{PcieLink, PcieLinkConfig};
 /// use sim_core::Tick;
 ///
-/// let mut link = PcieLink::new(PcieLinkConfig::gen5_x16());
+/// let config = PcieLinkConfig::gen5_x8();
+/// let mut link = PcieLink::new(config);
 /// let arrival = link.send(Tick::ZERO, 64);
-/// assert!(arrival > link.config().latency);
+/// assert!(arrival > config.latency); // plus serialization
 /// ```
 #[derive(Debug, Clone)]
 pub struct PcieLink {
@@ -119,11 +115,6 @@ impl PcieLink {
             bytes_per_sec: config.raw_bytes_per_sec(),
         });
         PcieLink { config, inner }
-    }
-
-    /// The link configuration.
-    pub fn config(&self) -> &PcieLinkConfig {
-        &self.config
     }
 
     /// Sends a `bytes`-payload message; returns arrival at the far end.
@@ -155,18 +146,8 @@ impl PcieLink {
         self.inner.send(at, self.config.wire_bytes(bytes))
     }
 
-    /// When the channel next becomes free.
-    pub fn free_at(&self) -> Tick {
-        self.inner.free_at()
-    }
-
-    /// Total payload+overhead bytes sent.
-    pub fn wire_bytes_sent(&self) -> u64 {
-        self.inner.bytes_sent()
-    }
-
     /// Resets occupancy and counters.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.inner.reset();
     }
 }
@@ -194,32 +175,25 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_improves_with_size() {
-        let c = PcieLinkConfig::gen5_x16();
-        assert!(c.efficiency(64) < c.efficiency(512));
-        assert!(c.efficiency(512) > 0.89 && c.efficiency(512) < 0.90);
-    }
-
-    #[test]
     fn send_includes_latency_and_serialization() {
         let mut l = PcieLink::new(PcieLinkConfig::gen5_x16());
         let a1 = l.send(Tick::ZERO, 4096);
         let a2 = l.send(Tick::ZERO, 4096);
         assert!(a2 > a1);
-        assert!(a1 > l.config().latency);
+        assert!(a1 > l.config.latency);
     }
 
     #[test]
     fn retries_inflate_latency_and_wire_bytes() {
         let clean = {
             let mut l = PcieLink::new(PcieLinkConfig::gen5_x16());
-            (l.send(Tick::ZERO, 4096), l.wire_bytes_sent())
+            (l.send(Tick::ZERO, 4096), l.inner.bytes_sent())
         };
         let mut l = PcieLink::new(PcieLinkConfig::gen5_x16());
         let a = l.send_with_retries(Tick::ZERO, 4096, 2, Tick::from_ns(100));
         // Three serializations + 100ns + 200ns of backoff.
         assert!(a >= clean.0 + Tick::from_ns(300));
-        assert_eq!(l.wire_bytes_sent(), 3 * clean.1);
+        assert_eq!(l.inner.bytes_sent(), 3 * clean.1);
         // Zero retries degenerates to a plain send.
         let mut l2 = PcieLink::new(PcieLinkConfig::gen5_x16());
         assert_eq!(

@@ -8,9 +8,8 @@ use crate::wire::{put_tag, put_varint, zigzag, WireType};
 ///
 /// # Panics
 ///
-/// Panics if the message does not conform to the schema (callers
-/// validate with [`MessageValue::conforms`]; the generator always
-/// produces conforming messages).
+/// Panics if the message does not conform to the schema (the
+/// generator always produces conforming messages).
 pub fn encode(schema: &Schema, msg: &MessageValue) -> Vec<u8> {
     debug_assert!(
         msg.conforms(schema, schema.root()),

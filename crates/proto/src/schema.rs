@@ -34,7 +34,7 @@ pub enum FieldType {
 
 impl FieldType {
     /// Whether the type is length-delimited on the wire.
-    pub fn is_length_delimited(self) -> bool {
+    pub(crate) fn is_length_delimited(self) -> bool {
         matches!(
             self,
             FieldType::Str | FieldType::Bytes | FieldType::Message(_)
@@ -66,7 +66,7 @@ pub struct MessageDescriptor {
 
 impl MessageDescriptor {
     /// Finds a field by number.
-    pub fn field(&self, number: u32) -> Option<&FieldDescriptor> {
+    pub(crate) fn field(&self, number: u32) -> Option<&FieldDescriptor> {
         self.fields.iter().find(|f| f.number == number)
     }
 }
@@ -105,47 +105,13 @@ impl Schema {
     }
 
     /// The root message type.
-    pub fn root(&self) -> MessageRef {
+    pub(crate) fn root(&self) -> MessageRef {
         self.root
     }
 
     /// Resolves a message reference.
-    pub fn message(&self, r: MessageRef) -> &MessageDescriptor {
+    pub(crate) fn message(&self, r: MessageRef) -> &MessageDescriptor {
         &self.messages[r.0]
-    }
-
-    /// Number of message types.
-    pub fn len(&self) -> usize {
-        self.messages.len()
-    }
-
-    /// Whether the schema is empty (never true for a valid schema).
-    pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
-    }
-
-    /// Maximum static nesting depth reachable from the root (cycles are
-    /// counted once).
-    pub fn max_depth(&self) -> usize {
-        fn depth(s: &Schema, r: MessageRef, seen: &mut Vec<bool>) -> usize {
-            if seen[r.0] {
-                return 0;
-            }
-            seen[r.0] = true;
-            let d = s
-                .message(r)
-                .fields
-                .iter()
-                .filter_map(|f| match f.ty {
-                    FieldType::Message(n) => Some(depth(s, n, seen)),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            seen[r.0] = false;
-            1 + d
-        }
-        depth(self, self.root, &mut vec![false; self.messages.len()])
     }
 }
 
@@ -172,58 +138,6 @@ impl fmt::Display for Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn leaf() -> MessageDescriptor {
-        MessageDescriptor {
-            name: "Leaf".into(),
-            fields: vec![FieldDescriptor {
-                number: 1,
-                name: "v".into(),
-                ty: FieldType::UInt64,
-                repeated: false,
-            }],
-        }
-    }
-
-    #[test]
-    fn depth_of_nested_schema() {
-        let root = MessageDescriptor {
-            name: "Root".into(),
-            fields: vec![
-                FieldDescriptor {
-                    number: 1,
-                    name: "leaf".into(),
-                    ty: FieldType::Message(MessageRef(1)),
-                    repeated: false,
-                },
-                FieldDescriptor {
-                    number: 2,
-                    name: "s".into(),
-                    ty: FieldType::Str,
-                    repeated: false,
-                },
-            ],
-        };
-        let s = Schema::new(vec![root, leaf()], MessageRef(0));
-        assert_eq!(s.max_depth(), 2);
-        assert_eq!(s.len(), 2);
-        assert!(s.message(MessageRef(0)).field(2).unwrap().ty == FieldType::Str);
-    }
-
-    #[test]
-    fn recursive_schema_terminates() {
-        let m = MessageDescriptor {
-            name: "Node".into(),
-            fields: vec![FieldDescriptor {
-                number: 1,
-                name: "next".into(),
-                ty: FieldType::Message(MessageRef(0)),
-                repeated: false,
-            }],
-        };
-        let s = Schema::new(vec![m], MessageRef(0));
-        assert_eq!(s.max_depth(), 1);
-    }
 
     #[test]
     #[should_panic]

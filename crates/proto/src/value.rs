@@ -26,7 +26,7 @@ pub enum Value {
 
 impl Value {
     /// Whether the value matches a field type of `ty`.
-    pub fn matches(&self, ty: FieldType) -> bool {
+    pub(crate) fn matches(&self, ty: FieldType) -> bool {
         matches!(
             (self, ty),
             (Value::SInt64(_), FieldType::SInt64)
@@ -41,7 +41,7 @@ impl Value {
     }
 
     /// In-memory payload size in bytes (drives copy-cost models).
-    pub fn payload_bytes(&self) -> u64 {
+    pub(crate) fn payload_bytes(&self) -> u64 {
         match self {
             Value::SInt64(_) | Value::UInt64(_) | Value::Fixed64(_) => 8,
             Value::Fixed32(_) => 4,
@@ -92,7 +92,7 @@ impl MessageValue {
     }
 
     /// Maximum nesting depth of this instance.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         1 + self
             .fields
             .iter()
@@ -110,7 +110,7 @@ impl MessageValue {
     }
 
     /// Checks the instance against a schema type.
-    pub fn conforms(&self, schema: &Schema, r: MessageRef) -> bool {
+    pub(crate) fn conforms(&self, schema: &Schema, r: MessageRef) -> bool {
         let desc = schema.message(r);
         self.fields.iter().all(|(n, v)| {
             desc.field(*n).is_some_and(|f| {

@@ -2,7 +2,7 @@
 
 /// Wire types from the protobuf encoding spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireType {
+pub(crate) enum WireType {
     /// Varint-encoded scalar.
     Varint = 0,
     /// Little-endian 8-byte scalar.
@@ -15,7 +15,7 @@ pub enum WireType {
 
 impl WireType {
     /// Decodes the low three bits of a tag.
-    pub fn from_bits(bits: u64) -> Option<WireType> {
+    pub(crate) fn from_bits(bits: u64) -> Option<WireType> {
         match bits {
             0 => Some(WireType::Varint),
             1 => Some(WireType::Fixed64),
@@ -52,29 +52,29 @@ pub fn get_varint(buf: &[u8]) -> Option<(u64, usize)> {
 }
 
 /// Zigzag-encodes a signed integer (sint32/sint64).
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Reverses [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Encodes a field tag.
-pub fn put_tag(buf: &mut Vec<u8>, field: u32, wt: WireType) {
+pub(crate) fn put_tag(buf: &mut Vec<u8>, field: u32, wt: WireType) {
     put_varint(buf, ((field as u64) << 3) | wt as u64);
 }
 
 /// Decodes a field tag; returns `(field, wire_type, bytes_consumed)`.
-pub fn get_tag(buf: &[u8]) -> Option<(u32, WireType, usize)> {
+pub(crate) fn get_tag(buf: &[u8]) -> Option<(u32, WireType, usize)> {
     let (raw, n) = get_varint(buf)?;
     let wt = WireType::from_bits(raw & 7)?;
     Some(((raw >> 3) as u32, wt, n))
 }
 
 /// Size in bytes of a varint encoding of `v`.
-pub fn varint_len(v: u64) -> usize {
+pub(crate) fn varint_len(v: u64) -> usize {
     if v == 0 {
         1
     } else {

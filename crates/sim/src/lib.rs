@@ -31,5 +31,5 @@ pub use event::EventQueue;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use link::{Link, LinkConfig};
 pub use rng::{mix64, SimRng};
-pub use stats::{mape, Counter, Summary};
+pub use stats::{mape, Summary};
 pub use time::{Tick, Window};

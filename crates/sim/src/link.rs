@@ -61,7 +61,6 @@ pub struct Link {
     config: LinkConfig,
     free_at: Tick,
     bytes_sent: u64,
-    messages_sent: u64,
     /// Memo of recent `(bytes, serialize_time)` results: traffic uses a
     /// handful of fixed message sizes, and the float division in
     /// [`LinkConfig::serialize_time`] is hot-loop-visible. `u64::MAX`
@@ -76,7 +75,6 @@ impl Link {
             config,
             free_at: Tick::ZERO,
             bytes_sent: 0,
-            messages_sent: 0,
             ser_memo: [(u64::MAX, Tick::ZERO); 2],
         }
     }
@@ -99,11 +97,6 @@ impl Link {
         t
     }
 
-    /// The link configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
-    }
-
     /// Sends `bytes` at `now`, returning the arrival time at the far end.
     ///
     /// The channel is occupied for the serialization time; propagation
@@ -113,13 +106,7 @@ impl Link {
         let ser = self.serialize_time_memo(bytes);
         self.free_at = start + ser;
         self.bytes_sent += bytes;
-        self.messages_sent += 1;
         self.free_at + self.config.latency
-    }
-
-    /// When the channel next becomes free.
-    pub fn free_at(&self) -> Tick {
-        self.free_at
     }
 
     /// Total bytes pushed through the link.
@@ -127,16 +114,10 @@ impl Link {
         self.bytes_sent
     }
 
-    /// Total messages pushed through the link.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-
     /// Resets occupancy and counters (for reusing a link across trials).
     pub fn reset(&mut self) {
         self.free_at = Tick::ZERO;
         self.bytes_sent = 0;
-        self.messages_sent = 0;
     }
 }
 
@@ -149,7 +130,7 @@ mod tests {
         let mut l = Link::new(LinkConfig::latency_only(Tick::from_ns(100)));
         assert_eq!(l.send(Tick::ZERO, 1 << 20), Tick::from_ns(100));
         assert_eq!(l.send(Tick::ZERO, 1 << 20), Tick::from_ns(100));
-        assert_eq!(l.free_at(), Tick::ZERO);
+        assert_eq!(l.free_at, Tick::ZERO);
     }
 
     #[test]
@@ -159,7 +140,6 @@ mod tests {
         assert_eq!(l.send(Tick::ZERO, 1000), Tick::from_us(1));
         assert_eq!(l.send(Tick::ZERO, 1000), Tick::from_us(2));
         assert_eq!(l.bytes_sent(), 2000);
-        assert_eq!(l.messages_sent(), 2);
     }
 
     #[test]
@@ -184,7 +164,7 @@ mod tests {
         let mut l = Link::new(LinkConfig::with_gbps(Tick::ZERO, 1.0));
         l.send(Tick::ZERO, 5000);
         l.reset();
-        assert_eq!(l.free_at(), Tick::ZERO);
+        assert_eq!(l.free_at, Tick::ZERO);
         assert_eq!(l.bytes_sent(), 0);
     }
 }

@@ -93,19 +93,6 @@ impl SimRng {
         let s: f64 = (0..12).map(|_| self.inner.gen::<f64>()).sum();
         mean + (s - 6.0) * stddev
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
-            slice.swap(i, j);
-        }
-    }
-
-    /// Access the underlying [`rand::Rng`] implementation.
-    pub fn raw(&mut self) -> &mut impl Rng {
-        &mut self.inner
-    }
 }
 
 #[cfg(test)]
@@ -164,16 +151,6 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| r.normal(100.0, 10.0)).sum::<f64>() / n as f64;
         assert!((mean - 100.0).abs() < 0.5, "mean drifted: {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

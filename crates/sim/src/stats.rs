@@ -1,32 +1,6 @@
-//! Measurement helpers: counters, sample summaries, percentiles, MAPE.
+//! Measurement helpers: sample summaries, percentiles, MAPE.
 
 use crate::Tick;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
 
 /// A collection of duration samples supporting exact percentile queries.
 ///
@@ -216,14 +190,6 @@ mod reference;
 mod tests {
     use super::reference::Reference;
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     fn summary_of(ticks: &[Tick]) -> Summary {
         let mut s = Summary::new();

@@ -58,11 +58,6 @@ impl Tick {
         self.0
     }
 
-    /// Time in nanoseconds, rounded down.
-    pub const fn as_ns(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Time in nanoseconds as a float (for reporting).
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
@@ -81,21 +76,6 @@ impl Tick {
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: Tick) -> Tick {
         Tick(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, rhs: Tick) -> Option<Tick> {
-        self.0.checked_add(rhs.0).map(Tick)
-    }
-
-    /// The later of two times.
-    pub fn max(self, rhs: Tick) -> Tick {
-        Tick(self.0.max(rhs.0))
-    }
-
-    /// The earlier of two times.
-    pub fn min(self, rhs: Tick) -> Tick {
-        Tick(self.0.min(rhs.0))
     }
 }
 
@@ -169,7 +149,6 @@ impl fmt::Display for Tick {
 /// let w = Window::new(Tick::from_ns(10), Tick::from_ns(20));
 /// assert!(w.contains(Tick::from_ns(10)));
 /// assert!(!w.contains(Tick::from_ns(20)));
-/// assert_eq!(w.duration(), Tick::from_ns(10));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Window {
@@ -196,11 +175,6 @@ impl Window {
         t >= self.from && t < self.until
     }
 
-    /// The window's length.
-    pub fn duration(&self) -> Tick {
-        self.until - self.from
-    }
-
     /// Whether the two windows share any tick.
     pub fn overlaps(&self, other: &Window) -> bool {
         self.from < other.until && other.from < self.until
@@ -220,8 +194,7 @@ mod tests {
     #[test]
     fn tick_conversions_round_trip() {
         assert_eq!(Tick::from_ns(3).as_ps(), 3_000);
-        assert_eq!(Tick::from_us(2).as_ns(), 2_000);
-        assert_eq!(Tick::from_ps(1_500).as_ns(), 1);
+        assert_eq!(Tick::from_us(2).as_ps(), 2_000_000);
         assert!((Tick::from_ps(1_500).as_ns_f64() - 1.5).abs() < 1e-12);
     }
 
@@ -263,7 +236,6 @@ mod tests {
         assert!(w.contains(Tick::from_ns(5)));
         assert!(w.contains(Tick::from_ps(8_999)));
         assert!(!w.contains(Tick::from_ns(9)));
-        assert_eq!(w.duration(), Tick::from_ns(4));
     }
 
     #[test]

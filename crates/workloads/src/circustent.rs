@@ -162,23 +162,23 @@ pub fn generate(pattern: CtPattern, cfg: CtConfig) -> Vec<RaoOp> {
     ops
 }
 
-/// Fraction of ops whose 64 B line was touched by one of the previous
-/// `window` ops (a proxy for HMC hit rate; diagnostic).
-pub fn line_locality(ops: &[RaoOp], window: usize) -> f64 {
-    let mut hits = 0usize;
-    for (i, op) in ops.iter().enumerate() {
-        let line = op.addr.line();
-        let lo = i.saturating_sub(window);
-        if ops[lo..i].iter().any(|p| p.addr.line() == line) {
-            hits += 1;
-        }
-    }
-    hits as f64 / ops.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of ops whose 64 B line was touched by one of the previous
+    /// `window` ops (a proxy for HMC hit rate; diagnostic).
+    fn line_locality(ops: &[RaoOp], window: usize) -> f64 {
+        let mut hits = 0usize;
+        for (i, op) in ops.iter().enumerate() {
+            let line = op.addr.line();
+            let lo = i.saturating_sub(window);
+            if ops[lo..i].iter().any(|p| p.addr.line() == line) {
+                hits += 1;
+            }
+        }
+        hits as f64 / ops.len() as f64
+    }
 
     fn cfg() -> CtConfig {
         CtConfig {

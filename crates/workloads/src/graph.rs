@@ -31,24 +31,19 @@ impl CsrGraph {
     }
 
     /// Vertex count.
-    pub fn nodes(&self) -> u32 {
+    pub(crate) fn nodes(&self) -> u32 {
         self.offsets.len() as u32 - 1
     }
 
-    /// Edge count.
-    pub fn edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Out-neighbours of `v`.
-    pub fn neighbours(&self, v: u32) -> &[u32] {
+    pub(crate) fn neighbours(&self, v: u32) -> &[u32] {
         let lo = self.offsets[v as usize] as usize;
         let hi = self.offsets[v as usize + 1] as usize;
         &self.edges[lo..hi]
     }
 
     /// BFS from `root`; returns the visit order.
-    pub fn bfs(&self, root: u32) -> Vec<u32> {
+    pub(crate) fn bfs(&self, root: u32) -> Vec<u32> {
         let mut seen = vec![false; self.nodes() as usize];
         let mut queue = std::collections::VecDeque::from([root]);
         let mut order = Vec::new();
@@ -89,7 +84,7 @@ mod tests {
     fn geometry() {
         let g = CsrGraph::random(100, 4, 9);
         assert_eq!(g.nodes(), 100);
-        assert_eq!(g.edges(), 400);
+        assert_eq!(g.edges.len(), 400);
         assert_eq!(g.neighbours(0).len(), 4);
     }
 

@@ -110,16 +110,6 @@ impl RefStore {
             }
         }
     }
-
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -171,6 +161,6 @@ mod tests {
         assert_eq!(s.apply(KvOp::Get { key: 1 }), None);
         s.apply(KvOp::Put { key: 1, value: 42 });
         assert_eq!(s.apply(KvOp::Get { key: 1 }), Some(42));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.map.len(), 1);
     }
 }

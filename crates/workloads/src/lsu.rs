@@ -54,7 +54,7 @@ pub enum LsuPattern {
 }
 
 /// Generates a request stream at `base` with the given operation.
-pub fn generate(base: PhysAddr, op: LsuOp, pattern: LsuPattern) -> Vec<LsuRequest> {
+pub(crate) fn generate(base: PhysAddr, op: LsuOp, pattern: LsuPattern) -> Vec<LsuRequest> {
     match pattern {
         LsuPattern::Sequential { count } => (0..count as u64)
             .map(|i| LsuRequest {

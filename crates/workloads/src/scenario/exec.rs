@@ -129,7 +129,10 @@ fn fold_checksum(acc: u64, c: &Completion) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics on an invalid spec (see [`ScenarioSpec::validate`]) or if
+/// Panics on an invalid spec (an empty phase list, zero
+/// clients/keys/buckets, an agent count outside `1..=62`, a zero
+/// closed-loop concurrency, a `get_ratio` outside `[0, 1]`, a scan of
+/// zero keys, or phases with zero total arrival weight) or if
 /// `agents.len() != spec.agents`.
 pub fn run(
     spec: &ScenarioSpec,

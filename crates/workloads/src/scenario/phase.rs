@@ -59,7 +59,7 @@ pub enum Traffic {
 
 impl Traffic {
     /// Mean relative rate over the phase (the phase's share weight).
-    pub fn mean_rate(&self) -> f64 {
+    pub(crate) fn mean_rate(&self) -> f64 {
         match *self {
             Traffic::Ramp { from, to } => (from + to) / 2.0,
             Traffic::Diurnal { low, high, .. } => (low + high) / 2.0,
@@ -70,7 +70,7 @@ impl Traffic {
     }
 
     /// Hot-set override this shape imposes on key selection.
-    pub fn hot(&self) -> Option<(u64, f64)> {
+    pub(crate) fn hot(&self) -> Option<(u64, f64)> {
         match *self {
             Traffic::HotKey {
                 hot_keys,
@@ -84,7 +84,7 @@ impl Traffic {
     /// Offset (from the phase start) of arrival `j` of `n`, for a phase
     /// of duration `d` — the inverse of the shape's normalized
     /// cumulative rate at quantile `(j + ½) / n`.
-    pub fn arrival_offset(&self, j: u64, n: u64, d: Tick) -> Tick {
+    pub(crate) fn arrival_offset(&self, j: u64, n: u64, d: Tick) -> Tick {
         assert!(j < n, "arrival index out of range");
         let frac = (j as f64 + 0.5) / n as f64;
         let d_ns = d.as_ns_f64();

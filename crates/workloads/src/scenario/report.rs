@@ -73,7 +73,7 @@ pub(crate) struct PhaseAcc {
 }
 
 impl PhaseAcc {
-    pub fn new(name: String) -> Self {
+    pub(crate) fn new(name: String) -> Self {
         PhaseAcc {
             name,
             sessions: 0,
@@ -83,13 +83,13 @@ impl PhaseAcc {
         }
     }
 
-    pub fn record(&mut self, issued: Tick, done: Tick) {
+    pub(crate) fn record(&mut self, issued: Tick, done: Tick) {
         self.latencies.record_ns(done.saturating_sub(issued));
         self.first_issue = self.first_issue.min(issued);
         self.last_done = self.last_done.max(done);
     }
 
-    pub fn finish(mut self) -> PhaseReport {
+    pub(crate) fn finish(mut self) -> PhaseReport {
         let accesses = self.latencies.len() as u64;
         let (span, p50, p95, p99, mean) = if accesses > 0 {
             (

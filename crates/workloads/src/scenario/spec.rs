@@ -75,9 +75,6 @@ pub enum MachineSpec {
 ///         PhaseSpec::new("storm", Tick::from_us(100), Traffic::Burst { rate: 3.0 }),
 ///     ],
 /// };
-/// // Population splits across phases by mean-rate x duration:
-/// // ramp 300us@1.0 vs burst 100us@3.0 -> an even split.
-/// assert_eq!(spec.phase_quotas(), vec![5_000, 5_000]);
 /// assert_eq!(spec.total_duration(), Tick::from_us(400));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +109,7 @@ impl ScenarioSpec {
     /// agent count outside the engine's peer budget, a zero
     /// closed-loop concurrency, a `get_ratio` outside `[0, 1]`, or a
     /// scan of zero keys.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             !self.phases.is_empty(),
             "a scenario needs at least one phase"
@@ -144,7 +141,7 @@ impl ScenarioSpec {
     /// Splits the client population across phases in proportion to each
     /// phase's `mean_rate × duration`; rounding remainders land on the
     /// last nonzero-weight phase so the quotas sum to `clients` exactly.
-    pub fn phase_quotas(&self) -> Vec<u64> {
+    pub(crate) fn phase_quotas(&self) -> Vec<u64> {
         let weights: Vec<f64> = self
             .phases
             .iter()
