@@ -345,7 +345,7 @@ fn headline(f13: &Fig13Row, f15: &Fig15Row) -> Json {
 fn shapes() -> Json {
     let mut rows = Vec::new();
     for id in BenchId::all() {
-        let w = genbench::generate(id, 7);
+        let w = genbench::generate(id, genbench::FIG18_SEED);
         let bench = id.label();
         let shape = [
             ("messages", w.messages.len() as f64),
@@ -409,7 +409,7 @@ fn prefetch() -> Json {
     let mut rows = Vec::new();
     let mut gains = Vec::new();
     for id in BenchId::all() {
-        let mut w = genbench::generate(id, 7);
+        let mut w = genbench::generate(id, genbench::FIG18_SEED);
         w.messages.truncate(300);
         let mut m = RpcNicModel::asic();
         let mut us = |mode| m.serialize(&w, mode).total.as_us_f64();

@@ -815,8 +815,10 @@ impl ProtocolEngine {
 
     /// Installs a line only at the LLC of the home owning `addr`
     /// (CLDEMOTE analog: data demoted from a core cache into the LLC).
+    /// A line the directory already tracks keeps its entry, so a cache
+    /// that holds it stays its owner or sharer.
     pub fn preload_llc(&mut self, addr: PhysAddr) {
-        self.home_of_mut(addr).preload(addr, DirEntry::default());
+        self.home_of_mut(addr).preload_update(addr, |_| {});
     }
 
     /// Whether all agents are idle and the event queue is empty.
@@ -1167,6 +1169,18 @@ mod tests {
         eng.preload_llc(PhysAddr::new(0x9000));
         let c = one(&mut eng, hmc, MemOp::Load, 0x9000, Tick::ZERO);
         assert_eq!(c.level, HitLevel::Llc);
+    }
+
+    #[test]
+    fn preload_llc_keeps_a_cached_lines_directory_entry() {
+        let (mut eng, _, hmc) = engine();
+        let a = PhysAddr::new(0x9040);
+        eng.preload(hmc, a, LineState::Exclusive);
+        eng.preload_llc(a);
+        assert_eq!(eng.dir_entry(a).unwrap().owner, Some(hmc));
+        eng.verify_invariants();
+        let c = one(&mut eng, hmc, MemOp::Load, a.raw(), Tick::ZERO);
+        assert_eq!(c.level, HitLevel::Local);
     }
 
     #[test]

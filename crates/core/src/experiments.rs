@@ -284,7 +284,7 @@ pub fn fig18(limit: usize) -> Vec<Fig18Row> {
     BenchId::all()
         .into_iter()
         .map(|id| {
-            let mut w = genbench::generate(id, 7);
+            let mut w = genbench::generate(id, genbench::FIG18_SEED);
             if limit > 0 {
                 w.messages.truncate(limit);
             }

@@ -30,10 +30,10 @@ pub struct PrefetchStats {
 
 /// A table of stride streams with confidence counters.
 ///
-/// Call `access` with each demand line address; the prefetcher returns
-/// the lines to prefetch (prefetch degree 2 once a stream is
-/// confident). [`coverage`](Self::coverage) reports how many accesses
-/// a prefetch covered.
+/// Call `access` with each demand line address; the prefetcher fills
+/// the caller's buffer with the lines to prefetch (prefetch degree 2
+/// once a stream is confident). [`coverage`](Self::coverage) reports
+/// how many accesses a prefetch covered.
 #[derive(Debug)]
 pub struct MultiStridePrefetcher {
     streams: Vec<Option<Stream>>,
@@ -70,9 +70,11 @@ impl MultiStridePrefetcher {
         Self::new(8, 2)
     }
 
-    /// Observes a demand access to the line containing `addr`; returns
-    /// line addresses to prefetch.
-    pub(crate) fn access(&mut self, addr: PhysAddr) -> Vec<PhysAddr> {
+    /// Observes a demand access to the line containing `addr`; replaces
+    /// the contents of `out` with the line addresses to prefetch, so one
+    /// buffer serves a whole run.
+    pub(crate) fn access(&mut self, addr: PhysAddr, out: &mut Vec<PhysAddr>) {
+        out.clear();
         let line = addr.line().raw();
         self.tick += 1;
         self.stats.accesses += 1;
@@ -82,7 +84,7 @@ impl MultiStridePrefetcher {
         // Back-to-back accesses to the same line train nothing (the
         // table records distinct miss addresses).
         if self.last_line == Some(line) {
-            return Vec::new();
+            return;
         }
         self.last_line = Some(line);
 
@@ -102,7 +104,6 @@ impl MultiStridePrefetcher {
                 }
             }
         }
-        let mut out = Vec::new();
         match matched {
             Some(i) => {
                 let s = self.streams[i].as_mut().expect("matched");
@@ -148,7 +149,6 @@ impl MultiStridePrefetcher {
                 });
             }
         }
-        out
     }
 
     /// Counters.
@@ -169,12 +169,18 @@ impl MultiStridePrefetcher {
 mod tests {
     use super::*;
 
+    /// Feeds `addrs` to `p` as demand accesses through one reused buffer.
+    fn feed(p: &mut MultiStridePrefetcher, addrs: impl IntoIterator<Item = u64>) {
+        let mut out = Vec::new();
+        for a in addrs {
+            p.access(PhysAddr::new(a), &mut out);
+        }
+    }
+
     #[test]
     fn sequential_stream_gets_covered() {
         let mut p = MultiStridePrefetcher::rpc_default();
-        for i in 0..64u64 {
-            p.access(PhysAddr::new(i * 64));
-        }
+        feed(&mut p, (0..64u64).map(|i| i * 64));
         let cov = p.coverage();
         assert!(cov > 0.8, "sequential coverage {cov}");
     }
@@ -182,9 +188,7 @@ mod tests {
     #[test]
     fn large_stride_stream_gets_covered() {
         let mut p = MultiStridePrefetcher::rpc_default();
-        for i in 0..64u64 {
-            p.access(PhysAddr::new(i * 256));
-        }
+        feed(&mut p, (0..64u64).map(|i| i * 256));
         assert!(
             p.coverage() > 0.7,
             "stride-4-line coverage {}",
@@ -196,32 +200,42 @@ mod tests {
     fn random_stream_is_not_covered() {
         let mut p = MultiStridePrefetcher::rpc_default();
         let mut x = 12345u64;
-        for _ in 0..256 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            p.access(PhysAddr::new((x >> 20) & !63));
-        }
+        feed(
+            &mut p,
+            (0..256).map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 20) & !63
+            }),
+        );
         assert!(p.coverage() < 0.1, "random coverage {}", p.coverage());
     }
 
     #[test]
     fn interleaved_streams_both_tracked() {
         let mut p = MultiStridePrefetcher::new(4, 2);
-        for i in 0..64u64 {
-            p.access(PhysAddr::new(0x10_0000 + i * 64));
-            p.access(PhysAddr::new(0x80_0000 + i * 128));
-        }
+        feed(
+            &mut p,
+            (0..64u64).flat_map(|i| [0x10_0000 + i * 64, 0x80_0000 + i * 128]),
+        );
         assert!(p.coverage() > 0.6, "two-stream coverage {}", p.coverage());
     }
 
     #[test]
     fn was_prefetched_reflects_outstanding() {
         let mut p = MultiStridePrefetcher::rpc_default();
+        let mut out = Vec::new();
         for i in 0..8u64 {
-            p.access(PhysAddr::new(i * 64));
+            p.access(PhysAddr::new(i * 64), &mut out);
         }
+        // The last confident access asked for the next line beyond the
+        // degree-2 window (the one before it was already issued).
+        assert_eq!(out, [PhysAddr::new(9 * 64)]);
         assert!(p.issued.contains(&(8 * 64)));
-        // Consuming it via access counts a hit and clears it.
-        p.access(PhysAddr::new(8 * 64));
+        // Consuming it via access counts a hit and clears it; a repeat
+        // of the same line trains nothing and leaves the buffer empty.
+        p.access(PhysAddr::new(8 * 64), &mut out);
         assert!(p.stats().hits > 0);
+        p.access(PhysAddr::new(8 * 64), &mut out);
+        assert!(out.is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! RPC (de)serialization offload engines (paper §V-B, Figs. 10/11).
 //!
-//! Four designs are modelled, all driven by the *actual wire bytes and
-//! object graphs* of a [`BenchWorkload`]:
+//! Four designs are modelled, all driven by the *wire lengths and object
+//! graphs* of a [`BenchWorkload`]:
 //!
 //! * **RpcNIC** (PCIe baseline \[49\]): the HW deserializer decodes
 //!   field-by-field into a 4 KB on-chip temp buffer, flushing each
@@ -21,8 +21,9 @@
 
 use crate::layout::StreamArena;
 use crate::prefetch::MultiStridePrefetcher;
-use protowire::{decode, encode, BenchWorkload, MessageValue};
-use sim_core::{FxHashMap, Tick};
+use protowire::encode::encoded_len;
+use protowire::{BenchWorkload, MessageValue};
+use sim_core::Tick;
 use simcxl_coherence::prelude::*;
 use simcxl_mem::{PhysAddr, CACHELINE_BYTES};
 use simcxl_pcie::{DmaConfig, DmaEngine};
@@ -177,17 +178,16 @@ impl RpcNicModel {
             + Tick::from_ps(self.timing.per_byte_ps * wire_len)
     }
 
-    /// RpcNIC deserialization (Fig. 10 steps 1–3). Functionally decodes
-    /// every message and checks it round-trips.
+    /// RpcNIC deserialization (Fig. 10 steps 1–3). Byte costs follow
+    /// each message's wire length, `encoded_len`; that every message
+    /// Fig. 18 times encodes to exactly that length and decodes back to
+    /// itself is checked by `genbench::tests::all_benches_round_trip`.
     pub fn deserialize_rpcnic(&mut self, w: &BenchWorkload) -> RpcResult {
         self.dma.reset();
         let mut now = Tick::ZERO;
         let mut wire_total = 0u64;
         for msg in &w.messages {
-            let bytes = encode(&w.schema, msg);
-            let back = decode(&w.schema, &bytes).expect("wire round trip");
-            debug_assert_eq!(back, *msg);
-            let wire = bytes.len() as u64;
+            let wire = encoded_len(msg) as u64;
             wire_total += wire;
             // Field-by-field decode, staged through the temp buffer.
             now += self.decode_cost(msg, wire) + Tick::from_ps(self.timing.copy_per_byte_ps * wire);
@@ -213,7 +213,8 @@ impl RpcNicModel {
 
     /// CXL-NIC deserialization (Fig. 11 steps 1–3): decode at the same
     /// datapath rate, pushing each completed 64 B line into the LLC via
-    /// NC-P through the coherence engine.
+    /// NC-P through the coherence engine. Wire lengths come from
+    /// `encoded_len`, as in [`deserialize_rpcnic`](Self::deserialize_rpcnic).
     pub fn deserialize_cxl(&mut self, w: &BenchWorkload) -> RpcResult {
         let mut eng = ProtocolEngine::builder()
             .home(self.home_cfg.clone())
@@ -223,10 +224,7 @@ impl RpcNicModel {
         let mut wire_total = 0u64;
         let mut dst = 0x4000_0000u64; // RX ring region in host memory
         for msg in &w.messages {
-            let bytes = encode(&w.schema, msg);
-            let back = decode(&w.schema, &bytes).expect("wire round trip");
-            debug_assert_eq!(back, *msg);
-            let wire = bytes.len() as u64;
+            let wire = encoded_len(msg) as u64;
             wire_total += wire;
             let decode_time = self.decode_cost(msg, wire);
             let lines = wire.div_ceil(CACHELINE_BYTES).max(1);
@@ -241,7 +239,13 @@ impl RpcNicModel {
             now += decode_time;
             now = now.max(eng.now());
         }
-        eng.run_to_quiescence();
+        // Drain tick by tick through one buffer: the posted pushes'
+        // completions are not needed, so none is kept.
+        let mut comps = Vec::new();
+        while eng.run_next(&mut comps) {}
+        if cfg!(debug_assertions) {
+            eng.verify_invariants();
+        }
         let total = now.max(eng.now());
         RpcResult {
             total,
@@ -250,8 +254,9 @@ impl RpcNicModel {
         }
     }
 
-    /// Serialization under any [`SerializeMode`]. Functionally encodes
-    /// every message (the encoded length drives byte costs).
+    /// Serialization under any [`SerializeMode`]. Byte costs follow each
+    /// message's `encoded_len`, which `genbench::tests::
+    /// all_benches_round_trip` checks against the real encoding.
     pub fn serialize(&mut self, w: &BenchWorkload, mode: SerializeMode) -> RpcResult {
         match mode {
             SerializeMode::RpcNic => self.serialize_rpcnic(w),
@@ -266,7 +271,7 @@ impl RpcNicModel {
         let mut now = Tick::ZERO;
         let mut wire_total = 0u64;
         for msg in &w.messages {
-            let wire = protowire::encode::encoded_len(msg) as u64;
+            let wire = encoded_len(msg) as u64;
             wire_total += wire;
             let fields = msg.total_fields();
             // CPU-side DSA gather of noncontiguous fields into the
@@ -294,7 +299,7 @@ impl RpcNicModel {
         let mut now = Tick::ZERO;
         let mut wire_total = 0u64;
         for msg in &w.messages {
-            let wire = protowire::encode::encoded_len(msg) as u64;
+            let wire = encoded_len(msg) as u64;
             wire_total += wire;
             // Objects already sit in device memory: encode reads local
             // DRAM at stream bandwidth.
@@ -320,16 +325,18 @@ impl RpcNicModel {
         // Paces demand fetches; `now` is the encode pipeline, which
         // overlaps with fetching subsequent lines.
         let mut issue_clock = Tick::ZERO;
-        // Completions drained from the engine, keyed by request
-        // (prefetch completions are dropped on the floor).
-        let mut completed: FxHashMap<ReqId, Tick> = FxHashMap::default();
+        // Demand-load completions drained from the engine and not yet
+        // awaited (prefetch completions are dropped on the floor). At
+        // most `fetch_queue` loads are live, so a linear scan suffices.
+        let mut completed: Vec<(ReqId, Tick)> = Vec::new();
         let mut comps = Vec::new();
+        let mut targets = Vec::new();
         let mut arena = StreamArena::new(PhysAddr::new(0x1_0000_0000), 1);
         let mut stream = Vec::new();
         // In-flight demand fetches; drained by the end of every message.
         let mut pending: VecDeque<ReqId> = VecDeque::new();
         for msg in &w.messages {
-            let wire = protowire::encode::encoded_len(msg) as u64;
+            let wire = encoded_len(msg) as u64;
             wire_total += wire;
             arena.stream_into(msg, &mut stream);
             // Full encode work for the message, spread across its lines
@@ -349,7 +356,8 @@ impl RpcNicModel {
                     let line = stream[next];
                     issue_clock = issue_clock.max(eng.now());
                     if prefetch {
-                        for target in pf.access(line) {
+                        pf.access(line, &mut targets);
+                        for &target in &targets {
                             eng.issue(hmc, MemOp::Prefetch, target, issue_clock);
                         }
                     }
@@ -360,15 +368,15 @@ impl RpcNicModel {
                 // Wait for the oldest demand fetch.
                 let want = pending.pop_front().expect("pipeline nonempty");
                 let done = loop {
-                    if let Some(d) = completed.remove(&want) {
-                        break d;
+                    if let Some(i) = completed.iter().position(|&(r, _)| r == want) {
+                        break completed.swap_remove(i).1;
                     }
                     if !eng.run_next(&mut comps) {
                         break eng.now();
                     }
                     for c in &comps {
                         if matches!(c.op, MemOp::Load) {
-                            completed.insert(c.req, c.done);
+                            completed.push((c.req, c.done));
                         }
                     }
                 };
@@ -377,6 +385,10 @@ impl RpcNicModel {
                 now = now.max(done) + per_line_encode;
                 fetched += 1;
             }
+        }
+        if cfg!(debug_assertions) {
+            while eng.run_next(&mut comps) {}
+            eng.verify_invariants();
         }
         RpcResult {
             total: now,
@@ -392,7 +404,7 @@ mod tests {
     use protowire::{genbench, BenchId};
 
     fn small(id: BenchId) -> BenchWorkload {
-        let mut w = genbench::generate(id, 7);
+        let mut w = genbench::generate(id, genbench::FIG18_SEED);
         w.messages.truncate(40);
         w
     }
@@ -476,6 +488,23 @@ mod tests {
             "prefetch gain flat {g_flat:.3} !> nested {g_nested:.3}"
         );
         assert!(g_nested >= 0.0, "prefetch must not hurt: {g_nested:.3}");
+    }
+
+    /// Every path over every full Fig. 18 workload. The CXL paths check
+    /// the engine's coherence invariants at their end in debug builds,
+    /// so this covers the whole of Fig. 18's protocol traffic.
+    #[test]
+    fn full_fig18_workloads_keep_engine_invariants() {
+        for id in BenchId::all() {
+            let w = genbench::generate(id, genbench::FIG18_SEED);
+            let mut m = RpcNicModel::asic();
+            let mut results = vec![m.deserialize_rpcnic(&w), m.deserialize_cxl(&w)];
+            results.extend(SerializeMode::all().map(|mode| m.serialize(&w, mode)));
+            for r in results {
+                assert_eq!(r.messages, w.messages.len(), "{id:?}");
+                assert_eq!(r.wire_bytes, w.total_wire_bytes(), "{id:?}");
+            }
+        }
     }
 
     #[test]

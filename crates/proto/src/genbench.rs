@@ -206,7 +206,10 @@ fn build_schema(p: Profile) -> Schema {
 }
 
 fn build_message(p: Profile, level: u32, rng: &mut SimRng) -> MessageValue {
-    let mut m = MessageValue::new();
+    let children = if level + 1 < p.depth { p.children } else { 0 };
+    let mut m = MessageValue {
+        fields: Vec::with_capacity((p.scalars + p.strings + children) as usize),
+    };
     let mut number = 1;
     for s in 0..p.scalars {
         let v = rng.below(1 << 20);
@@ -222,19 +225,21 @@ fn build_message(p: Profile, level: u32, rng: &mut SimRng) -> MessageValue {
     }
     for _ in 0..p.strings {
         let len = rng.range(p.string_len.0, p.string_len.1 + 1) as usize;
-        let s: String = (0..len)
-            .map(|_| char::from(b'a' + (rng.below(26) as u8)))
-            .collect();
+        let mut s = String::with_capacity(len);
+        s.extend((0..len).map(|_| char::from(b'a' + (rng.below(26) as u8))));
         m.push(number, Value::Str(s));
         number += 1;
     }
-    if level + 1 < p.depth {
-        for _ in 0..p.children {
-            m.push(number, Value::Message(build_message(p, level + 1, rng)));
-        }
+    for _ in 0..children {
+        m.push(number, Value::Message(build_message(p, level + 1, rng)));
     }
     m
 }
+
+/// The seed of every workload Fig. 18 times. `all_benches_round_trip`
+/// checks the wire encoding of exactly these messages, which is what
+/// lets the RPC models take wire lengths from `encoded_len`.
+pub const FIG18_SEED: u64 = 7;
 
 /// Generates the workload for `id` from `seed` (deterministic).
 pub fn generate(id: BenchId, seed: u64) -> BenchWorkload {
@@ -257,13 +262,13 @@ mod tests {
     use crate::encode::encoded_len;
     use crate::{decode, encode};
 
-    /// Every message Fig. 18 times (seed 7, all six benches at full
-    /// size) conforms, survives an encode/decode round trip, and encodes
-    /// to exactly `encoded_len` bytes.
+    /// Every message Fig. 18 times ([`FIG18_SEED`], all six benches at
+    /// full size) conforms, survives an encode/decode round trip, and
+    /// encodes to exactly `encoded_len` bytes.
     #[test]
     fn all_benches_round_trip() {
         for id in BenchId::all() {
-            let w = generate(id, 7);
+            let w = generate(id, FIG18_SEED);
             for (i, m) in w.messages.iter().enumerate() {
                 assert!(
                     m.conforms(&w.schema, w.schema.root()),

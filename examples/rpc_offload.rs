@@ -2,8 +2,12 @@
 //!
 //! Runs one HyperProtoBench-like workload through the PCIe RpcNIC
 //! baseline and the three CXL-NIC designs, printing the Fig. 18-style
-//! comparison. Every message is really encoded/decoded through the
-//! protobuf wire format — the timing models ride on actual bytes.
+//! comparison, and checks the paper's orderings: CXL deserialization
+//! beats RpcNIC, every CXL serializer beats RpcNIC, and CXL.mem is the
+//! fastest serializer. The timing models ride on each message's wire
+//! length and object graph; `genbench::tests::all_benches_round_trip`
+//! checks that these messages really encode to that length and decode
+//! back to themselves.
 //!
 //! Run with: `cargo run --example rpc_offload [bench0..bench5]`
 
@@ -17,7 +21,7 @@ fn main() {
         .find(|b| b.label().eq_ignore_ascii_case(&which))
         .unwrap_or(BenchId::Bench3);
 
-    let mut w = genbench::generate(id, 7);
+    let mut w = genbench::generate(id, genbench::FIG18_SEED);
     w.messages.truncate(400);
     println!(
         "{}: {} messages, mean {:.0} wire bytes, mean depth {:.1}\n",
@@ -38,11 +42,34 @@ fn main() {
         d_cxl.total.as_us_f64(),
         d_rpc.total.as_us_f64() / d_cxl.total.as_us_f64()
     );
+    assert!(
+        d_cxl.total < d_rpc.total,
+        "CXL deserialization {} did not beat RpcNIC {}",
+        d_cxl.total,
+        d_rpc.total
+    );
 
     println!("\nserialization (response path):");
-    let base = model.serialize(&w, SerializeMode::RpcNic).total.as_us_f64();
-    for mode in SerializeMode::all() {
-        let t = model.serialize(&w, mode).total.as_us_f64();
-        println!("  {:28} {t:8.1} us  ({:.2}x)", mode.label(), base / t);
+    let times = SerializeMode::all().map(|mode| (mode, model.serialize(&w, mode).total));
+    let base = times[0].1;
+    for (mode, t) in times {
+        let t_us = t.as_us_f64();
+        println!(
+            "  {:28} {t_us:8.1} us  ({:.2}x)",
+            mode.label(),
+            base.as_us_f64() / t_us
+        );
+        if mode != SerializeMode::RpcNic {
+            assert!(t < base, "{} {t} did not beat RpcNIC {base}", mode.label());
+        }
     }
+    let (fastest, _) = times
+        .into_iter()
+        .min_by_key(|&(_, t)| t)
+        .expect("four modes");
+    assert_eq!(
+        fastest,
+        SerializeMode::CxlMem,
+        "CXL.mem is not the fastest serializer"
+    );
 }
