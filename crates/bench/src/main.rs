@@ -2,35 +2,33 @@
 //! paper's figures among them.
 //!
 //! ```text
-//! simcxl-report [<suite>|all] [--json] [--summary [--github]] [--check-determinism]
+//! simcxl-report [<suite>|all] [--json | --check-determinism [--github]]
 //! ```
 //!
 //! A `<suite>` is any entry of `simcxl_bench::report::SUITES`; `all`
 //! (the default) means every suite. Naming one runs its full workload
 //! and prints its report; `--json` also writes the committed report
 //! file. The suite's in-process gates are asserted before anything is
-//! printed.
+//! printed. The committed `BENCH_<suite>.json` is itself the report's
+//! summary: read it with `cat`.
 //!
-//! Two modes work on one suite, or on every suite with `all`:
+//! `--check-determinism` regenerates each full report in-process,
+//! checks its pinned checksums, and requires the committed file to be
+//! the regeneration byte for byte, naming the first differing line.
+//! Every failing suite is listed, not just the first. Status lines go
+//! to stderr; `--github` prints each regenerated report's markdown
+//! digest to stdout, which CI appends to `$GITHUB_STEP_SUMMARY`.
 //!
-//! * `--summary` prints each committed report's sections whole; with
-//!   `--github` it prints the markdown digest CI appends to
-//!   `$GITHUB_STEP_SUMMARY`.
-//! * `--check-determinism` regenerates each full report in-process,
-//!   checks its pinned checksums, and compares the whole committed file
-//!   with the regeneration, naming the first differing dotted path.
-//!   Every failing suite is listed, not just the first.
-//!
-//! At most one suite may be named, `--github` needs `--summary`, and
-//! `--json` combines with neither mode; anything else is a usage error.
+//! At most one suite may be named, `--github` needs
+//! `--check-determinism`, and `--json` does not combine with it;
+//! anything else is a usage error.
 //!
 //! Exit codes: 0 on success, 1 on a determinism failure, 2 on a usage
 //! error or an unreadable report.
 
 use simcxl_bench::report::{self, SUITES};
 
-const USAGE: &str = "usage: simcxl-report [SUITE|all] [--json] \
-                     [--summary [--github]] [--check-determinism]";
+const USAGE: &str = "usage: simcxl-report [SUITE|all] [--json | --check-determinism [--github]]";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
@@ -38,12 +36,11 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
-    let (mut json, mut summary, mut github, mut check) = (false, false, false, false);
+    let (mut json, mut github, mut check) = (false, false, false);
     let mut arg = None;
     for a in std::env::args().skip(1) {
         match a.as_str() {
             "--json" => json = true,
-            "--summary" => summary = true,
             "--github" => github = true,
             "--check-determinism" => check = true,
             flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag}")),
@@ -51,11 +48,11 @@ fn main() {
             _ => arg = Some(a),
         }
     }
-    if github && !summary {
-        usage_error("--github needs --summary");
+    if github && !check {
+        usage_error("--github needs --check-determinism");
     }
-    if json && (summary || check) {
-        usage_error("--json writes a fresh report; it does not combine with a gate mode");
+    if json && check {
+        usage_error("--json writes a fresh report; it does not combine with --check-determinism");
     }
     let arg = arg.unwrap_or_else(|| "all".to_owned());
     let suites: Vec<_> = if arg == "all" {
@@ -66,7 +63,7 @@ fn main() {
             None => usage_error(&format!("unknown suite {arg:?}")),
         }
     };
-    if !(summary || check) {
+    if !check {
         for suite in suites {
             let report = if json {
                 suite
@@ -79,26 +76,27 @@ fn main() {
         }
         return;
     }
+    // Every committed file is read before any suite runs, so a missing
+    // one fails at once.
+    let committed: Vec<String> = suites
+        .iter()
+        .map(|suite| {
+            suite.committed().unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            })
+        })
+        .collect();
     // `all` aggregates: every suite is checked and every failure
     // reported, so a drift in one suite cannot mask another.
     let mut failures = Vec::new();
-    for suite in suites {
-        let committed = suite.load().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        if summary {
-            if github {
-                print!("{}", suite.github_summary(&committed));
-            } else {
-                print!("{}", suite.summary(&committed));
-            }
+    for (suite, committed) in suites.into_iter().zip(&committed) {
+        let regenerated = suite.report(false);
+        if github {
+            print!("{}", suite.github_summary(&regenerated));
         }
-        if !check {
-            continue;
-        }
-        match suite.check_committed(&committed, &suite.report(false)) {
-            Ok(msg) => println!("determinism ok [{}]: {msg}", suite.name),
+        match suite.check_committed(committed, &regenerated) {
+            Ok(msg) => eprintln!("determinism ok [{}]: {msg}", suite.name),
             Err(e) => failures.push(format!("{}: {e}", suite.name)),
         }
     }

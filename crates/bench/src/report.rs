@@ -1,16 +1,16 @@
 //! One report framework for the five bench suites: the [`Suite`] table,
-//! a small std-only [`Json`] value with a writer, a parser and a tree
-//! diff, and the generic write / summary / GitHub-digest /
-//! determinism-check code behind `simcxl-report`.
+//! a small std-only [`Json`] value and its writer, and the generic
+//! write / GitHub-digest / determinism-check code behind `simcxl-report`.
 //!
 //! A suite is data: its name, schema and report file, a `run` that
 //! executes the workload (asserting the suite's in-process gates) and
 //! returns the report body, its pinned completion-stream checksums, and
 //! the columns of its GitHub digest. Every report field is a
-//! deterministic function of the code, so the committed file is itself
-//! the specification: [`Suite::check_committed`] fails when a pinned
-//! `checksum` differs from its pin, or when any field of the committed
-//! report differs from a fresh regeneration.
+//! deterministic function of the code and the committed file is exactly
+//! the writer's output, so the file is itself the specification:
+//! [`Suite::check_committed`] fails when a pinned `checksum` of a fresh
+//! regeneration differs from its pin, or when the committed file differs
+//! from the regeneration in any byte.
 
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
@@ -82,30 +82,14 @@ impl Suite {
         Ok(report)
     }
 
-    /// Reads and parses the committed report file.
+    /// The committed report file's text.
     ///
     /// # Errors
     ///
-    /// A message naming the file when it cannot be read or parsed.
-    pub fn load(&self) -> Result<Json, String> {
+    /// A message naming the file when it cannot be read.
+    pub fn committed(&self) -> Result<String, String> {
         let path = self.path();
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
-    }
-
-    /// The human-oriented summary: the schema line, then every section
-    /// (object-valued top-level member) whole.
-    pub fn summary(&self, report: &Json) -> String {
-        let mut out = format!(
-            "schema {} ({} mode)\n",
-            text(report, "schema"),
-            text(report, "mode")
-        );
-        for (name, section) in sections(report) {
-            let _ = writeln!(out, "\"{name}\": {section}");
-        }
-        out
+        std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))
     }
 
     /// The GitHub-flavored markdown digest CI appends to
@@ -138,76 +122,73 @@ impl Suite {
         out
     }
 
-    /// Checks every pinned checksum against the pin for the report's
-    /// mode. Returns a one-line confirmation.
+    /// The gate `simcxl-report --check-determinism` runs: every pinned
+    /// `checksum` of the `regenerated` report equals its pin for the
+    /// report's mode, and the `committed` file is the regenerated
+    /// report's writer output byte for byte. A moved checksum means a
+    /// completion stream changed; any other difference means a counter,
+    /// percentile or trajectory moved, or the committed file is stale or
+    /// was edited by hand.
     ///
     /// # Errors
     ///
-    /// A description of the first drifted pin, or of a missing mode,
-    /// section or checksum, or of a checksum that is not `0x` plus hex.
-    pub(crate) fn check_determinism(&self, report: &Json) -> Result<String, String> {
-        let mode = report
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or("report has no \"mode\" field")?;
-        let quick = match mode {
-            "full" => false,
-            "quick" => true,
-            other => return Err(format!("unknown report mode {other:?}")),
-        };
+    /// The first drifted (or missing) pinned checksum, else the first
+    /// differing line: its 1-based number, its dotted path in the
+    /// regenerated report, and both lines.
+    pub fn check_committed(&self, committed: &str, regenerated: &Json) -> Result<String, String> {
+        let mode = text(regenerated, "mode");
         for &(section, full_pin, quick_pin) in self.pins {
-            let pinned = if quick { quick_pin } else { full_pin };
-            let checksum = report
-                .get(section)
-                .ok_or_else(|| format!("report has no \"{section}\" section"))?
-                .get("checksum")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{section} has no checksum"))?;
-            let got = checksum
-                .strip_prefix("0x")
-                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or_else(|| format!("unparsable {section} checksum {checksum:?}"))?;
-            if got != pinned {
+            let pinned = if mode == "quick" { quick_pin } else { full_pin };
+            let got = regenerated.get(section).and_then(|s| s.get("checksum"));
+            if got != Some(&Json::hex(pinned)) {
+                let got = got.map_or_else(|| "none".to_owned(), Json::to_string);
                 return Err(format!(
-                    "{section} checksum drifted: got {got:#018x}, pinned {pinned:#018x} \
+                    "regenerated {section} checksum drifted: got {got}, pinned {pinned:#018x} \
                      ({mode} mode) — the completion stream changed; if intentional, \
                      update the pins in crates/bench/src/{}.rs",
                     self.name
                 ));
             }
         }
-        Ok(format!(
-            "{} {} checksums match their {mode}-mode pins",
-            self.pins.len(),
-            self.name
-        ))
-    }
-
-    /// The gate `simcxl-report --check-determinism` runs: the pins hold
-    /// in both the committed report and a fresh `regenerated` one, and
-    /// the two trees are equal in every field. A moved checksum means a
-    /// completion stream changed; any other difference means a counter,
-    /// percentile or trajectory moved, or the committed file is stale.
-    ///
-    /// # Errors
-    ///
-    /// The first failing pin (committed report first), else the dotted
-    /// path of the first field that differs (see `Json::diff`).
-    pub fn check_committed(&self, committed: &Json, regenerated: &Json) -> Result<String, String> {
-        self.check_determinism(committed)
-            .map_err(|e| format!("committed {}: {e}", self.file))?;
-        let pins = self
-            .check_determinism(regenerated)
-            .map_err(|e| format!("regenerated report: {e}"))?;
-        match committed.diff(regenerated) {
-            Some(d) => Err(format!(
-                "{} differs from its regeneration at {d} — if the change is \
-                 intended, rewrite it with `simcxl-report {} --json`",
-                self.file, self.name
-            )),
-            None => Ok(format!("{pins}; every field of {} reproduces", self.file)),
+        let expected = format!("{regenerated}\n");
+        if committed == expected {
+            return Ok(format!(
+                "{} {} checksums match their {mode}-mode pins; {} reproduces byte for byte",
+                self.pins.len(),
+                self.name,
+                self.file
+            ));
         }
+        let (c, e): (Vec<&str>, Vec<&str>) = (
+            committed.split('\n').collect(),
+            expected.split('\n').collect(),
+        );
+        let differs = |trim: fn(&str) -> &str| {
+            (0..c.len().max(e.len()))
+                .find(|&i| c.get(i).map(|l| trim(l)) != e.get(i).map(|l| trim(l)))
+        };
+        // Trailing commas are ignored first, so an added or removed last
+        // member is blamed on its own line, not on the line before it
+        // that gained or lost a comma.
+        let i = differs(|l| l.strip_suffix(',').unwrap_or(l))
+            .or_else(|| differs(|l| l))
+            .expect("unequal texts differ in some line");
+        let mut paths = Vec::new();
+        regenerated.line_paths("", &mut paths);
+        let path = match paths.get(i).map_or("", String::as_str) {
+            "" => "(root)",
+            p => p,
+        };
+        Err(format!(
+            "{} line {} ({path}) differs from its regeneration — if the change \
+             is intended, rewrite it with `simcxl-report {} --json`\n  \
+             committed:   {}\n  regenerated: {}",
+            self.file,
+            i + 1,
+            self.name,
+            c.get(i).unwrap_or(&"(end of file)"),
+            e.get(i).unwrap_or(&"(end of file)"),
+        ))
     }
 }
 
@@ -293,32 +274,6 @@ impl Json {
         }
     }
 
-    /// The first place, in member order, where this (committed) value
-    /// and `regenerated` differ, as its dotted path and both sides:
-    /// `stress.per_home[2].requests: committed 1234, regenerated 1235`.
-    /// A member only one side has is reported as missing or not
-    /// regenerated. `None` when the trees are equal.
-    pub(crate) fn diff(&self, regenerated: &Json) -> Option<String> {
-        first_diff("", self, regenerated)
-    }
-
-    /// Parses one JSON value (surrounding whitespace allowed).
-    ///
-    /// # Errors
-    ///
-    /// A message with the byte offset of the first malformed token,
-    /// including truncated input and trailing characters. Never panics:
-    /// the gate feeds it hand-editable committed files.
-    pub(crate) fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { text, at: 0 };
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.at < text.len() {
-            return Err(p.err("trailing characters after the value"));
-        }
-        Ok(v)
-    }
-
     fn is_scalar(&self) -> bool {
         !matches!(self, Json::Arr(_) | Json::Obj(_))
     }
@@ -332,6 +287,31 @@ impl Json {
             Json::Arr(items) => items.iter().all(flat),
             _ => self.members().iter().all(|(_, v)| flat(v)),
         }
+    }
+
+    /// Appends the dotted path of every line the writer prints for
+    /// this value at `path`, in order (shares [`is_flat`](Self::is_flat)
+    /// with the writer). Values on a one-line container are named by the
+    /// container; a multi-line one names its opening and closing lines.
+    fn line_paths(&self, path: &str, out: &mut Vec<String>) {
+        out.push(path.to_owned());
+        if self.is_flat() {
+            return;
+        }
+        if let Json::Arr(items) = self {
+            for (i, v) in items.iter().enumerate() {
+                v.line_paths(&format!("{path}[{i}]"), out);
+            }
+        }
+        for (k, v) in self.members() {
+            let child = if path.is_empty() {
+                k.clone()
+            } else {
+                format!("{path}.{k}")
+            };
+            v.line_paths(&child, out);
+        }
+        out.push(path.to_owned());
     }
 
     fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
@@ -375,76 +355,6 @@ impl Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.write(f, 0)
-    }
-}
-
-fn first_diff(path: &str, committed: &Json, regenerated: &Json) -> Option<String> {
-    let here = if path.is_empty() { "(root)" } else { path };
-    match (committed, regenerated) {
-        (Json::Obj(c), Json::Obj(r)) => {
-            let child = |k: &str| {
-                if path.is_empty() {
-                    k.to_owned()
-                } else {
-                    format!("{path}.{k}")
-                }
-            };
-            for (k, rv) in r {
-                let d = match committed.get(k) {
-                    Some(cv) => first_diff(&child(k), cv, rv),
-                    None => Some(format!(
-                        "{}: missing from committed, regenerated {}",
-                        child(k),
-                        brief(rv)
-                    )),
-                };
-                if d.is_some() {
-                    return d;
-                }
-            }
-            if let Some((k, cv)) = c.iter().find(|(k, _)| regenerated.get(k).is_none()) {
-                return Some(format!(
-                    "{}: committed {}, not regenerated",
-                    child(k),
-                    brief(cv)
-                ));
-            }
-            let same_order = c.iter().map(|(k, _)| k).eq(r.iter().map(|(k, _)| k));
-            (!same_order).then(|| format!("{here}: members differ in order or count"))
-        }
-        (Json::Arr(c), Json::Arr(r)) => {
-            let d = c
-                .iter()
-                .zip(r)
-                .enumerate()
-                .find_map(|(i, (cv, rv))| first_diff(&format!("{path}[{i}]"), cv, rv));
-            d.or_else(|| {
-                (c.len() != r.len()).then(|| {
-                    format!(
-                        "{here}: committed {} elements, regenerated {}",
-                        c.len(),
-                        r.len()
-                    )
-                })
-            })
-        }
-        _ => (committed != regenerated).then(|| {
-            format!(
-                "{here}: committed {}, regenerated {}",
-                brief(committed),
-                brief(regenerated)
-            )
-        }),
-    }
-}
-
-/// A value as a diff message shows it: scalars whole, containers by
-/// kind and size.
-fn brief(v: &Json) -> String {
-    match v {
-        Json::Arr(items) => format!("an array of {}", items.len()),
-        Json::Obj(members) => format!("an object of {} members", members.len()),
-        scalar => scalar.to_string(),
     }
 }
 
@@ -496,196 +406,6 @@ impl<T: Copy + Into<Json>> From<&[T]> for Json {
     }
 }
 
-/// Nesting beyond this is rejected rather than recursed into.
-const MAX_DEPTH: usize = 64;
-
-struct Parser<'a> {
-    text: &'a str,
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.at)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.at).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.at += 1;
-        }
-    }
-
-    /// Skips whitespace, then consumes `b` if it is next.
-    fn eat(&mut self, b: u8) -> bool {
-        self.skip_ws();
-        let hit = self.peek() == Some(b);
-        self.at += usize::from(hit);
-        hit
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", char::from(b))))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'{') => {
-                self.at += 1;
-                let mut members = Vec::new();
-                if !self.eat(b'}') {
-                    loop {
-                        self.skip_ws();
-                        let key = self.string()?;
-                        self.expect(b':')?;
-                        members.push((key, self.value(depth + 1)?));
-                        if self.eat(b'}') {
-                            break;
-                        }
-                        self.expect(b',')?;
-                    }
-                }
-                Ok(Json::Obj(members))
-            }
-            Some(b'[') => {
-                self.at += 1;
-                let mut items = Vec::new();
-                if !self.eat(b']') {
-                    loop {
-                        items.push(self.value(depth + 1)?);
-                        if self.eat(b']') {
-                            break;
-                        }
-                        self.expect(b',')?;
-                    }
-                }
-                Ok(Json::Arr(items))
-            }
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.word("true", Json::Bool(true)),
-            Some(b'f') => self.word("false", Json::Bool(false)),
-            Some(b'n') => self.word("null", Json::Null),
-            Some(_) => self.number(),
-        }
-    }
-
-    fn word(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.text[self.at..].starts_with(word) {
-            self.at += word.len();
-            Ok(v)
-        } else {
-            Err(self.err("unexpected token"))
-        }
-    }
-
-    /// Consumes a run of ASCII digits; true if there was at least one.
-    fn digits(&mut self) -> bool {
-        let start = self.at;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.at += 1;
-        }
-        self.at > start
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.at;
-        self.at += usize::from(self.peek() == Some(b'-'));
-        let int = self.at;
-        let mut ok = self.digits() && !(self.text[int..].starts_with('0') && self.at - int > 1);
-        if ok && self.peek() == Some(b'.') {
-            self.at += 1;
-            ok = self.digits();
-        }
-        if ok && matches!(self.peek(), Some(b'e' | b'E')) {
-            self.at += 1;
-            self.at += usize::from(matches!(self.peek(), Some(b'+' | b'-')));
-            ok = self.digits();
-        }
-        if ok {
-            Ok(Json::Num(self.text[start..self.at].to_owned()))
-        } else {
-            Err(self.err("malformed number"))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if self.peek() != Some(b'"') {
-            return Err(self.err("expected a string"));
-        }
-        self.at += 1;
-        let mut out = String::new();
-        loop {
-            let start = self.at;
-            while self
-                .peek()
-                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
-            {
-                self.at += 1;
-            }
-            // Stops only at ASCII bytes or the end: both char boundaries.
-            out.push_str(&self.text[start..self.at]);
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    out.push(self.escape()?);
-                }
-                Some(_) => return Err(self.err("control character in string")),
-            }
-        }
-    }
-
-    /// The character of the escape after a backslash.
-    fn escape(&mut self) -> Result<char, String> {
-        let c = match self.peek() {
-            Some(b'"') => '"',
-            Some(b'\\') => '\\',
-            Some(b'/') => '/',
-            Some(b'b') => '\u{8}',
-            Some(b'f') => '\u{c}',
-            Some(b'n') => '\n',
-            Some(b'r') => '\r',
-            Some(b't') => '\t',
-            Some(b'u') => {
-                // Surrogate escapes (never written here) are rejected.
-                self.at += 1;
-                let code = self.hex4()?;
-                return char::from_u32(code).ok_or_else(|| self.err("invalid \\u escape"));
-            }
-            _ => return Err(self.err("invalid escape")),
-        };
-        self.at += 1;
-        Ok(c)
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let code = self
-            .text
-            .get(self.at..self.at + 4)
-            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or_else(|| self.err("invalid \\u escape"))?;
-        self.at += 4;
-        Ok(code)
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -702,104 +422,57 @@ pub(crate) mod tests {
         REPORTS[i].get_or_init(|| suite.report(true))
     }
 
-    /// Appends a digit to the first number in the last element of the
-    /// first array of objects (depth first), returning its dotted path.
-    fn edit_array_leaf(v: &mut Json, path: &str) -> Option<String> {
-        match v {
-            Json::Obj(members) => members.iter_mut().find_map(|(k, v)| {
-                let child = if path.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{path}.{k}")
-                };
-                edit_array_leaf(v, &child)
-            }),
-            Json::Arr(items) => {
-                let last = items.len().checked_sub(1)?;
-                let Json::Obj(members) = &mut items[last] else {
-                    return None;
-                };
-                members.iter_mut().find_map(|(k, v)| match v {
-                    Json::Num(n) => {
-                        n.push('1');
-                        Some(format!("{path}[{last}].{k}"))
-                    }
-                    _ => None,
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// The one generic per-suite report test: the quick report survives
-    /// a write/parse round trip and passes the gate against itself; a
-    /// flipped checksum bit, a non-hex checksum or a missing pinned
-    /// section are reported; and an edited leaf inside an array element,
-    /// a removed member and an added member are each named by their
-    /// dotted path.
+    /// The one generic per-suite report test: the quick report's text
+    /// passes the gate against itself; a flipped or missing pinned
+    /// checksum in the regeneration is reported as drift; the gate's line
+    /// paths follow the writer line for line; and a whitespace edit, a
+    /// removed member and an added member each fail naming their line.
     pub(crate) fn check_suite(suite: &Suite) {
         let report = quick_report(suite);
-        let written = report.to_string();
-        assert_eq!(Json::parse(&written).as_ref(), Ok(report));
-        assert_eq!(
-            report.get("schema").and_then(Json::as_str),
-            Some(suite.schema)
-        );
-        if let Err(e) = suite.check_committed(report, report) {
+        let written = format!("{report}\n");
+        assert_eq!(text(report, "schema"), suite.schema);
+        if let Err(e) = suite.check_committed(&written, report) {
             panic!("{}: {e}", suite.name);
         }
-        let check = |text: &str| {
-            let edited = Json::parse(text).expect("edited report parses");
-            suite.check_committed(&edited, report)
-        };
         for &(section, _, pin) in suite.pins {
-            let pinned = format!("{pin:#018x}");
-            assert_eq!(
-                written.matches(&pinned).count(),
-                1,
-                "{section} pin is ambiguous"
-            );
-            let flipped = written.replace(&pinned, &format!("{:#018x}", pin ^ 1));
-            let err = check(&flipped).unwrap_err();
-            assert!(
-                err.contains(&format!("{section} checksum drifted")),
-                "{err}"
-            );
-            let err = check(&written.replace(&pinned, "0xnot-hex")).unwrap_err();
-            assert!(err.contains("unparsable"), "{err}");
-            let missing = Json::Obj(
-                report
-                    .members()
-                    .iter()
-                    .filter(|(k, _)| k != section)
-                    .cloned()
-                    .collect(),
-            );
-            let err = suite.check_determinism(&missing).unwrap_err();
-            assert!(err.contains(&format!("no \"{section}\" section")), "{err}");
+            let mut drifted = report.clone();
+            section_mut(&mut drifted, section).retain(|(k, _)| k != "checksum");
+            let missing = suite.check_committed(&written, &drifted).unwrap_err();
+            section_mut(&mut drifted, section).push(("checksum".into(), Json::hex(pin ^ 1)));
+            let flipped = suite.check_committed(&written, &drifted).unwrap_err();
+            for err in [missing, flipped] {
+                assert!(
+                    err.contains(&format!("{section} checksum drifted")),
+                    "{err}"
+                );
+            }
         }
-        let names_path = |edited: &Json, path: &str| {
-            let err = suite.check_committed(edited, report).unwrap_err();
-            assert!(err.contains(&format!(" at {path}: ")), "{err}");
+        let mut paths = Vec::new();
+        report.line_paths("", &mut paths);
+        let lines: Vec<&str> = written.lines().collect();
+        assert_eq!(paths.len(), lines.len(), "one path per written line");
+        for (line, path) in lines.iter().zip(&paths) {
+            let member = line.trim_start().strip_prefix('"');
+            if let Some((key, _)) = member.and_then(|m| m.split_once("\": ")) {
+                assert!(
+                    path == key || path.ends_with(&format!(".{key}")),
+                    "{line}: {path}"
+                );
+            }
+        }
+        let fails_at = |committed: &str, path: &str| {
+            let err = suite.check_committed(committed, report).unwrap_err();
+            assert!(err.contains(&format!(" ({path}")), "{err}");
         };
-        let mut edited = report.clone();
-        let leaf = edit_array_leaf(&mut edited, "").expect("report has an array of objects");
-        assert!(
-            ["per_home[", "phases[", "adaptive.epochs[", "rows["]
-                .iter()
-                .any(|a| leaf.contains(a)),
-            "{leaf}"
-        );
-        names_path(&edited, &leaf);
+        fails_at(&written.replacen("\n  ", "\n   ", 1), "schema)");
+        fails_at(written.trim_end(), "(root))");
         let (name, _) = sections(report).next().expect("report has a section");
         let mut removed = report.clone();
-        let (gone, _) = section_mut(&mut removed, name)
-            .pop()
-            .expect("section has members");
-        names_path(&removed, &format!("{name}.{gone}"));
+        section_mut(&mut removed, name).pop();
+        fails_at(&format!("{removed}\n"), name);
         let mut added = report.clone();
         section_mut(&mut added, name).push(("hand_added".into(), Json::from(1u32)));
-        names_path(&added, &format!("{name}.hand_added"));
+        fails_at(&format!("{added}\n"), &format!("{name})"));
     }
 
     /// The members of a report's section `name`.
@@ -813,55 +486,107 @@ pub(crate) mod tests {
         }
     }
 
-    /// The committed reports are full-mode, carry their suite's schema
-    /// and match every full-mode pin. Reading them is cheap; the
-    /// regeneration half of the gate (`simcxl-report all
-    /// --check-determinism`) runs the full workloads, so it is a
-    /// release-build CI step.
+    /// The gate's message on a small report: the first differing line's
+    /// number, its dotted path (a value on a one-line container is named
+    /// by the container) and both whole lines; a removed or added last
+    /// member is blamed on its own line, not on the comma before it.
+    #[test]
+    fn gate_names_the_first_differing_line() {
+        let suite = Suite {
+            name: "toy",
+            file: "BENCH_toy.json",
+            pins: &[],
+            ..crate::faults::SUITE
+        };
+        let report = |requests: u32, added: Option<u32>| {
+            let home = |i: u32, n: u32| {
+                Json::obj([("home", i), ("requests", n)].map(|(k, v)| (k, Json::from(v))))
+            };
+            let mut section = vec![
+                ("per_home", Json::Arr(vec![home(0, 7), home(1, requests)])),
+                ("events", Json::from(9u32)),
+            ];
+            section.extend(added.map(|x| ("hand_added", Json::from(x))));
+            Json::obj([
+                ("mode", Json::from("full")),
+                ("multihome", Json::obj(section)),
+            ])
+        };
+        let regenerated = report(5, None);
+        let written = format!("{regenerated}\n");
+        assert_eq!(
+            written,
+            "{\n  \"mode\": \"full\",\n  \"multihome\": {\n    \"per_home\": [\n      \
+             {\"home\": 0, \"requests\": 7},\n      {\"home\": 1, \"requests\": 5}\n    ],\n    \
+             \"events\": 9\n  }\n}\n"
+        );
+        assert!(suite.check_committed(&written, &regenerated).is_ok());
+        let fails_at = |committed: &str, regenerated: &Json, needle: &str| {
+            let err = suite.check_committed(committed, regenerated).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        };
+        fails_at(
+            &format!("{}\n", report(6, None)),
+            &regenerated,
+            "BENCH_toy.json line 6 (multihome.per_home[1]) differs from its regeneration — \
+             if the change is intended, rewrite it with `simcxl-report toy --json`\n  \
+             committed:         {\"home\": 1, \"requests\": 6}\n  \
+             regenerated:       {\"home\": 1, \"requests\": 5}",
+        );
+        let added = report(5, Some(1));
+        fails_at(
+            &format!("{added}\n"),
+            &regenerated,
+            "line 9 (multihome) differs",
+        );
+        fails_at(&written, &added, "line 9 (multihome.hand_added) differs");
+        let spaced = written.replace(": 9", ":  9");
+        fails_at(&spaced, &regenerated, "line 8 (multihome.events) differs");
+    }
+
+    /// Every committed report opens with its suite's schema in full mode
+    /// and carries each full-mode pin as its section's `checksum`.
+    /// Reading the files is cheap; the regeneration half of the gate
+    /// (`simcxl-report all --check-determinism`) runs the full
+    /// workloads, so it is a release-build CI step.
     #[test]
     fn committed_reports_are_full_mode_and_pinned() {
         for suite in &SUITES {
-            let report = suite.load().unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(text(&report, "mode"), "full", "{}", suite.file);
-            assert_eq!(text(&report, "schema"), suite.schema, "{}", suite.file);
-            if let Err(e) = suite.check_determinism(&report) {
-                panic!("{}: {e}", suite.file);
+            let text = suite.committed().unwrap_or_else(|e| panic!("{e}"));
+            let header = format!(
+                "{{\n  \"schema\": \"{}\",\n  \"mode\": \"full\",\n",
+                suite.schema
+            );
+            assert!(text.starts_with(&header), "{}: header", suite.file);
+            for &(section, pin, _) in suite.pins {
+                let body = text
+                    .split_once(&format!("\n  \"{section}\": {{\n"))
+                    .map(|(_, rest)| rest.split_once("\n  }").map_or(rest, |(body, _)| body));
+                let checksum = format!("    \"checksum\": \"{pin:#018x}\"");
+                assert!(
+                    body.is_some_and(|b| b.lines().any(|l| l.trim_end_matches(',') == checksum)),
+                    "{}: {section} lacks its full-mode pin {pin:#018x}",
+                    suite.file
+                );
             }
         }
     }
 
     #[test]
-    fn parser_rejects_truncated_unterminated_and_trailing_input() {
-        let deep = "[".repeat(MAX_DEPTH + 2);
-        for bad in [
-            "",
-            "{",
-            "{\"mode\": \"quick\"",
-            "{\"a\": [1, 2",
-            "{\"a\" 1}",
-            "[1,]",
-            "\"unterminated",
-            "{\"mode\": \"quick}",
-            "{} trailing",
-            "[1] [2]",
-            "01",
-            "1.",
-            "-",
-            "1e",
-            "tru",
-            "\"\\q\"",
-            "\"\\u12\"",
-            "\"\\udc00\"",
-            "\"\\ud83d\\ude00\"",
-            "\"tab\there\"",
-            &deep,
-        ] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
-        }
+    fn missing_report_is_named() {
+        let missing = Suite {
+            file: "BENCH_missing.json",
+            ..crate::faults::SUITE
+        };
+        let err = missing.committed().unwrap_err();
+        assert!(
+            err.contains("cannot read") && err.contains("BENCH_missing"),
+            "{err}"
+        );
     }
 
     #[test]
-    fn writer_and_parser_round_trip_escapes_numbers_and_literals() {
+    fn writer_escapes_strings_and_keeps_number_text() {
         let v = Json::obj([
             (
                 "text",
@@ -879,58 +604,18 @@ pub(crate) mod tests {
                 Json::obj([("empty", Json::Arr(vec![])), ("x", Json::fixed(-1.5e3, 1))]),
             ),
         ]);
-        let text = v.to_string();
-        assert!(text.contains("\"fixed\": 0.1000"), "{text}");
-        assert!(text.contains("\"hex\": \"0x00000000000000fe\""), "{text}");
-        assert_eq!(Json::parse(&text), Ok(v));
         assert_eq!(
-            Json::parse(" [\"\\u00e9\\/\", -0.5e-3, 1E+2] \n"),
-            Ok(Json::Arr(vec![
-                Json::from("é/"),
-                Json::Num("-0.5e-3".into()),
-                Json::Num("1E+2".into()),
-            ]))
+            v.to_string(),
+            r#"{
+  "text": "quote \" backslash \\ newline \u000a bell \u0007 é",
+  "fixed": 0.1000,
+  "big": 18446744073709551615,
+  "hex": "0x00000000000000fe",
+  "flags": [true, false, null],
+  "nested": {"empty": [], "x": -1500.0}
+}"#
         );
         assert_eq!(Json::fixed(f64::NAN, 2), Json::Null);
-    }
-
-    #[test]
-    fn diff_names_reordered_members_resized_arrays_and_root_changes() {
-        let v = |text: &str| Json::parse(text).expect("test JSON parses");
-        let base = v(r#"{"x": {"a": 1, "b": [1, 2]}}"#);
-        assert_eq!(base.diff(&base), None);
-        assert_eq!(
-            base.diff(&v(r#"{"x": {"b": [1, 2], "a": 1}}"#)).as_deref(),
-            Some("x: members differ in order or count")
-        );
-        assert_eq!(
-            base.diff(&v(r#"{"x": {"a": 1, "b": [1, 2, 3]}}"#))
-                .as_deref(),
-            Some("x.b: committed 2 elements, regenerated 3")
-        );
-        assert_eq!(
-            base.diff(&v(r#"{"x": [1]}"#)).as_deref(),
-            Some("x: committed an object of 2 members, regenerated an array of 1")
-        );
-        assert_eq!(
-            Json::from(1u32).diff(&Json::Null).as_deref(),
-            Some("(root): committed 1, regenerated null")
-        );
-    }
-
-    /// The brace-matching extractor this parser replaced stopped scalars
-    /// at the first comma, cutting a `TopologySpec` debug string short.
-    #[test]
-    fn committed_scenarios_topology_reads_back_whole() {
-        let report = crate::scenarios::SUITE
-            .load()
-            .expect("BENCH_scenarios.json parses");
-        assert_eq!(
-            report
-                .path("ramp_then_burst.topology")
-                .and_then(Json::as_str),
-            Some("Interleaved { homes: 4, stride: 4096 }")
-        );
     }
 
     fn keys<'a>(v: &'a Json, out: &mut BTreeSet<&'a str>) {

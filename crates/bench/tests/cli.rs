@@ -62,16 +62,19 @@ fn second_suite_is_a_usage_error() {
     assert_usage_error(&["faults", "figures"], "\"figures\"");
 }
 
-/// `--github` only changes how `--summary` prints.
+/// `--github` only adds the digest to `--check-determinism`, and there
+/// is no `--summary` mode: the committed `BENCH_<suite>.json` is the
+/// summary.
 #[test]
 fn github_without_summary_is_a_usage_error() {
-    assert_usage_error(&["faults", "--github"], "--github");
+    assert_usage_error(&["faults", "--github"], "--github needs");
+    assert_usage_error(&["faults", "--summary"], "--summary");
+    assert_usage_error(&["faults", "--summary", "--github"], "--summary");
 }
 
-/// `--json` writes a freshly run report; the gate modes read the
-/// committed one, so the pair would ignore `--json`.
+/// `--json` writes a freshly run report; the gate compares the
+/// committed one with a regeneration, so the pair would ignore `--json`.
 #[test]
 fn json_with_a_gate_mode_is_a_usage_error() {
-    assert_usage_error(&["faults", "--json", "--summary"], "--json");
     assert_usage_error(&["faults", "--json", "--check-determinism"], "--json");
 }

@@ -716,14 +716,12 @@ impl ProtocolEngine {
     fn drain_home_outbox(&mut self, mut out: HomeOutbox) {
         for (tick, dst, msg, level) in out.msgs.drain(..) {
             let mut tick = tick;
-            if let Some(f) = &mut self.fault {
-                let hop = if dst == AgentId::MEMORY {
-                    Hop::HomeToMem { home: msg.home }
-                } else {
-                    Hop::HomeToCache {
-                        dst,
-                        home: msg.home,
-                    }
+            // Link faults cover the cache↔home links only: fetches and
+            // writebacks to memory pass untouched.
+            if let Some(f) = self.fault.as_mut().filter(|_| dst != AgentId::MEMORY) {
+                let hop = Hop::HomeToCache {
+                    dst,
+                    home: msg.home,
                 };
                 tick = fault::perturb_link(&f.core, &mut f.link, hop, tick, msg.addr);
             }
@@ -755,16 +753,7 @@ impl ProtocolEngine {
                     .read(start, msg.addr, simcxl_mem::CACHELINE_BYTES)
                     .unwrap_or_else(|| panic!("no memory claims {}", msg.addr));
                 let link = &mut self.mem.ports[msg.home.index()].0;
-                let mut arrival = link.send(done + extra, MsgKind::MemData.bytes());
-                if let Some(f) = &mut self.fault {
-                    arrival = fault::perturb_link(
-                        &f.core,
-                        &mut f.link,
-                        Hop::MemToHome { home: msg.home },
-                        arrival,
-                        msg.addr,
-                    );
-                }
+                let arrival = link.send(done + extra, MsgKind::MemData.bytes());
                 self.push_ev(
                     arrival,
                     Ev::Deliver {

@@ -18,10 +18,9 @@
 //!   (residual backlog behind the last replays) instead of dropping to
 //!   zero — delivery time is a monotone function of send time.
 //!
-//! Injection hooks sit at the three places timing is decided:
+//! Injection hooks sit at the two places timing is decided:
 //! cache→home and home→cache message delivery (link retry/replay with
-//! bounded exponential backoff), home→mem and mem→home transfers (the
-//! same, on the memory side), and memory-port service start (latency
+//! bounded exponential backoff), and memory-port service start (latency
 //! inflation and stall-until-window-end with a starvation watchdog).
 //! Requests delayed by a stall are queued behind the window, not lost;
 //! the DRAM model then serializes them as usual.
@@ -39,39 +38,25 @@ use sim_core::{mix64, Tick, Window};
 use simcxl_mem::PhysAddr;
 use std::ops::AddAssign;
 
-/// Which link class a [`FaultKind::LinkDegrade`] event targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkClass {
-    /// Cache↔home hops (requests up, snoops/grants down).
-    CacheHome,
-    /// Home↔mem hops (fetch requests down, data replies up).
-    HomeMem,
-}
-
 /// One kind of injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Flit corruption on a link class: a deterministic `1/period`
-    /// sample of (channel, line) pairs is retried `1..=max_retries`
-    /// times per transfer, each replay paying exponentially growing
+    /// Flit corruption on the cache↔home links (requests up,
+    /// snoops/grants down): every transfer is retried
+    /// `1..=max_retries` times, each replay paying exponentially growing
     /// backoff (retry *k* waits `backoff * 2^(k-1)`, so a faulted
     /// transfer with `n` retries is delayed by `backoff * (2^n - 1)` in
     /// total). The induced delivery delay extends the home agent's
     /// per-line serialization occupancy, which is how retry storms
-    /// back-pressure the rest of the fabric. The sample is drawn per
-    /// (channel, line), not per transfer, so same-line traffic on a
+    /// back-pressure the rest of the fabric. The retry count is drawn
+    /// per (channel, line), not per transfer, so same-line traffic on a
     /// channel shifts uniformly and delivery order is preserved (see
     /// the module docs); after the window closes, affected transfers
     /// keep queuing behind the residual replay backlog, which drains
     /// at wire speed.
     LinkDegrade {
-        /// Which link class degrades.
-        class: LinkClass,
         /// Restrict to hops homed at this agent (`None`: all homes).
         home: Option<HomeId>,
-        /// One in `period` (channel, line) pairs is faulted (`1` =
-        /// every transfer).
-        period: u64,
         /// Upper bound on replays per faulted transfer (≥ 1).
         max_retries: u32,
         /// Backoff unit for the first replay.
@@ -118,15 +103,13 @@ pub struct FaultEvent {
 ///
 /// ```
 /// use sim_core::Tick;
-/// use simcxl_coherence::fault::{FaultKind, FaultPlan, LinkClass};
+/// use simcxl_coherence::fault::{FaultKind, FaultPlan};
 ///
 /// let plan = FaultPlan::new(7).with(
 ///     Tick::from_us(10),
 ///     Tick::from_us(20),
 ///     FaultKind::LinkDegrade {
-///         class: LinkClass::CacheHome,
 ///         home: None,
-///         period: 4,
 ///         max_retries: 3,
 ///         backoff: Tick::from_ns(50),
 ///     },
@@ -155,17 +138,15 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics on an empty window or degenerate parameters (zero
-    /// `period`, zero `max_retries` or more than 16 — the exponential
+    /// `max_retries` or more than 16 — the exponential
     /// backoff is bounded — zero `backoff`/`extra`/`watchdog`).
     pub fn with(mut self, from: Tick, until: Tick, kind: FaultKind) -> Self {
         match kind {
             FaultKind::LinkDegrade {
-                period,
                 max_retries,
                 backoff,
                 ..
             } => {
-                assert!(period >= 1, "link-degrade period must be >= 1");
                 assert!(
                     (1..=16).contains(&max_retries),
                     "max_retries must be in 1..=16, got {max_retries}"
@@ -223,43 +204,21 @@ pub(crate) enum Hop {
         /// The sending home.
         home: HomeId,
     },
-    /// Home fetch/writeback arriving at its memory port.
-    HomeToMem {
-        /// The home whose port is used.
-        home: HomeId,
-    },
-    /// Memory data reply arriving back at the home.
-    MemToHome {
-        /// The home whose port is used.
-        home: HomeId,
-    },
 }
 
 impl Hop {
-    fn class(&self) -> LinkClass {
-        match self {
-            Hop::CacheToHome { .. } | Hop::HomeToCache { .. } => LinkClass::CacheHome,
-            Hop::HomeToMem { .. } | Hop::MemToHome { .. } => LinkClass::HomeMem,
-        }
-    }
-
     fn home(&self) -> HomeId {
         match *self {
-            Hop::CacheToHome { home, .. }
-            | Hop::HomeToCache { home, .. }
-            | Hop::HomeToMem { home }
-            | Hop::MemToHome { home } => home,
+            Hop::CacheToHome { home, .. } | Hop::HomeToCache { home, .. } => home,
         }
     }
 
-    /// Direction-and-endpoint salt so the four hop kinds sample
+    /// Direction-and-endpoint salt so the two hop kinds sample
     /// independent fault streams even at equal timestamps.
     fn salt(&self) -> u64 {
         match *self {
             Hop::CacheToHome { from, .. } => 0x1000 + from.index() as u64,
             Hop::HomeToCache { dst, .. } => 0x2000 + dst.index() as u64,
-            Hop::HomeToMem { home } => 0x3000 + home.index() as u64,
-            Hop::MemToHome { home } => 0x4000 + home.index() as u64,
         }
     }
 }
@@ -268,9 +227,7 @@ impl Hop {
 #[derive(Debug, Clone, Copy)]
 struct LinkRule {
     window: Window,
-    class: LinkClass,
     home: Option<HomeId>,
-    period: u64,
     max_retries: u32,
     backoff: Tick,
 }
@@ -312,16 +269,12 @@ impl FaultCore {
         for ev in &plan.events {
             match ev.kind {
                 FaultKind::LinkDegrade {
-                    class,
                     home,
-                    period,
                     max_retries,
                     backoff,
                 } => core.link.push(LinkRule {
                     window: ev.window,
-                    class,
                     home,
-                    period,
                     max_retries,
                     backoff,
                 }),
@@ -353,7 +306,7 @@ impl FaultCore {
     pub(crate) fn link_penalty(&self, hop: Hop, at: Tick, addr: PhysAddr) -> Option<(u32, Tick)> {
         let mut best: Option<(u32, Tick)> = None;
         for (i, r) in self.link.iter().enumerate() {
-            if r.class != hop.class() || at < r.window.from {
+            if at < r.window.from {
                 continue;
             }
             if let Some(h) = r.home {
@@ -366,9 +319,6 @@ impl FaultCore {
                     .wrapping_add(mix64(hop.salt() ^ ((i as u64) << 40)))
                     .wrapping_add(addr.line().raw()),
             );
-            if !digest.is_multiple_of(r.period) {
-                continue;
-            }
             let n = 1 + ((digest >> 32) % r.max_retries as u64) as u32;
             let full = r.backoff * ((1u64 << n) - 1);
             let (retries, penalty) = if r.window.contains(at) {
@@ -430,7 +380,7 @@ impl FaultCore {
     }
 }
 
-/// Retry/backoff counters for one link class, surfaced through
+/// Retry/backoff counters for the cache↔home links, surfaced through
 /// [`FaultStatsView`] (mirroring how [`HomeStats`](crate::HomeStats)
 /// surface through [`HomeStatsView`](crate::HomeStatsView)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -496,7 +446,7 @@ impl FaultStatsView {
         FaultStatsView { link, ports }
     }
 
-    /// Aggregate link retry/backoff counters (both link classes).
+    /// Aggregate link retry/backoff counters (both directions).
     pub fn link(&self) -> &LinkFaultStats {
         &self.link
     }
@@ -608,11 +558,9 @@ pub struct RehomeStats {
 mod tests {
     use super::*;
 
-    fn degrade(period: u64, max_retries: u32) -> FaultKind {
+    fn degrade(max_retries: u32) -> FaultKind {
         FaultKind::LinkDegrade {
-            class: LinkClass::CacheHome,
             home: None,
-            period,
             max_retries,
             backoff: Tick::from_ns(10),
         }
@@ -627,14 +575,14 @@ mod tests {
 
     #[test]
     fn penalty_is_pure_and_window_scoped() {
-        let plan = FaultPlan::new(1).with(Tick::from_ns(100), Tick::from_ns(200), degrade(1, 3));
+        let plan = FaultPlan::new(1).with(Tick::from_ns(100), Tick::from_ns(200), degrade(3));
         let core = FaultCore::new(&plan);
         let at = Tick::from_ns(150);
         let addr = PhysAddr::new(0x40);
         let a = core.link_penalty(hop(), at, addr);
         let b = core.link_penalty(hop(), at, addr);
         assert_eq!(a, b, "same coordinates must sample identically");
-        let (n, full) = a.expect("period 1 faults every transfer in-window");
+        let (n, full) = a.expect("every transfer faults in-window");
         assert!(n >= 1);
         assert!(core.link_penalty(hop(), Tick::from_ns(99), addr).is_none());
         // The trailing edge ramps down (residual backlog, 0 retries)
@@ -652,7 +600,7 @@ mod tests {
     fn delivery_is_fifo_per_channel_and_line() {
         // Send times straddling the window edges must arrive in send
         // order: the protocol's per-line channel ordering depends on it.
-        let plan = FaultPlan::new(11).with(Tick::from_ns(100), Tick::from_ns(200), degrade(1, 4));
+        let plan = FaultPlan::new(11).with(Tick::from_ns(100), Tick::from_ns(200), degrade(4));
         let core = FaultCore::new(&plan);
         let addr = PhysAddr::new(0x1c0);
         let mut last = Tick::ZERO;
@@ -672,29 +620,15 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_exponential() {
-        let plan = FaultPlan::new(2).with(Tick::ZERO, Tick::from_us(1), degrade(1, 4));
+        let plan = FaultPlan::new(2).with(Tick::ZERO, Tick::from_us(1), degrade(4));
         let core = FaultCore::new(&plan);
         for i in 0..256u64 {
             let (n, p) = core
                 .link_penalty(hop(), Tick::from_ns(i), PhysAddr::new(i * 64))
-                .expect("period 1 always faults");
+                .expect("every transfer faults in-window");
             assert!((1..=4).contains(&n));
             assert_eq!(p, Tick::from_ns(10) * ((1u64 << n) - 1));
         }
-    }
-
-    #[test]
-    fn period_samples_a_fraction() {
-        let plan = FaultPlan::new(3).with(Tick::ZERO, Tick::from_us(100), degrade(8, 1));
-        let core = FaultCore::new(&plan);
-        let hits = (0..8_000u64)
-            .filter(|&i| {
-                core.link_penalty(hop(), Tick::from_ns(i * 3), PhysAddr::new(i * 64))
-                    .is_some()
-            })
-            .count();
-        // Expect ~1/8 of 8000 = 1000; allow generous slack.
-        assert!((700..1350).contains(&hits), "period-8 hit rate off: {hits}");
     }
 
     #[test]
@@ -703,9 +637,7 @@ mod tests {
             Tick::ZERO,
             Tick::from_us(1),
             FaultKind::LinkDegrade {
-                class: LinkClass::CacheHome,
                 home: Some(HomeId(1)),
-                period: 1,
                 max_retries: 1,
                 backoff: Tick::from_ns(5),
             },
@@ -811,7 +743,7 @@ mod tests {
                     extra: Tick::from_ns(1),
                 },
             )
-            .with(Tick::ZERO, Tick::from_ns(1), degrade(1, 1));
+            .with(Tick::ZERO, Tick::from_ns(1), degrade(1));
         assert_eq!(plan.max_home(), Some(3));
         assert_eq!(FaultPlan::new(0).max_home(), None);
         assert!(FaultPlan::new(0).is_empty());
@@ -824,9 +756,7 @@ mod tests {
             Tick::ZERO,
             Tick::from_ns(1),
             FaultKind::LinkDegrade {
-                class: LinkClass::HomeMem,
                 home: None,
-                period: 1,
                 max_retries: 1,
                 backoff: Tick::ZERO,
             },
@@ -836,6 +766,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn oversized_retry_bound_rejected() {
-        let _ = FaultPlan::new(0).with(Tick::ZERO, Tick::from_ns(1), degrade(1, 17));
+        let _ = FaultPlan::new(0).with(Tick::ZERO, Tick::from_ns(1), degrade(17));
     }
 }

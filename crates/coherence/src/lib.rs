@@ -62,8 +62,7 @@ pub mod topology;
 pub use config::{CacheConfig, HomeConfig};
 pub use engine::{Completion, ProtocolEngine, ProtocolEngineBuilder};
 pub use fault::{
-    FaultEvent, FaultKind, FaultPlan, FaultStatsView, LinkClass, LinkFaultStats, PortFaultStats,
-    RehomeStats,
+    FaultEvent, FaultKind, FaultPlan, FaultStatsView, LinkFaultStats, PortFaultStats, RehomeStats,
 };
 pub use funcmem::{AtomicKind, FuncMem};
 pub use home::{HomeStats, HomeStatsView};
@@ -76,7 +75,7 @@ pub use topology::{HomeId, Topology};
 pub mod prelude {
     pub use crate::config::{CacheConfig, HomeConfig};
     pub use crate::engine::{Completion, ProtocolEngine};
-    pub use crate::fault::{FaultKind, FaultPlan, LinkClass};
+    pub use crate::fault::{FaultKind, FaultPlan};
     pub use crate::funcmem::AtomicKind;
     pub use crate::home::{HomeStats, HomeStatsView};
     pub use crate::msg::{AgentId, HitLevel, MemOp, ReqId};

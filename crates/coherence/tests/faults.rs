@@ -8,16 +8,14 @@ mod summary_reference;
 use sim_core::{Summary, Tick};
 use simcxl_coherence::prelude::*;
 use simcxl_coherence::{
-    fault::{FaultKind, FaultPlan, LinkClass},
+    fault::{FaultKind, FaultPlan},
     Topology,
 };
 use simcxl_mem::{AddrRange, PhysAddr};
 
-fn degrade_all(period: u64, backoff: Tick) -> FaultKind {
+fn degrade_all(backoff: Tick) -> FaultKind {
     FaultKind::LinkDegrade {
-        class: LinkClass::CacheHome,
         home: None,
-        period,
         max_retries: 3,
         backoff,
     }
@@ -51,7 +49,7 @@ fn build(topology: Topology, plan: Option<FaultPlan>) -> ProtocolEngine {
 #[test]
 fn link_degradation_inflates_latency_and_counts_retries() {
     let horizon = Tick::from_us(100);
-    let plan = FaultPlan::new(0xFA17).with(Tick::ZERO, horizon, degrade_all(1, Tick::from_ns(60)));
+    let plan = FaultPlan::new(0xFA17).with(Tick::ZERO, horizon, degrade_all(Tick::from_ns(60)));
     let run = |plan: Option<FaultPlan>| {
         let mut eng = build(Topology::line_interleaved(2), plan);
         let a = eng.add_cache(CacheConfig::cpu_l1());
@@ -64,7 +62,7 @@ fn link_degradation_inflates_latency_and_counts_retries() {
     let (faulted, stats) = run(Some(plan));
     assert!(none.is_none(), "no plan armed, no stats");
     let stats = stats.expect("plan armed");
-    assert!(stats.link().faulted > 0, "period-1 degrade must fire");
+    assert!(stats.link().faulted > 0, "the degrade must fire");
     assert!(stats.link().retries >= stats.link().faulted);
     assert!(stats.link().backoff > Tick::ZERO);
     // Same completions (functional values), strictly more total latency.
@@ -184,22 +182,21 @@ fn millisecond_stalls_spill_and_summarise_exactly() {
 
 #[test]
 fn faulted_stream_reproduces_on_rerun() {
-    // Faults on every hop class at once; a rerun of the same plan must
+    // Overlapping link faults (one on every home, one on home 1 only)
+    // plus slow and stalled ports; a rerun of the same plan must
     // reproduce the stream bit-for-bit because every fault decision is
     // a pure function of the message's own coordinates.
     let plan = FaultPlan::new(0xD15EA5E)
         .with(
             Tick::ZERO,
             Tick::from_us(500),
-            degrade_all(3, Tick::from_ns(40)),
+            degrade_all(Tick::from_ns(40)),
         )
         .with(
             Tick::from_us(1),
             Tick::from_us(300),
             FaultKind::LinkDegrade {
-                class: LinkClass::HomeMem,
-                home: None,
-                period: 2,
+                home: Some(HomeId(1)),
                 max_retries: 2,
                 backoff: Tick::from_ns(80),
             },

@@ -28,7 +28,7 @@ pub mod page_table;
 pub mod process;
 pub mod vma;
 
-pub use numa::{NodeId, NodeKind, NumaNode, NumaTopology};
+pub use numa::{NodeId, NumaNode, NumaTopology};
 pub use page_table::{PageTable, Pte, PAGE_SIZE};
 pub use process::{AccessKind, Accessor, OsError, Process};
 pub use vma::{Prot, VirtAddr, Vma};

@@ -121,17 +121,14 @@ impl AdaptivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::numa::{NodeKind, NumaTopology};
+    use crate::numa::NumaTopology;
     use crate::process::{AccessKind, Accessor};
     use simcxl_mem::{AddrRange, PhysAddr};
 
     fn process() -> Process {
         let mut topo = NumaTopology::new(PAGE_SIZE);
-        topo.add_node(NodeKind::Cpu, AddrRange::new(PhysAddr::new(0), 1 << 20));
-        topo.add_node(
-            NodeKind::Xpu,
-            AddrRange::new(PhysAddr::new(1 << 30), 1 << 20),
-        );
+        topo.add_node(AddrRange::new(PhysAddr::new(0), 1 << 20));
+        topo.add_node(AddrRange::new(PhysAddr::new(1 << 30), 1 << 20));
         Process::new(topo)
     }
 

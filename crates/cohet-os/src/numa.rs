@@ -4,7 +4,10 @@
 //! NUMA nodes" and the modified `numa_init` "initializes the host and
 //! device memory as distinct NUMA nodes based on their types, and binds
 //! them to the corresponding CPU or XPU"; CXL expanders appear as
-//! CPU-less nodes.
+//! CPU-less nodes. The topology records only each node's range: the
+//! role of a node (host, XPU or expander memory) is known to whoever
+//! registers it, and placement never consults it — a full preferred
+//! node falls back to any node with free frames.
 
 use simcxl_mem::{AddrRange, PhysAddr};
 use std::fmt;
@@ -19,22 +22,10 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// What kind of compute (if any) is bound to a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NodeKind {
-    /// Host CPU cores with local DRAM.
-    Cpu,
-    /// An XPU with device-attached memory (CXL Type-2).
-    Xpu,
-    /// CPU-less memory (CXL Type-3 expander).
-    CpulessMemory,
-}
-
-/// One NUMA node: a kind plus a frame allocator over its range.
+/// One NUMA node: a frame allocator over its range.
 #[derive(Debug)]
 pub struct NumaNode {
     id: NodeId,
-    kind: NodeKind,
     range: AddrRange,
     next_frame: u64,
     free_list: Vec<PhysAddr>,
@@ -42,21 +33,15 @@ pub struct NumaNode {
 }
 
 impl NumaNode {
-    fn new(id: NodeId, kind: NodeKind, range: AddrRange, page_size: u64) -> Self {
+    fn new(id: NodeId, range: AddrRange, page_size: u64) -> Self {
         assert_eq!(range.base().raw() % page_size, 0, "unaligned node base");
         NumaNode {
             id,
-            kind,
             range,
             next_frame: 0,
             free_list: Vec::new(),
             page_size,
         }
-    }
-
-    /// Node kind.
-    pub fn kind(&self) -> NodeKind {
-        self.kind
     }
 
     /// Allocates one frame; `None` when the node is full.
@@ -113,13 +98,12 @@ impl NumaTopology {
     }
 
     /// Registers a node owning `range`; ranges must not overlap.
-    pub fn add_node(&mut self, kind: NodeKind, range: AddrRange) -> NodeId {
+    pub fn add_node(&mut self, range: AddrRange) -> NodeId {
         for n in &self.nodes {
             assert!(!n.range.overlaps(range), "node ranges overlap");
         }
         let id = NodeId(self.nodes.len());
-        self.nodes
-            .push(NumaNode::new(id, kind, range, self.page_size));
+        self.nodes.push(NumaNode::new(id, range, self.page_size));
         id
     }
 
@@ -164,11 +148,8 @@ mod tests {
 
     fn topo() -> NumaTopology {
         let mut t = NumaTopology::new(4096);
-        t.add_node(NodeKind::Cpu, AddrRange::new(PhysAddr::new(0), 1 << 20));
-        t.add_node(
-            NodeKind::Xpu,
-            AddrRange::new(PhysAddr::new(1 << 30), 1 << 20),
-        );
+        t.add_node(AddrRange::new(PhysAddr::new(0), 1 << 20));
+        t.add_node(AddrRange::new(PhysAddr::new(1 << 30), 1 << 20));
         t
     }
 
@@ -197,11 +178,8 @@ mod tests {
     #[test]
     fn exhaustion_falls_back() {
         let mut t = NumaTopology::new(4096);
-        let a = t.add_node(NodeKind::Cpu, AddrRange::new(PhysAddr::new(0), 8192));
-        let _b = t.add_node(
-            NodeKind::CpulessMemory,
-            AddrRange::new(PhysAddr::new(1 << 20), 1 << 20),
-        );
+        let a = t.add_node(AddrRange::new(PhysAddr::new(0), 8192));
+        let _b = t.add_node(AddrRange::new(PhysAddr::new(1 << 20), 1 << 20));
         // Drain node a (2 frames), then further allocations spill.
         assert!(t.alloc_frame(a).is_some());
         assert!(t.alloc_frame(a).is_some());

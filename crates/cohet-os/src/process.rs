@@ -91,11 +91,11 @@ pub struct ProcessStats {
 /// A simulated process with a unified CPU/XPU address space.
 ///
 /// ```
-/// use cohet_os::{NodeKind, NumaTopology, Process, Accessor, AccessKind, NodeId};
+/// use cohet_os::{NumaTopology, Process, Accessor, AccessKind, NodeId};
 /// use simcxl_mem::{AddrRange, PhysAddr};
 ///
 /// let mut topo = NumaTopology::new(4096);
-/// topo.add_node(NodeKind::Cpu, AddrRange::new(PhysAddr::new(0), 1 << 20));
+/// topo.add_node(AddrRange::new(PhysAddr::new(0), 1 << 20));
 /// let mut p = Process::new(topo);
 /// let buf = p.malloc(8192).unwrap();
 /// let r = p.access(Accessor::Cpu(NodeId(0)), buf, AccessKind::Write).unwrap();
@@ -252,16 +252,12 @@ impl fmt::Debug for Process {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::numa::NodeKind;
     use simcxl_mem::AddrRange;
 
     fn process() -> Process {
         let mut topo = NumaTopology::new(PAGE_SIZE);
-        topo.add_node(NodeKind::Cpu, AddrRange::new(PhysAddr::new(0), 1 << 20));
-        topo.add_node(
-            NodeKind::Xpu,
-            AddrRange::new(PhysAddr::new(1 << 30), 1 << 20),
-        );
+        topo.add_node(AddrRange::new(PhysAddr::new(0), 1 << 20));
+        topo.add_node(AddrRange::new(PhysAddr::new(1 << 30), 1 << 20));
         Process::new(topo)
     }
 
@@ -313,7 +309,7 @@ mod tests {
     #[test]
     fn oom_when_all_nodes_full() {
         let mut topo = NumaTopology::new(PAGE_SIZE);
-        topo.add_node(NodeKind::Cpu, AddrRange::new(PhysAddr::new(0), 8192));
+        topo.add_node(AddrRange::new(PhysAddr::new(0), 8192));
         let mut p = Process::new(topo);
         let ptr = p.malloc(1 << 20).unwrap();
         p.access(Accessor::Cpu(NodeId(0)), ptr, AccessKind::Write)

@@ -29,9 +29,7 @@ use crate::system::CohetSystem;
 use crate::topo::TopologySpec;
 use cohet_os::{migration, AccessKind, Accessor, Process, PAGE_SIZE};
 use sim_core::Tick;
-use simcxl_coherence::{
-    AgentId, CacheConfig, FaultKind, FaultPlan, HomeId, LinkClass, ProtocolEngine,
-};
+use simcxl_coherence::{AgentId, CacheConfig, FaultKind, FaultPlan, HomeId, ProtocolEngine};
 use simcxl_mem::{AddrRange, PhysAddr};
 use simcxl_pcie::{PcieLink, PcieLinkConfig};
 use simcxl_workloads::scenario::{self, Arrival, MachineSpec, PhaseSpec, ScenarioSpec, Traffic};
@@ -425,9 +423,7 @@ fn flaky_link(clients: u64, seed: u64) -> FaultOutcome {
         segs[2].start,
         segs[2].end,
         FaultKind::LinkDegrade {
-            class: LinkClass::CacheHome,
             home: None,
-            period: 1,
             max_retries: 3,
             backoff: Tick::from_ns(60),
         },
@@ -561,9 +557,7 @@ fn drain_under_load(clients: u64, seed: u64) -> FaultOutcome {
         segs[2].start,
         segs[2].end,
         FaultKind::LinkDegrade {
-            class: LinkClass::CacheHome,
             home: Some(HomeId(2)),
-            period: 1,
             max_retries: 3,
             backoff,
         },

@@ -61,5 +61,5 @@ pub mod prelude {
     pub use crate::system::{CohetError, CohetProcess, CohetSystem, KernelCtx};
     pub use crate::topo::TopologySpec;
     pub use cohet_os::VirtAddr;
-    pub use simcxl_coherence::fault::{FaultKind, FaultPlan, LinkClass};
+    pub use simcxl_coherence::fault::{FaultKind, FaultPlan};
 }

@@ -2,7 +2,7 @@
 
 use crate::profile::DeviceProfile;
 use crate::topo::TopologySpec;
-use cohet_os::{AccessKind, Accessor, NodeId, NodeKind, NumaTopology, OsError, Process, VirtAddr};
+use cohet_os::{AccessKind, Accessor, NodeId, NumaTopology, OsError, Process, VirtAddr};
 use sim_core::Tick;
 use simcxl_coherence::prelude::*;
 use simcxl_coherence::AtomicKind;
@@ -161,9 +161,7 @@ impl CohetSystemBuilder {
     ///     Tick::ZERO,
     ///     Tick::from_us(50),
     ///     FaultKind::LinkDegrade {
-    ///         class: LinkClass::CacheHome,
     ///         home: None,
-    ///         period: 4,
     ///         max_retries: 3,
     ///         backoff: Tick::from_ns(60),
     ///     },
@@ -208,10 +206,7 @@ impl CohetSystem {
     /// XPU's memory after it, then the expander.
     pub(crate) fn fabric(&self) -> Fabric {
         let mut numa = NumaTopology::new(cohet_os::PAGE_SIZE);
-        let cpu_node = numa.add_node(
-            NodeKind::Cpu,
-            AddrRange::new(PhysAddr::new(0), self.host_mem),
-        );
+        let cpu_node = numa.add_node(AddrRange::new(PhysAddr::new(0), self.host_mem));
         let mut mi = MemoryInterface::new();
         mi.add_memory(
             AddrRange::new(PhysAddr::new(0), self.host_mem),
@@ -222,7 +217,7 @@ impl CohetSystem {
         let mut base = self.host_mem.next_power_of_two().max(1 << 30);
         for _ in 0..self.xpus {
             let range = AddrRange::new(PhysAddr::new(base), self.xpu_mem);
-            xpu_nodes.push(numa.add_node(NodeKind::Xpu, range));
+            xpu_nodes.push(numa.add_node(range));
             mi.add_memory(
                 range,
                 DramConfig::preset(DramKind::Ddr5_4400),
@@ -236,7 +231,7 @@ impl CohetSystem {
             // The Type-3 expander: a CPU-less node behind the CXL.mem
             // link (the paper's Samsung device appears the same way).
             let range = AddrRange::new(PhysAddr::new(base), bytes);
-            expander_node = Some(numa.add_node(NodeKind::CpulessMemory, range));
+            expander_node = Some(numa.add_node(range));
             expander_range = Some(range);
             let cfg = simcxl_cxl::CxlMemConfig::expander_default();
             mi.add_memory(range, cfg.dram.clone(), cfg.link_latency);

@@ -232,12 +232,10 @@ impl RpcNicModel {
             // are pushed (posted) as their lines fill.
             for k in 0..lines {
                 let at = now + decode_time * k / lines;
-                let at = at.max(eng.now());
                 eng.issue(hmc, MemOp::NcPush { value: k }, PhysAddr::new(dst), at);
                 dst += CACHELINE_BYTES;
             }
             now += decode_time;
-            now = now.max(eng.now());
         }
         // Drain tick by tick through one buffer: the posted pushes'
         // completions are not needed, so none is kept.

@@ -43,6 +43,25 @@ fn main() {
     let out = sys.run_scenario(&spec);
     let wall = start.elapsed().as_secs_f64();
 
+    // Every logical client reaches a terminal state on its own (none is
+    // force-finished by the safety cap), and each is counted in exactly
+    // one phase.
+    assert_eq!(out.completed + out.capped, clients, "lost sessions");
+    assert_eq!(out.capped, 0, "sessions hit the safety cap");
+    assert_eq!(
+        out.phases.iter().map(|p| p.sessions).sum::<u64>(),
+        clients,
+        "per-phase sessions must sum to the population"
+    );
+    for p in &out.phases {
+        assert!(
+            p.p50_ns <= p.p95_ns && p.p95_ns <= p.p99_ns,
+            "{}: percentiles out of order",
+            p.name
+        );
+    }
+    assert_eq!(sys.run_scenario(&spec), out, "rerun diverged");
+
     println!(
         "completed {} sessions ({} capped), {} accesses, {} engine events in {:.2}s wall ({:.2} M events/s)",
         out.completed,

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example page_migration`
 
 use cohet_os::migration::{migrate_page, AdaptivePolicy, MigrationCost};
-use cohet_os::{AccessKind, Accessor, NodeKind, NumaTopology, Process, VirtAddr};
+use cohet_os::{AccessKind, Accessor, NumaTopology, Process, VirtAddr};
 use simcxl_mem::{AddrRange, PhysAddr};
 
 struct AtcShim;
@@ -31,11 +31,8 @@ impl cohet_os::hmm::MmNotifier for AtcShim {
 
 fn main() {
     let mut topo = NumaTopology::new(4096);
-    let cpu = topo.add_node(NodeKind::Cpu, AddrRange::new(PhysAddr::new(0), 64 << 20));
-    let xpu = topo.add_node(
-        NodeKind::Xpu,
-        AddrRange::new(PhysAddr::new(1 << 30), 64 << 20),
-    );
+    let cpu = topo.add_node(AddrRange::new(PhysAddr::new(0), 64 << 20));
+    let xpu = topo.add_node(AddrRange::new(PhysAddr::new(1 << 30), 64 << 20));
     let mut proc = Process::new(topo);
     proc.hmm_mut().register(Box::new(AtcShim));
 

@@ -409,7 +409,7 @@ proptest! {
             ((0u8..3, 0u64..400, 1u64..200, 0usize..2), (1u64..6, 1u32..5, 10u64..200)),
             0..3),
     ) {
-        use cohet::prelude::{FaultKind, FaultPlan, LinkClass};
+        use cohet::prelude::{FaultKind, FaultPlan};
         use cohet::{CohetSystem, TopologySpec};
         use simcxl_workloads::scenario;
         let mut spec = scenario::ramp_then_burst(clients, seed);
@@ -417,14 +417,12 @@ proptest! {
         spec.keys = 1 << 10;
         spec.buckets = 1 << 11;
         let mut plan = FaultPlan::new(seed ^ 0xF00D);
-        for ((kind, from_us, dur_us, port), (period, retries, backoff_ns)) in events {
+        for ((kind, from_us, dur_us, port), (pick, retries, backoff_ns)) in events {
             let from = Tick::from_us(from_us);
             let until = from + Tick::from_us(dur_us);
             let k = match kind {
                 0 => FaultKind::LinkDegrade {
-                    class: if port == 0 { LinkClass::CacheHome } else { LinkClass::HomeMem },
-                    home: if period % 2 == 0 { Some(HomeId(port)) } else { None },
-                    period,
+                    home: if pick % 2 == 0 { Some(HomeId(port)) } else { None },
                     max_retries: retries,
                     backoff: Tick::from_ns(backoff_ns),
                 },
