@@ -8,31 +8,13 @@
 
 use crate::array::{CacheArray, Line, LineState};
 use crate::config::CacheConfig;
+use crate::engine::Sink;
 use crate::msg::{AgentId, HitLevel, MemOp, Msg, MsgKind, ReqId};
 use crate::pending::{PendingList, PendingSlab};
 use crate::profile::DepthHist;
 use crate::topology::HomeId;
 use sim_core::{FxHashMap, Link, Tick};
 use std::collections::hash_map::Entry;
-
-/// Messages and completions produced while handling one event.
-#[derive(Debug, Default)]
-pub(crate) struct Outbox {
-    /// `(arrival_tick, destination, message)`.
-    pub msgs: Vec<(Tick, AgentId, Msg)>,
-    /// `(completion_tick, request, hit_level)`.
-    pub completions: Vec<(Tick, ReqId, HitLevel)>,
-    /// Redeliver a message later (snoop deferred by a locked line).
-    pub deferred: Vec<(Tick, AgentId, Msg)>,
-}
-
-impl Outbox {
-    pub(crate) fn clear(&mut self) {
-        self.msgs.clear();
-        self.completions.clear();
-        self.deferred.clear();
-    }
-}
 
 #[derive(Debug)]
 struct Mshr {
@@ -152,21 +134,19 @@ impl CacheAgent {
         }
     }
 
-    fn send(&mut self, now: Tick, kind: MsgKind, addr: simcxl_mem::PhysAddr, out: &mut Outbox) {
+    fn send(&mut self, now: Tick, kind: MsgKind, addr: simcxl_mem::PhysAddr, out: &mut Sink<'_>) {
         let arrival = self.link.send(now, kind.bytes());
         // The cache is topology-blind: it addresses "the home" and the
-        // engine's router rewrites `home` to the shard owning the line
-        // while draining the outbox.
-        out.msgs.push((
+        // sink stamps `home` with the shard owning the line.
+        out.send_home(
             arrival,
-            AgentId::HOME,
             Msg {
                 kind,
                 addr: addr.line(),
                 from: self.id,
                 home: HomeId::ZERO,
             },
-        ));
+        );
     }
 
     /// Handles an external request arriving at `now` (already including
@@ -177,7 +157,7 @@ impl CacheAgent {
         op: MemOp,
         addr: simcxl_mem::PhysAddr,
         now: Tick,
-        out: &mut Outbox,
+        out: &mut Sink<'_>,
     ) {
         let start = now.max(self.next_accept);
         self.next_accept = start + self.cfg.accept_gap;
@@ -209,7 +189,7 @@ impl CacheAgent {
                 if let Some(line) = self.array.get_mut(addr) {
                     let done = t.max(line.locked_until);
                     self.stats.hits += 1;
-                    out.completions.push((done, req, HitLevel::Local));
+                    out.complete(done, req, HitLevel::Local);
                 } else {
                     self.stats.misses += 1;
                     self.mshr_occupancy.record(occupancy);
@@ -230,7 +210,7 @@ impl CacheAgent {
                             line.locked_until = done + lock;
                         }
                         self.stats.hits += 1;
-                        out.completions.push((done, req, HitLevel::Local));
+                        out.complete(done, req, HitLevel::Local);
                     } else {
                         // Shared: upgrade via RdOwn.
                         self.stats.misses += 1;
@@ -254,7 +234,7 @@ impl CacheAgent {
         msg: Msg,
         level: Option<HitLevel>,
         now: Tick,
-        out: &mut Outbox,
+        out: &mut Sink<'_>,
     ) {
         match msg.kind {
             MsgKind::SnpInv => self.snoop_inv(msg, now, out),
@@ -279,12 +259,12 @@ impl CacheAgent {
         }
     }
 
-    fn snoop_inv(&mut self, msg: Msg, now: Tick, out: &mut Outbox) {
+    fn snoop_inv(&mut self, msg: Msg, now: Tick, out: &mut Sink<'_>) {
         self.stats.snoops += 1;
         if let Some(line) = self.array.peek(msg.addr) {
             if line.locked_until > now {
                 self.stats.deferred_snoops += 1;
-                out.deferred.push((line.locked_until, self.id, msg));
+                out.deliver(line.locked_until, self.id, msg);
                 return;
             }
         }
@@ -301,12 +281,12 @@ impl CacheAgent {
         self.send(t, MsgKind::SnpRespInv { dirty }, msg.addr, out);
     }
 
-    fn snoop_data(&mut self, msg: Msg, now: Tick, out: &mut Outbox) {
+    fn snoop_data(&mut self, msg: Msg, now: Tick, out: &mut Sink<'_>) {
         self.stats.snoops += 1;
         if let Some(line) = self.array.peek(msg.addr) {
             if line.locked_until > now {
                 self.stats.deferred_snoops += 1;
-                out.deferred.push((line.locked_until, self.id, msg));
+                out.deliver(line.locked_until, self.id, msg);
                 return;
             }
         }
@@ -336,7 +316,7 @@ impl CacheAgent {
         state: LineState,
         level: Option<HitLevel>,
         now: Tick,
-        out: &mut Outbox,
+        out: &mut Sink<'_>,
     ) {
         let level = level.expect("data grant carries a hit level");
         let key = addr.raw();
@@ -360,7 +340,7 @@ impl CacheAgent {
         addr: simcxl_mem::PhysAddr,
         level: Option<HitLevel>,
         now: Tick,
-        out: &mut Outbox,
+        out: &mut Sink<'_>,
     ) {
         let level = level.unwrap_or(HitLevel::Llc);
         let mshr = self
@@ -385,7 +365,7 @@ impl CacheAgent {
         addr: simcxl_mem::PhysAddr,
         level: Option<HitLevel>,
         now: Tick,
-        out: &mut Outbox,
+        out: &mut Sink<'_>,
     ) {
         let mut mshr = self
             .mshrs
@@ -401,7 +381,7 @@ impl CacheAgent {
         let level = level.unwrap_or(HitLevel::Llc);
         let mut done = now;
         while let Some((req, _op)) = self.waiters.pop_front(&mut mshr.waiting) {
-            out.completions.push((done, req, level));
+            out.complete(done, req, level);
             done += self.cfg.accept_gap;
         }
     }
@@ -412,7 +392,7 @@ impl CacheAgent {
         addr: simcxl_mem::PhysAddr,
         level: HitLevel,
         now: Tick,
-        out: &mut Outbox,
+        out: &mut Sink<'_>,
     ) {
         let mut t = now;
         while let Some((req, op)) = self.waiters.pop_front(&mut waiting) {
@@ -422,7 +402,7 @@ impl CacheAgent {
                 .expect("line resident during drain");
             match op {
                 MemOp::Load | MemOp::Prefetch => {
-                    out.completions.push((t, req, level));
+                    out.complete(t, req, level);
                 }
                 MemOp::NcPush { .. } => {
                     // An NC-P queued behind a fill: reissue it, and
@@ -441,7 +421,7 @@ impl CacheAgent {
                         if matches!(op, MemOp::Rmw { .. }) {
                             line.locked_until = t + self.cfg.rmw_lock;
                         }
-                        out.completions.push((t, req, level));
+                        out.complete(t, req, level);
                     } else {
                         // Only S was granted but this op needs ownership:
                         // put it back and upgrade.
@@ -456,7 +436,7 @@ impl CacheAgent {
         }
     }
 
-    fn start_eviction(&mut self, victim: Line, now: Tick, out: &mut Outbox) {
+    fn start_eviction(&mut self, victim: Line, now: Tick, out: &mut Sink<'_>) {
         if self.mshrs.contains_key(&victim.addr.raw()) {
             // The victim's own upgrade is in flight: a resident line
             // with an MSHR is always a clean S copy awaiting RdOwn

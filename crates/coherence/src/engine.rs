@@ -2,11 +2,11 @@
 //! invariant checking.
 
 use crate::array::LineState;
-use crate::cache::{CacheAgent, CacheStats, Outbox};
+use crate::cache::{CacheAgent, CacheStats};
 use crate::config::{CacheConfig, HomeConfig};
 use crate::fault::{self, FaultPlan, FaultState, FaultStatsView, Hop, RehomeStats};
 use crate::funcmem::FuncMem;
-use crate::home::{DirEntry, HomeAgent, HomeOutbox, HomeStatsView};
+use crate::home::{DirEntry, HomeAgent, HomeStatsView};
 use crate::msg::{AgentId, HitLevel, MemOp, Msg, MsgKind, ReqId};
 use crate::topology::{HomeId, Topology};
 use sim_core::{EventQueue, Link, SimRng, Tick};
@@ -186,6 +186,78 @@ impl PackedEv {
     }
 }
 
+/// Where an agent files the events one handler call produces: straight
+/// into the queue, in emission order, routed and link-faulted on the
+/// way. `dispatch` builds one from disjoint borrows of the engine.
+pub(crate) struct Sink<'a> {
+    queue: &'a mut EventQueue<PackedEv>,
+    topology: &'a Topology,
+    fault: Option<&'a mut FaultState>,
+}
+
+impl Sink<'_> {
+    /// Files a cache's message to its home. The cache is topology-blind,
+    /// so this stamps the shard owning the line, then applies the
+    /// cache→home link fault.
+    pub(crate) fn send_home(&mut self, tick: Tick, mut msg: Msg) {
+        msg.home = self.topology.home_for(msg.addr);
+        let hop = Hop::CacheToHome {
+            from: msg.from,
+            home: msg.home,
+        };
+        let tick = self.link(hop, tick, msg.addr);
+        self.deliver(tick, AgentId::HOME, msg);
+    }
+
+    /// Files a home's message to `dst`. Link faults cover the
+    /// cache↔home links only: fetches and writebacks to memory pass
+    /// untouched.
+    pub(crate) fn send_from_home(
+        &mut self,
+        tick: Tick,
+        dst: AgentId,
+        msg: Msg,
+        level: Option<HitLevel>,
+    ) {
+        let home = msg.home;
+        let tick = match dst {
+            AgentId::MEMORY => tick,
+            _ => self.link(Hop::HomeToCache { dst, home }, tick, msg.addr),
+        };
+        self.push(tick, Ev::Deliver { dst, msg, level });
+    }
+
+    /// Files a request's completion at its cache.
+    pub(crate) fn complete(&mut self, tick: Tick, req: ReqId, level: HitLevel) {
+        self.push(tick, Ev::Complete { req, level });
+    }
+
+    /// Files a message that crosses no faulted link: a snoop deferred by
+    /// a locked line, or a memory reply.
+    pub(crate) fn deliver(&mut self, tick: Tick, dst: AgentId, msg: Msg) {
+        self.push(
+            tick,
+            Ev::Deliver {
+                dst,
+                msg,
+                level: None,
+            },
+        );
+    }
+
+    fn link(&mut self, hop: Hop, tick: Tick, addr: PhysAddr) -> Tick {
+        match self.fault.as_deref_mut() {
+            Some(f) => fault::perturb_link(&f.core, &mut f.link, hop, tick, addr),
+            None => tick,
+        }
+    }
+
+    /// Same-tick events dispatch in push order.
+    fn push(&mut self, tick: Tick, ev: Ev) {
+        self.queue.push(tick, ev.pack());
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Request {
     agent: AgentId,
@@ -216,6 +288,42 @@ impl MemAgent {
             .numa_extra
             .partition_point(|(r, _)| r.base() <= range.base());
         self.numa_extra.insert(pos, (range, extra));
+    }
+
+    /// Services a memory-agent message arriving at `now`: reads file the
+    /// `MemData` reply, writes are posted.
+    fn handle(&mut self, msg: Msg, now: Tick, out: &mut Sink<'_>) {
+        let extra = self.extra_for(msg.addr);
+        // `msg.home` names the requesting home; replies return through
+        // that home's memory port.
+        let (link, front) = &mut self.ports[msg.home.index()];
+        let mut start = now + *front + extra;
+        if let Some(f) = out.fault.as_deref_mut() {
+            // Slow/stall windows gate service start; the request queues
+            // (the DRAM model serializes it after release) rather than
+            // being dropped.
+            start = fault::perturb_mem_start(f, msg.home, start);
+        }
+        let bytes = simcxl_mem::CACHELINE_BYTES;
+        match msg.kind {
+            MsgKind::MemRd => {
+                let done = self
+                    .mi
+                    .read(start, msg.addr, bytes)
+                    .unwrap_or_else(|| panic!("no memory claims {}", msg.addr));
+                let arrival = link.send(done + extra, MsgKind::MemData.bytes());
+                let reply = Msg {
+                    kind: MsgKind::MemData,
+                    from: AgentId::MEMORY,
+                    ..msg
+                };
+                out.deliver(arrival, AgentId::HOME, reply);
+            }
+            MsgKind::MemWr => {
+                let _ = self.mi.write(start, msg.addr, bytes);
+            }
+            other => panic!("memory agent received {:?}", other),
+        }
     }
 
     /// Extra latency for `addr`: binary-search for the insertion point,
@@ -335,8 +443,6 @@ impl ProtocolEngineBuilder {
             func: FuncMem::new(),
             completions: Vec::new(),
             jitter: self.jitter_ns.map(|(seed, sd)| (SimRng::new(seed), sd)),
-            outbox: Outbox::default(),
-            home_outbox: HomeOutbox::default(),
             fault,
         }
     }
@@ -367,8 +473,6 @@ pub struct ProtocolEngine {
     func: FuncMem,
     completions: Vec<Completion>,
     jitter: Option<(SimRng, f64)>,
-    outbox: Outbox,
-    home_outbox: HomeOutbox,
     /// Armed fault-injection plan and its counters, if any.
     fault: Option<FaultState>,
 }
@@ -521,21 +625,8 @@ impl ProtocolEngine {
             addr,
             issued: at,
         });
-        self.push_ev(at + delay, Ev::Issue { req });
+        self.queue.push(at + delay, Ev::Issue { req }.pack());
         req
-    }
-
-    /// Looks up a live request; panics if the id was never issued or has
-    /// already completed (a stale generation).
-    fn request(&self, req: ReqId) -> Request {
-        let slot = &self.requests[req.slot()];
-        assert_eq!(slot.gen, req.gen(), "stale request id {req}");
-        slot.req.expect("request slot vacant")
-    }
-
-    /// Schedules an event; same-tick events dispatch in push order.
-    fn push_ev(&mut self, tick: Tick, ev: Ev) {
-        self.queue.push(tick, ev.pack());
     }
 
     /// Time of the next pending event (an O(1) queue peek).
@@ -596,32 +687,26 @@ impl ProtocolEngine {
     }
 
     fn dispatch(&mut self, ev: Ev) {
+        let now = self.now;
+        let mut out = Sink {
+            queue: &mut self.queue,
+            topology: &self.topology,
+            fault: self.fault.as_mut(),
+        };
         match ev {
             Ev::Issue { req } => {
-                let r = self.request(req);
-                let idx = r.agent.index() - 2;
-                let mut out = std::mem::take(&mut self.outbox);
-                out.clear();
-                self.caches[idx].handle_request(req, r.op, r.addr, self.now, &mut out);
-                self.drain_cache_outbox(out);
+                let slot = &self.requests[req.slot()];
+                assert_eq!(slot.gen, req.gen(), "stale request id {req}");
+                let r = slot.req.expect("request slot vacant");
+                let cache = &mut self.caches[r.agent.index() - 2];
+                cache.handle_request(req, r.op, r.addr, now, &mut out);
             }
-            Ev::Deliver { dst, msg, level } => {
-                if dst == AgentId::HOME {
-                    let mut out = std::mem::take(&mut self.home_outbox);
-                    out.msgs.clear();
-                    self.homes[msg.home.index()].handle_msg(msg, self.now, &mut out);
-                    self.drain_home_outbox(out);
-                } else if dst == AgentId::MEMORY {
-                    self.handle_mem(msg);
-                } else {
-                    let idx = dst.index() - 2;
-                    let mut out = std::mem::take(&mut self.outbox);
-                    out.clear();
-                    self.caches[idx].handle_msg(msg, level, self.now, &mut out);
-                    self.drain_cache_outbox(out);
-                }
-            }
-            Ev::Complete { req, level } => self.apply_complete(self.now, req, level),
+            Ev::Deliver { dst, msg, level } => match dst {
+                AgentId::HOME => self.homes[msg.home.index()].handle_msg(msg, now, &mut out),
+                AgentId::MEMORY => self.mem.handle(msg, now, &mut out),
+                _ => self.caches[dst.index() - 2].handle_msg(msg, level, now, &mut out),
+            },
+            Ev::Complete { req, level } => self.apply_complete(now, req, level),
         }
     }
 
@@ -666,120 +751,6 @@ impl ProtocolEngine {
             level,
             value,
         });
-    }
-
-    fn drain_cache_outbox(&mut self, mut out: Outbox) {
-        for (tick, dst, mut msg) in out.msgs.drain(..) {
-            // Route home-bound traffic to the shard owning the line;
-            // the cache itself is topology-blind.
-            let mut tick = tick;
-            if dst == AgentId::HOME {
-                msg.home = self.topology.home_for(msg.addr);
-                if let Some(f) = &mut self.fault {
-                    tick = fault::perturb_link(
-                        &f.core,
-                        &mut f.link,
-                        Hop::CacheToHome {
-                            from: msg.from,
-                            home: msg.home,
-                        },
-                        tick,
-                        msg.addr,
-                    );
-                }
-            }
-            self.push_ev(
-                tick,
-                Ev::Deliver {
-                    dst,
-                    msg,
-                    level: None,
-                },
-            );
-        }
-        for (tick, req, level) in out.completions.drain(..) {
-            self.push_ev(tick, Ev::Complete { req, level });
-        }
-        for (tick, dst, msg) in out.deferred.drain(..) {
-            self.push_ev(
-                tick,
-                Ev::Deliver {
-                    dst,
-                    msg,
-                    level: None,
-                },
-            );
-        }
-        self.outbox = out;
-    }
-
-    fn drain_home_outbox(&mut self, mut out: HomeOutbox) {
-        for (tick, dst, msg, level) in out.msgs.drain(..) {
-            let mut tick = tick;
-            // Link faults cover the cache↔home links only: fetches and
-            // writebacks to memory pass untouched.
-            if let Some(f) = self.fault.as_mut().filter(|_| dst != AgentId::MEMORY) {
-                let hop = Hop::HomeToCache {
-                    dst,
-                    home: msg.home,
-                };
-                tick = fault::perturb_link(&f.core, &mut f.link, hop, tick, msg.addr);
-            }
-            self.push_ev(tick, Ev::Deliver { dst, msg, level });
-        }
-        self.home_outbox = out;
-    }
-
-    /// Services a memory-agent message: reads schedule the `MemData`
-    /// reply, writes are posted.
-    fn handle_mem(&mut self, msg: Msg) {
-        let now = self.now;
-        let extra = self.mem.extra_for(msg.addr);
-        // `msg.home` names the requesting home; replies return through
-        // that home's memory port.
-        let (_, front) = self.mem.ports[msg.home.index()];
-        match msg.kind {
-            MsgKind::MemRd => {
-                let mut start = now + front + extra;
-                if let Some(f) = &mut self.fault {
-                    // Slow/stall windows gate service start; the request
-                    // queues (the DRAM model serializes it after release)
-                    // rather than being dropped.
-                    start = fault::perturb_mem_start(f, msg.home, start);
-                }
-                let done = self
-                    .mem
-                    .mi
-                    .read(start, msg.addr, simcxl_mem::CACHELINE_BYTES)
-                    .unwrap_or_else(|| panic!("no memory claims {}", msg.addr));
-                let link = &mut self.mem.ports[msg.home.index()].0;
-                let arrival = link.send(done + extra, MsgKind::MemData.bytes());
-                self.push_ev(
-                    arrival,
-                    Ev::Deliver {
-                        dst: AgentId::HOME,
-                        msg: Msg {
-                            kind: MsgKind::MemData,
-                            addr: msg.addr,
-                            from: AgentId::MEMORY,
-                            home: msg.home,
-                        },
-                        level: None,
-                    },
-                );
-            }
-            MsgKind::MemWr => {
-                let mut start = now + front + extra;
-                if let Some(f) = &mut self.fault {
-                    start = fault::perturb_mem_start(f, msg.home, start);
-                }
-                let _ = self
-                    .mem
-                    .mi
-                    .write(start, msg.addr, simcxl_mem::CACHELINE_BYTES);
-            }
-            other => panic!("memory agent received {:?}", other),
-        }
     }
 
     /// Installs a line in a cache *and* the directory so tests and
@@ -1324,6 +1295,48 @@ mod tests {
         assert_eq!(done.len(), 7);
         eng.verify_invariants();
         assert_eq!(eng.func_mem().read_u64(line(194)), 2);
+    }
+
+    /// Pins the order a handler files its events in. A `DataGoS` fill
+    /// releases a queued load, then a queued store that needs ownership:
+    /// the cache completes the load and re-requests the line with
+    /// `RdOwn` in the same handler call, so any reorder of completions
+    /// and messages inside the sink shows up here by name.
+    #[test]
+    fn shared_fill_completes_queued_load_then_upgrades_for_the_store() {
+        let (mut eng, cpu, hmc) = engine();
+        let a = PhysAddr::new(0xc000);
+        // A peer sharer makes the home grant the CPU's read in S.
+        eng.preload(hmc, a, LineState::Shared);
+        let ops = [
+            MemOp::Load,
+            MemOp::Load,
+            MemOp::Store { value: 5 },
+            MemOp::Load,
+        ];
+        let ids: Vec<ReqId> = (0..ops.len())
+            .map(|i| eng.issue(cpu, ops[i], a, Tick::from_ps(100 * i as u64)))
+            .collect();
+        let done = eng.run_to_quiescence();
+        let seen: Vec<(usize, u64, u64, HitLevel)> = done
+            .iter()
+            .map(|c| {
+                let i = ids.iter().position(|&r| r == c.req).unwrap();
+                (i, c.done.as_ps(), c.value, c.level)
+            })
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (0, 79_500, 0, HitLevel::Llc),
+                (1, 80_000, 0, HitLevel::Llc),
+                (2, 630_750, 5, HitLevel::Llc),
+                (3, 631_250, 5, HitLevel::Llc),
+            ]
+        );
+        assert_eq!(eng.line_state(cpu, a), Some(LineState::Modified));
+        assert_eq!(eng.line_state(hmc, a), None);
+        eng.verify_invariants();
     }
 
     fn mem_agent_with(ranges: &[(u64, u64, u64)]) -> MemAgent {

@@ -8,6 +8,7 @@
 //! and replay in arrival order.
 
 use crate::config::HomeConfig;
+use crate::engine::Sink;
 use crate::msg::{AgentId, HitLevel, Msg, MsgKind};
 use crate::pending::{PendingList, PendingSlab};
 use crate::profile::EngineProfile;
@@ -286,12 +287,6 @@ pub(crate) struct HomeAgent {
     profile: EngineProfile,
 }
 
-/// Outgoing traffic produced by the home agent.
-#[derive(Debug, Default)]
-pub(crate) struct HomeOutbox {
-    pub msgs: Vec<(Tick, AgentId, Msg, Option<HitLevel>)>,
-}
-
 impl HomeAgent {
     pub(crate) fn new(id: HomeId, cfg: HomeConfig) -> Self {
         let mem_link = Link::new(cfg.mem_link);
@@ -375,21 +370,17 @@ impl HomeAgent {
         kind: MsgKind,
         addr: simcxl_mem::PhysAddr,
         level: Option<HitLevel>,
-        out: &mut HomeOutbox,
+        out: &mut Sink<'_>,
     ) {
         let link = &mut self.links[dst.index() - 2];
         let arrival = link.send(now, kind.bytes());
-        out.msgs.push((
-            arrival,
-            dst,
-            Msg {
-                kind,
-                addr,
-                from: AgentId::HOME,
-                home: self.id,
-            },
-            level,
-        ));
+        let msg = Msg {
+            kind,
+            addr,
+            from: AgentId::HOME,
+            home: self.id,
+        };
+        out.send_from_home(arrival, dst, msg, level);
     }
 
     fn send_to_mem(
@@ -397,20 +388,16 @@ impl HomeAgent {
         now: Tick,
         kind: MsgKind,
         addr: simcxl_mem::PhysAddr,
-        out: &mut HomeOutbox,
+        out: &mut Sink<'_>,
     ) {
         let arrival = self.mem_link.send(now, kind.bytes());
-        out.msgs.push((
-            arrival,
-            AgentId::MEMORY,
-            Msg {
-                kind,
-                addr,
-                from: AgentId::HOME,
-                home: self.id,
-            },
-            None,
-        ));
+        let msg = Msg {
+            kind,
+            addr,
+            from: AgentId::HOME,
+            home: self.id,
+        };
+        out.send_from_home(arrival, AgentId::MEMORY, msg, None);
     }
 
     /// Handles any message arriving at the home agent.
@@ -419,7 +406,7 @@ impl HomeAgent {
     /// pipeline (the `serve_gap` occupancy responsible for the paper's
     /// LLC/mem-hit bandwidth degradation, §VI-C1); data responses refill
     /// through a dedicated port with the shorter `refill_latency`.
-    pub(crate) fn handle_msg(&mut self, msg: Msg, now: Tick, out: &mut HomeOutbox) {
+    pub(crate) fn handle_msg(&mut self, msg: Msg, now: Tick, out: &mut Sink<'_>) {
         match msg.kind {
             MsgKind::RdShared
             | MsgKind::RdOwn
@@ -480,9 +467,8 @@ impl HomeAgent {
         mut word: u64,
         kind: MsgKind,
         addr: simcxl_mem::PhysAddr,
-        out: &mut HomeOutbox,
+        out: &mut Sink<'_>,
     ) {
-        out.msgs.reserve(word.count_ones() as usize);
         while word != 0 {
             let i = word.trailing_zeros() as u8;
             word &= word - 1;
@@ -500,7 +486,7 @@ impl HomeAgent {
         kind: MsgKind,
         addr: simcxl_mem::PhysAddr,
         t: Tick,
-        out: &mut HomeOutbox,
+        out: &mut Sink<'_>,
     ) -> bool {
         let key = addr.raw();
         match kind {
@@ -692,7 +678,7 @@ impl HomeAgent {
         }
     }
 
-    fn snoop_resp(&mut self, msg: Msg, dirty: bool, _inv: bool, t: Tick, out: &mut HomeOutbox) {
+    fn snoop_resp(&mut self, msg: Msg, dirty: bool, _inv: bool, t: Tick, out: &mut Sink<'_>) {
         let key = msg.addr.raw();
         // One busy probe for both the countdown and the finish-removal:
         // an occupied entry is decremented in place and removed (with
@@ -817,7 +803,7 @@ impl HomeAgent {
         self.replay_pending(key, line.pending, msg.addr, t, out);
     }
 
-    fn wb_data(&mut self, msg: Msg, t: Tick, out: &mut HomeOutbox) {
+    fn wb_data(&mut self, msg: Msg, t: Tick, out: &mut Sink<'_>) {
         let key = msg.addr.raw();
         let line = self.busy.remove(&key);
         match line {
@@ -840,7 +826,7 @@ impl HomeAgent {
         }
     }
 
-    fn mem_data(&mut self, msg: Msg, t: Tick, out: &mut HomeOutbox) {
+    fn mem_data(&mut self, msg: Msg, t: Tick, out: &mut Sink<'_>) {
         let key = msg.addr.raw();
         let line = self.busy.remove(&key);
         match line {
@@ -888,7 +874,7 @@ impl HomeAgent {
         mut list: PendingList,
         addr: simcxl_mem::PhysAddr,
         t: Tick,
-        out: &mut HomeOutbox,
+        out: &mut Sink<'_>,
     ) {
         let mut chain = 0u64;
         while let Some((from, kind)) = self.slab.pop_front(&mut list) {

@@ -88,6 +88,32 @@ fn link_degradation_inflates_latency_and_counts_retries() {
 }
 
 #[test]
+fn link_faults_apply_once_per_cache_home_hop() {
+    // A window open for the whole run faults every cache<->home
+    // transfer exactly once, and never a home<->memory one.
+    let plan = FaultPlan::new(3).with(
+        Tick::ZERO,
+        Tick::from_us(1_000),
+        degrade_all(Tick::from_ns(5)),
+    );
+    let mut eng = build(Topology::line_interleaved(2), Some(plan));
+    let a = eng.add_cache(CacheConfig::cpu_l1());
+    let b = eng.add_cache(CacheConfig::hmc_128k());
+    let line = PhysAddr::new(0x4040);
+    let faulted = |eng: &ProtocolEngine| eng.fault_stats().unwrap().link().faulted;
+    // Cold load: RdShared up and DataGoE down; MemRd/MemData pass clean.
+    eng.issue(a, MemOp::Load, line, Tick::ZERO);
+    let cold = eng.run_to_quiescence();
+    assert_eq!(cold[0].level, HitLevel::Mem);
+    assert_eq!(faulted(&eng), 2);
+    // Snooping the peer's E copy: RdShared, SnpData, SnpRespDown, DataGoS.
+    eng.issue(b, MemOp::Load, line, eng.now());
+    eng.run_to_quiescence();
+    assert_eq!(faulted(&eng), 6);
+    eng.verify_invariants();
+}
+
+#[test]
 fn slow_and_stalled_ports_queue_requests_and_flag_starvation() {
     let port = HomeId(0);
     let plan = FaultPlan::new(7)

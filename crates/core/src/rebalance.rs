@@ -50,13 +50,12 @@ use crate::faults::split;
 use crate::system::CohetSystem;
 use crate::topo::TopologySpec;
 use cohet_os::{migration, AccessKind, Accessor, Process, PAGE_SIZE};
-use sim_core::{SimRng, Tick};
+use sim_core::{FxHashMap, SimRng, Tick};
 use simcxl_coherence::rebalance::{balance_error_of, moved_stripes};
 use simcxl_coherence::{AgentId, CacheConfig, MemOp, RebalanceController, RebalanceSpec, Topology};
 use simcxl_mem::{PhysAddr, WeightedInterleave};
 use simcxl_pcie::{PcieLink, PcieLinkConfig};
 use simcxl_workloads::scenario::{self, Arrival, MachineSpec, PhaseSpec, ScenarioSpec, Traffic};
-use std::collections::HashMap;
 
 /// Directory homes in every rebalance case.
 const HOMES: usize = 4;
@@ -478,7 +477,7 @@ fn run_epochs(
     // working set in order, and the parity keeps the strict
     // agent alternation that makes every hot store a directory miss.
     let mut hot_k = [0u64; HOMES];
-    let mut parity: HashMap<u64, bool> = HashMap::new();
+    let mut parity: FxHashMap<u64, bool> = FxHashMap::default();
     let mut epoch_idx = 0u32;
 
     for regime in regimes {
