@@ -30,7 +30,8 @@ enum Ev {
 }
 
 /// Queue-resident packed encoding of [`Ev`]: 16 bytes against `Ev`'s 48,
-/// so a queue entry (tick plus payload) is 24 bytes instead of 56. Dense
+/// so a queue entry is 32 bytes on the event queue's ring (tick, link and
+/// payload) and 24 in its radix heap, instead of 64 and 56. Dense
 /// upfront batches park hundreds of thousands of events in the queue at
 /// once, and their per-event cost is dominated by memory traffic through
 /// those entries. The encoding round-trips exactly (agent fields hold a

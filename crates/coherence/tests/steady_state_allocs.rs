@@ -3,10 +3,11 @@
 //!
 //! Every per-request structure recycles: request slots, MSHR waiter
 //! nodes (one `PendingSlab` per cache), home pending lists, and the
-//! completion buffer the driver hands back to `run_next`. What remains
-//! is mostly the event queue's radix-heap buckets (256 of them) doubling
-//! when a wave beats a bucket's occupancy record, which decays with time
-//! and never scales with the request count. A regression that allocates
+//! completion buffer the driver hands back to `run_next`, and the event
+//! queue's ring nodes recycle through a free list. What remains is a
+//! buffer growing now and then when a wave beats its occupancy record
+//! (the ring's node slab, or a radix-heap bucket for a far event), which
+//! never scales with the request count. A regression that allocates
 //! once per miss or per tick batch shows up here as tens of thousands of
 //! allocations.
 //!
@@ -167,8 +168,7 @@ fn warm_wave_engine_does_not_allocate() {
     let completed = drive(&mut eng, &agents, &mut rng, &mut done, waves);
     let steady = allocs() - before;
     assert_eq!(completed, waves * WAVE);
-    // A constant (34 at this seed, 32 of them queue buckets beating
-    // their occupancy records), far below one per miss or per batch.
+    // A constant (2 at this seed), far below one per miss or per batch.
     assert!(
         steady <= 64,
         "{steady} heap allocations while driving {completed} warm requests"

@@ -31,6 +31,7 @@ use simcxl_coherence::{AgentId, Completion, MemOp, ProtocolEngine, ReqId};
 use simcxl_mem::PhysAddr;
 
 /// A queued scenario-side wakeup.
+#[derive(Clone, Copy)]
 enum Wake {
     /// A closed-loop client is admitted.
     Arrive { client: u64, phase: u16 },
