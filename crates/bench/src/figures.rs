@@ -20,10 +20,8 @@ use cohet::extensions::{graph_offload, kvstore_offload};
 use cohet::profile::reference;
 use cohet::DeviceProfile;
 use protowire::{genbench, BenchId};
-use sim_core::{mape, SimRng, Summary, Tick};
-use simcxl_coherence::hierarchy::{HierarchicalDirectory, HierarchyCost, NodeId};
+use sim_core::{mape, Summary};
 use simcxl_cxl::{CxlMemConfig, CxlMemPath};
-use simcxl_mem::PhysAddr;
 use simcxl_nic::{RpcNicModel, SerializeMode};
 use simcxl_workloads::circustent::CtPattern;
 use simcxl_workloads::kvstore::KvConfig;
@@ -155,7 +153,6 @@ fn run(quick: bool) -> Json {
         ("calibration", calibration(t13)),
         ("headline", headline(&f13[0], &f15[0])),
         ("shapes", shapes()),
-        ("hierarchy", hierarchy()),
         ("prefetch", prefetch()),
         ("offload", offload(&fpga)),
     ])
@@ -356,51 +353,6 @@ fn shapes() -> Json {
         rows.extend(shape.map(|(what, v)| row(format!("{bench} {what}"), None, v)));
     }
     model_section("model", &rows)
-}
-
-/// §VIII's hierarchical coherence for supernodes: the share of accesses
-/// the local agents absorb, and hierarchical over flat directory time.
-fn hierarchy() -> Json {
-    let mut rows = Vec::new();
-    for nodes in [2usize, 4, 8, 16] {
-        for locality in [0.5, 0.9] {
-            let (absorbed, hier, flat) = supernode(nodes, locality);
-            let case = format!("{nodes} nodes, locality {locality}");
-            let ratio = hier.as_secs_f64() / flat.as_secs_f64();
-            let absorbed = absorbed * 100.0;
-            rows.push(row(format!("{case}: local-absorbed (%)"), None, absorbed));
-            rows.push(row(format!("{case}: hier/flat time"), None, ratio));
-        }
-    }
-    model_section("model", &rows)
-}
-
-/// One supernode run of 20,000 accesses (20% writes): the share of
-/// accesses local agents absorb, and the hierarchical and flat times.
-fn supernode(nodes: usize, locality: f64) -> (f64, Tick, Tick) {
-    let mut d = HierarchicalDirectory::new(nodes, HierarchyCost::default());
-    let mut rng = SimRng::new(9);
-    let mut hier = Tick::ZERO;
-    let mut flat = Tick::ZERO;
-    for i in 0..20_000u64 {
-        let node = NodeId((i % nodes as u64) as usize);
-        // With probability `locality`, access the node's own region.
-        let line = if rng.chance(locality) {
-            node.0 as u64 * 1024 + rng.below(256)
-        } else {
-            rng.below(nodes as u64 * 1024)
-        };
-        let addr = PhysAddr::new(line * 64);
-        hier += if rng.chance(0.2) {
-            d.write(node, addr)
-        } else {
-            d.read(node, addr)
-        };
-        flat += d.flat_cost();
-    }
-    let s = d.stats();
-    let absorbed = s.local_hits as f64 / (s.local_hits + s.global_consults) as f64;
-    (absorbed, hier, flat)
 }
 
 /// The multi-stride RPC prefetcher's gain per bench over its first 300

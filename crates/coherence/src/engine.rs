@@ -4,7 +4,7 @@
 use crate::array::LineState;
 use crate::cache::{CacheAgent, CacheStats};
 use crate::config::{CacheConfig, HomeConfig};
-use crate::fault::{self, FaultPlan, FaultState, FaultStatsView, Hop, RehomeStats};
+use crate::fault::{FaultPlan, FaultState, FaultStatsView, Hop, RehomeStats};
 use crate::funcmem::FuncMem;
 use crate::home::{DirEntry, HomeAgent, HomeStatsView};
 use crate::msg::{AgentId, HitLevel, MemOp, Msg, MsgKind, ReqId};
@@ -247,10 +247,9 @@ impl Sink<'_> {
     }
 
     fn link(&mut self, hop: Hop, tick: Tick, addr: PhysAddr) -> Tick {
-        match self.fault.as_deref_mut() {
-            Some(f) => fault::perturb_link(&f.core, &mut f.link, hop, tick, addr),
-            None => tick,
-        }
+        self.fault
+            .as_deref_mut()
+            .map_or(tick, |f| f.perturb_link(hop, tick, addr))
     }
 
     /// Same-tick events dispatch in push order.
@@ -303,7 +302,7 @@ impl MemAgent {
             // Slow/stall windows gate service start; the request queues
             // (the DRAM model serializes it after release) rather than
             // being dropped.
-            start = fault::perturb_mem_start(f, msg.home, start);
+            start = f.perturb_mem_start(msg.home, start);
         }
         let bytes = simcxl_mem::CACHELINE_BYTES;
         match msg.kind {
@@ -392,7 +391,7 @@ impl ProtocolEngineBuilder {
     }
 
     /// Arms a deterministic fault-injection plan (see
-    /// [`fault`] module). Fault decisions are pure functions of
+    /// [`fault`](crate::fault) module). Fault decisions are pure functions of
     /// the plan's seed and each message's own coordinates, so the same
     /// plan reproduces bit-identical completion streams on every rerun.
     /// An empty plan is equivalent to none.
@@ -429,7 +428,7 @@ impl ProtocolEngineBuilder {
                     homes.len()
                 );
             }
-            FaultState::new(&plan, homes.len())
+            FaultState::new(plan, homes.len())
         });
         ProtocolEngine {
             queue: EventQueue::new(),
@@ -877,7 +876,7 @@ impl ProtocolEngine {
     /// starvation counters (the fault-layer analog of
     /// [`home_stats_view`](Self::home_stats_view)).
     pub fn fault_stats(&self) -> Option<FaultStatsView> {
-        self.fault.as_ref().map(FaultState::view)
+        self.fault.as_ref().map(|f| f.stats.clone())
     }
 
     /// Re-points the directory at `new_topology` — the planned

@@ -83,15 +83,6 @@ pub enum FaultKind {
     },
 }
 
-/// A [`FaultKind`] active over a [`Window`] of simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// When the fault is active (half-open, in absolute sim time).
-    pub window: Window,
-    /// What goes wrong.
-    pub kind: FaultKind,
-}
-
 /// A deterministic, seeded schedule of fault events.
 ///
 /// Events compose: overlapping link windows all sample independently
@@ -120,7 +111,9 @@ pub struct FaultEvent {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
-    events: Vec<FaultEvent>,
+    link: Vec<LinkRule>,
+    slow: Vec<SlowRule>,
+    stall: Vec<StallRule>,
 }
 
 impl FaultPlan {
@@ -128,7 +121,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            events: Vec::new(),
+            ..FaultPlan::default()
         }
     }
 
@@ -141,156 +134,57 @@ impl FaultPlan {
     /// `max_retries` or more than 16 — the exponential
     /// backoff is bounded — zero `backoff`/`extra`/`watchdog`).
     pub fn with(mut self, from: Tick, until: Tick, kind: FaultKind) -> Self {
+        let window = Window::new(from, until);
         match kind {
             FaultKind::LinkDegrade {
+                home,
                 max_retries,
                 backoff,
-                ..
             } => {
                 assert!(
                     (1..=16).contains(&max_retries),
                     "max_retries must be in 1..=16, got {max_retries}"
                 );
                 assert!(backoff > Tick::ZERO, "backoff must be nonzero");
+                self.link.push(LinkRule {
+                    window,
+                    home,
+                    max_retries,
+                    backoff,
+                });
             }
-            FaultKind::SlowMemPort { extra, .. } => {
+            FaultKind::SlowMemPort { port, extra } => {
                 assert!(extra > Tick::ZERO, "slow-port extra must be nonzero");
+                self.slow.push(SlowRule {
+                    window,
+                    port,
+                    extra,
+                });
             }
-            FaultKind::StallMemPort { watchdog, .. } => {
+            FaultKind::StallMemPort { port, watchdog } => {
                 assert!(watchdog > Tick::ZERO, "watchdog must be nonzero");
+                self.stall.push(StallRule {
+                    window,
+                    port,
+                    watchdog,
+                });
             }
         }
-        self.events.push(FaultEvent {
-            window: Window::new(from, until),
-            kind,
-        });
         self
     }
 
     /// Whether the plan schedules anything at all.
     pub(crate) fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.link.is_empty() && self.slow.is_empty() && self.stall.is_empty()
     }
 
     /// The largest home/port index any event names, for validation
     /// against the engine's home count.
     pub(crate) fn max_home(&self) -> Option<usize> {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::LinkDegrade { home, .. } => home.map(|h| h.index()),
-                FaultKind::SlowMemPort { port, .. } => Some(port.index()),
-                FaultKind::StallMemPort { port, .. } => Some(port.index()),
-            })
-            .max()
-    }
-}
-
-/// A directed hop a message is about to take, as seen by the fault
-/// sampler. Carries exactly the coordinates the decision may depend on.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Hop {
-    /// Cache request arriving at its home.
-    CacheToHome {
-        /// The requesting cache.
-        from: AgentId,
-        /// The home it targets.
-        home: HomeId,
-    },
-    /// Home snoop/grant arriving at a cache.
-    HomeToCache {
-        /// The target cache.
-        dst: AgentId,
-        /// The sending home.
-        home: HomeId,
-    },
-}
-
-impl Hop {
-    fn home(&self) -> HomeId {
-        match *self {
-            Hop::CacheToHome { home, .. } | Hop::HomeToCache { home, .. } => home,
-        }
-    }
-
-    /// Direction-and-endpoint salt so the two hop kinds sample
-    /// independent fault streams even at equal timestamps.
-    fn salt(&self) -> u64 {
-        match *self {
-            Hop::CacheToHome { from, .. } => 0x1000 + from.index() as u64,
-            Hop::HomeToCache { dst, .. } => 0x2000 + dst.index() as u64,
-        }
-    }
-}
-
-/// Flattened link-degrade rule.
-#[derive(Debug, Clone, Copy)]
-struct LinkRule {
-    window: Window,
-    home: Option<HomeId>,
-    max_retries: u32,
-    backoff: Tick,
-}
-
-/// Flattened slow-port rule.
-#[derive(Debug, Clone, Copy)]
-struct SlowRule {
-    window: Window,
-    port: HomeId,
-    extra: Tick,
-}
-
-/// Flattened stall rule.
-#[derive(Debug, Clone, Copy)]
-struct StallRule {
-    window: Window,
-    port: HomeId,
-    watchdog: Tick,
-}
-
-/// The compiled, immutable decision core of a plan; all methods are
-/// pure functions of the seed and a message's coordinates.
-#[derive(Debug)]
-pub(crate) struct FaultCore {
-    seed: u64,
-    link: Vec<LinkRule>,
-    slow: Vec<SlowRule>,
-    stall: Vec<StallRule>,
-}
-
-impl FaultCore {
-    pub(crate) fn new(plan: &FaultPlan) -> Self {
-        let mut core = FaultCore {
-            seed: plan.seed,
-            link: Vec::new(),
-            slow: Vec::new(),
-            stall: Vec::new(),
-        };
-        for ev in &plan.events {
-            match ev.kind {
-                FaultKind::LinkDegrade {
-                    home,
-                    max_retries,
-                    backoff,
-                } => core.link.push(LinkRule {
-                    window: ev.window,
-                    home,
-                    max_retries,
-                    backoff,
-                }),
-                FaultKind::SlowMemPort { port, extra } => core.slow.push(SlowRule {
-                    window: ev.window,
-                    port,
-                    extra,
-                }),
-                FaultKind::StallMemPort { port, watchdog } => core.stall.push(StallRule {
-                    window: ev.window,
-                    port,
-                    watchdog,
-                }),
-            }
-        }
-        core
+        let link = self.link.iter().filter_map(|r| r.home);
+        let slow = self.slow.iter().map(|r| r.port);
+        let stall = self.stall.iter().map(|r| r.port);
+        link.chain(slow).chain(stall).map(HomeId::index).max()
     }
 
     /// Retry count and delivery penalty for a transfer taking `hop`
@@ -306,13 +200,8 @@ impl FaultCore {
     pub(crate) fn link_penalty(&self, hop: Hop, at: Tick, addr: PhysAddr) -> Option<(u32, Tick)> {
         let mut best: Option<(u32, Tick)> = None;
         for (i, r) in self.link.iter().enumerate() {
-            if at < r.window.from {
+            if at < r.window.from || r.home.is_some_and(|h| h != hop.home()) {
                 continue;
-            }
-            if let Some(h) = r.home {
-                if h != hop.home() {
-                    continue;
-                }
             }
             let digest = mix64(
                 self.seed
@@ -380,6 +269,68 @@ impl FaultCore {
     }
 }
 
+/// A directed hop a message is about to take, as seen by the fault
+/// sampler. Carries exactly the coordinates the decision may depend on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Hop {
+    /// Cache request arriving at its home.
+    CacheToHome {
+        /// The requesting cache.
+        from: AgentId,
+        /// The home it targets.
+        home: HomeId,
+    },
+    /// Home snoop/grant arriving at a cache.
+    HomeToCache {
+        /// The target cache.
+        dst: AgentId,
+        /// The sending home.
+        home: HomeId,
+    },
+}
+
+impl Hop {
+    fn home(&self) -> HomeId {
+        match *self {
+            Hop::CacheToHome { home, .. } | Hop::HomeToCache { home, .. } => home,
+        }
+    }
+
+    /// Direction-and-endpoint salt so the two hop kinds sample
+    /// independent fault streams even at equal timestamps.
+    fn salt(&self) -> u64 {
+        match *self {
+            Hop::CacheToHome { from, .. } => 0x1000 + from.index() as u64,
+            Hop::HomeToCache { dst, .. } => 0x2000 + dst.index() as u64,
+        }
+    }
+}
+
+/// A link-degrade window, as [`FaultPlan::with`] files it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LinkRule {
+    window: Window,
+    home: Option<HomeId>,
+    max_retries: u32,
+    backoff: Tick,
+}
+
+/// A slow-port window, as [`FaultPlan::with`] files it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlowRule {
+    window: Window,
+    port: HomeId,
+    extra: Tick,
+}
+
+/// A stall window, as [`FaultPlan::with`] files it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StallRule {
+    window: Window,
+    port: HomeId,
+    watchdog: Tick,
+}
+
 /// Retry/backoff counters for the cache↔home links, surfaced through
 /// [`FaultStatsView`] (mirroring how [`HomeStats`](crate::HomeStats)
 /// surface through [`HomeStatsView`](crate::HomeStatsView)).
@@ -394,14 +345,6 @@ pub struct LinkFaultStats {
     /// Total fault-induced delivery delay (replay backoff plus residual
     /// post-window backlog).
     pub backoff: Tick,
-}
-
-impl AddAssign for LinkFaultStats {
-    fn add_assign(&mut self, rhs: LinkFaultStats) {
-        self.faulted += rhs.faulted;
-        self.retries += rhs.retries;
-        self.backoff += rhs.backoff;
-    }
 }
 
 /// Slow/stall counters for one memory port.
@@ -442,10 +385,6 @@ pub struct FaultStatsView {
 }
 
 impl FaultStatsView {
-    pub(crate) fn new(link: LinkFaultStats, ports: Vec<PortFaultStats>) -> Self {
-        FaultStatsView { link, ports }
-    }
-
     /// Aggregate link retry/backoff counters (both directions).
     pub fn link(&self) -> &LinkFaultStats {
         &self.link
@@ -471,76 +410,63 @@ impl FaultStatsView {
     }
 }
 
-/// Engine-side fault state: the decision core plus the mutable
-/// counters the hooks update.
+/// Engine-side fault state: the plan plus the counters the hooks
+/// update.
 #[derive(Debug)]
 pub(crate) struct FaultState {
-    pub(crate) core: FaultCore,
-    pub(crate) link: LinkFaultStats,
-    pub(crate) ports: Vec<PortFaultStats>,
+    plan: FaultPlan,
+    pub(crate) stats: FaultStatsView,
 }
 
 impl FaultState {
-    pub(crate) fn new(plan: &FaultPlan, nhomes: usize) -> Self {
+    pub(crate) fn new(plan: FaultPlan, nhomes: usize) -> Self {
         FaultState {
-            core: FaultCore::new(plan),
-            link: LinkFaultStats::default(),
-            ports: vec![PortFaultStats::default(); nhomes],
+            plan,
+            stats: FaultStatsView {
+                link: LinkFaultStats::default(),
+                ports: vec![PortFaultStats::default(); nhomes],
+            },
         }
     }
 
-    pub(crate) fn view(&self) -> FaultStatsView {
-        FaultStatsView::new(self.link, self.ports.clone())
+    /// Applies any link fault to a transfer that would arrive at `at`,
+    /// returning the (possibly later) delivery tick.
+    pub(crate) fn perturb_link(&mut self, hop: Hop, at: Tick, addr: PhysAddr) -> Tick {
+        let Some((retries, penalty)) = self.plan.link_penalty(hop, at, addr) else {
+            return at;
+        };
+        let stats = &mut self.stats.link;
+        stats.faulted += u64::from(retries > 0);
+        stats.retries += u64::from(retries);
+        stats.backoff += penalty;
+        at + penalty
     }
-}
 
-/// Applies any link fault to a transfer that would arrive at `at`,
-/// returning the (possibly later) delivery tick and updating `stats`.
-pub(crate) fn perturb_link(
-    core: &FaultCore,
-    stats: &mut LinkFaultStats,
-    hop: Hop,
-    at: Tick,
-    addr: PhysAddr,
-) -> Tick {
-    match core.link_penalty(hop, at, addr) {
-        None => at,
-        Some((retries, penalty)) => {
-            if retries > 0 {
-                stats.faulted += 1;
-            }
-            stats.retries += retries as u64;
-            stats.backoff += penalty;
-            at + penalty
+    /// Applies slow/stall windows to a memory-port request arriving at
+    /// `at`, returning the adjusted service-start tick.
+    pub(crate) fn perturb_mem_start(&mut self, port: HomeId, at: Tick) -> Tick {
+        let mut start = at;
+        let extra = self.plan.slow_extra(port, at);
+        let p = &mut self.stats.ports[port.index()];
+        if extra > Tick::ZERO {
+            start += extra;
+            p.slowed += 1;
+            p.slow_extra += extra;
         }
-    }
-}
-
-/// Applies slow/stall windows to a memory-port request arriving at
-/// `at`, returning the adjusted service-start tick and updating the
-/// port's counters.
-pub(crate) fn perturb_mem_start(f: &mut FaultState, port: HomeId, at: Tick) -> Tick {
-    let mut start = at;
-    let extra = f.core.slow_extra(port, at);
-    let p = &mut f.ports[port.index()];
-    if extra > Tick::ZERO {
-        start += extra;
-        p.slowed += 1;
-        p.slow_extra += extra;
-    }
-    if let Some((until, watchdog)) = f.core.stall_until(port, at) {
-        if until > start {
-            let wait = until - start;
-            start = until;
-            p.stalled += 1;
-            p.stall_time += wait;
-            p.max_stall = p.max_stall.max(wait);
-            if wait > watchdog {
-                p.starved += 1;
+        if let Some((until, watchdog)) = self.plan.stall_until(port, at) {
+            if until > start {
+                let wait = until - start;
+                start = until;
+                p.stalled += 1;
+                p.stall_time += wait;
+                p.max_stall = p.max_stall.max(wait);
+                if wait > watchdog {
+                    p.starved += 1;
+                }
             }
         }
+        start
     }
-    start
 }
 
 /// What [`ProtocolEngine::rehome`](crate::ProtocolEngine::rehome) did
@@ -566,33 +492,43 @@ mod tests {
         }
     }
 
-    fn hop() -> Hop {
+    /// A request from cache 2 to `home`.
+    fn up(home: HomeId) -> Hop {
         Hop::CacheToHome {
             from: AgentId(2),
-            home: HomeId(0),
+            home,
+        }
+    }
+
+    /// A snoop or grant from `home` to cache 3.
+    fn down(home: HomeId) -> Hop {
+        Hop::HomeToCache {
+            dst: AgentId(3),
+            home,
         }
     }
 
     #[test]
     fn penalty_is_pure_and_window_scoped() {
         let plan = FaultPlan::new(1).with(Tick::from_ns(100), Tick::from_ns(200), degrade(3));
-        let core = FaultCore::new(&plan);
         let at = Tick::from_ns(150);
         let addr = PhysAddr::new(0x40);
-        let a = core.link_penalty(hop(), at, addr);
-        let b = core.link_penalty(hop(), at, addr);
+        let a = plan.link_penalty(up(HomeId(0)), at, addr);
+        let b = plan.link_penalty(up(HomeId(0)), at, addr);
         assert_eq!(a, b, "same coordinates must sample identically");
         let (n, full) = a.expect("every transfer faults in-window");
         assert!(n >= 1);
-        assert!(core.link_penalty(hop(), Tick::from_ns(99), addr).is_none());
+        assert!(plan
+            .link_penalty(up(HomeId(0)), Tick::from_ns(99), addr)
+            .is_none());
         // The trailing edge ramps down (residual backlog, 0 retries)
         // instead of dropping to zero, so delivery stays monotone.
         assert_eq!(
-            core.link_penalty(hop(), Tick::from_ns(200), addr),
+            plan.link_penalty(up(HomeId(0)), Tick::from_ns(200), addr),
             Some((0, full))
         );
-        assert!(core
-            .link_penalty(hop(), Tick::from_ns(200) + full, addr)
+        assert!(plan
+            .link_penalty(up(HomeId(0)), Tick::from_ns(200) + full, addr)
             .is_none());
     }
 
@@ -601,12 +537,11 @@ mod tests {
         // Send times straddling the window edges must arrive in send
         // order: the protocol's per-line channel ordering depends on it.
         let plan = FaultPlan::new(11).with(Tick::from_ns(100), Tick::from_ns(200), degrade(4));
-        let core = FaultCore::new(&plan);
         let addr = PhysAddr::new(0x1c0);
         let mut last = Tick::ZERO;
         for ns in 0..400u64 {
             let at = Tick::from_ns(ns);
-            let deliver = match core.link_penalty(hop(), at, addr) {
+            let deliver = match plan.link_penalty(up(HomeId(0)), at, addr) {
                 Some((_, p)) => at + p,
                 None => at,
             };
@@ -621,10 +556,9 @@ mod tests {
     #[test]
     fn backoff_is_bounded_exponential() {
         let plan = FaultPlan::new(2).with(Tick::ZERO, Tick::from_us(1), degrade(4));
-        let core = FaultCore::new(&plan);
         for i in 0..256u64 {
-            let (n, p) = core
-                .link_penalty(hop(), Tick::from_ns(i), PhysAddr::new(i * 64))
+            let (n, p) = plan
+                .link_penalty(up(HomeId(0)), Tick::from_ns(i), PhysAddr::new(i * 64))
                 .expect("every transfer faults in-window");
             assert!((1..=4).contains(&n));
             assert_eq!(p, Tick::from_ns(10) * ((1u64 << n) - 1));
@@ -642,19 +576,71 @@ mod tests {
                 backoff: Tick::from_ns(5),
             },
         );
-        let core = FaultCore::new(&plan);
         let at = Tick::from_ns(10);
         let addr = PhysAddr::new(0x80);
-        let h0 = Hop::CacheToHome {
-            from: AgentId(2),
-            home: HomeId(0),
-        };
-        let h1 = Hop::CacheToHome {
-            from: AgentId(2),
-            home: HomeId(1),
-        };
-        assert!(core.link_penalty(h0, at, addr).is_none());
-        assert!(core.link_penalty(h1, at, addr).is_some());
+        assert!(plan.link_penalty(up(HomeId(0)), at, addr).is_none());
+        assert!(plan.link_penalty(up(HomeId(1)), at, addr).is_some());
+    }
+
+    /// Pins the sampled link penalties on a plan that interleaves every
+    /// fault kind with two overlapping link rules, so a change to how
+    /// rules are stored cannot shift the second rule's salt unnoticed.
+    #[test]
+    fn mixed_plan_link_penalties_are_pinned() {
+        let plan = FaultPlan::new(9)
+            .with(
+                Tick::ZERO,
+                Tick::from_ns(300),
+                FaultKind::SlowMemPort {
+                    port: HomeId(0),
+                    extra: Tick::from_ns(5),
+                },
+            )
+            .with(Tick::from_ns(100), Tick::from_ns(400), degrade(3))
+            .with(
+                Tick::from_ns(150),
+                Tick::from_ns(250),
+                FaultKind::StallMemPort {
+                    port: HomeId(1),
+                    watchdog: Tick::from_ns(20),
+                },
+            )
+            .with(
+                Tick::from_ns(200),
+                Tick::from_ns(500),
+                FaultKind::LinkDegrade {
+                    home: Some(HomeId(1)),
+                    max_retries: 4,
+                    backoff: Tick::from_ns(7),
+                },
+            );
+        let mut got = Vec::new();
+        for home in [HomeId(0), HomeId(1)] {
+            for hop in [up(home), down(home)] {
+                for addr in [0x1c0, 0x2040] {
+                    // Before, in the first window, in both, on the first
+                    // ramp, in the second only, on the second ramp.
+                    got.push([50, 150, 300, 405, 450, 505].map(|ns| {
+                        plan.link_penalty(hop, Tick::from_ns(ns), PhysAddr::new(addr))
+                            .map(|(n, p)| (n, p.as_ps()))
+                    }));
+                }
+            }
+        }
+        // (retries, penalty in ps); rows run home 0 then 1, each up
+        // then down, each at the two addresses.
+        #[rustfmt::skip]
+        let want = [
+            [None,             Some((1, 10000)), Some((1, 10000)), Some((0, 5000)),  None,             None],
+            [None,             Some((3, 70000)), Some((3, 70000)), Some((0, 65000)), Some((0, 20000)), None],
+            [None,             Some((3, 70000)), Some((3, 70000)), Some((0, 65000)), Some((0, 20000)), None],
+            [None,             Some((1, 10000)), Some((1, 10000)), Some((0, 5000)),  None,             None],
+            [None,             Some((1, 10000)), Some((1, 10000)), Some((1, 7000)),  Some((1, 7000)),  Some((0, 2000))],
+            [None,             Some((3, 70000)), Some((3, 70000)), Some((0, 65000)), Some((3, 49000)), Some((0, 44000))],
+            [None,             Some((3, 70000)), Some((3, 70000)), Some((0, 65000)), Some((0, 20000)), Some((0, 2000))],
+            [None,             Some((1, 10000)), Some((3, 49000)), Some((3, 49000)), Some((3, 49000)), Some((0, 44000))],
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -685,20 +671,19 @@ mod tests {
                     watchdog: Tick::from_ns(40),
                 },
             );
-        let core = FaultCore::new(&plan);
-        assert_eq!(core.slow_extra(port, Tick::from_ns(10)), Tick::from_ns(7));
+        assert_eq!(plan.slow_extra(port, Tick::from_ns(10)), Tick::from_ns(7));
         // Overlapping slow windows take the max, not the sum.
-        assert_eq!(core.slow_extra(port, Tick::from_ns(60)), Tick::from_ns(7));
-        assert_eq!(core.slow_extra(HomeId(0), Tick::from_ns(60)), Tick::ZERO);
+        assert_eq!(plan.slow_extra(port, Tick::from_ns(60)), Tick::from_ns(7));
+        assert_eq!(plan.slow_extra(HomeId(0), Tick::from_ns(60)), Tick::ZERO);
         // Trailing residual: service start stays monotone at the edge.
-        assert_eq!(core.slow_extra(port, Tick::from_ns(103)), Tick::from_ns(4));
-        assert_eq!(core.slow_extra(port, Tick::from_ns(107)), Tick::ZERO);
+        assert_eq!(plan.slow_extra(port, Tick::from_ns(103)), Tick::from_ns(4));
+        assert_eq!(plan.slow_extra(port, Tick::from_ns(107)), Tick::ZERO);
         assert_eq!(
-            core.stall_until(port, Tick::from_ns(250)),
+            plan.stall_until(port, Tick::from_ns(250)),
             Some((Tick::from_ns(300), Tick::from_ns(40)))
         );
-        assert_eq!(core.stall_until(port, Tick::from_ns(150)), None);
-        assert_eq!(core.stall_until(HomeId(0), Tick::from_ns(250)), None);
+        assert_eq!(plan.stall_until(port, Tick::from_ns(150)), None);
+        assert_eq!(plan.stall_until(HomeId(0), Tick::from_ns(250)), None);
     }
 
     #[test]
@@ -712,18 +697,18 @@ mod tests {
                 watchdog: Tick::from_ns(30),
             },
         );
-        let mut f = FaultState::new(&plan, 1);
+        let mut f = FaultState::new(plan, 1);
         // Arrives at 90: waits 10 (< watchdog), released at 100.
         assert_eq!(
-            perturb_mem_start(&mut f, port, Tick::from_ns(90)),
+            f.perturb_mem_start(port, Tick::from_ns(90)),
             Tick::from_ns(100)
         );
         // Arrives at 10: waits 90 (> watchdog) -> starved.
         assert_eq!(
-            perturb_mem_start(&mut f, port, Tick::from_ns(10)),
+            f.perturb_mem_start(port, Tick::from_ns(10)),
             Tick::from_ns(100)
         );
-        let v = f.view();
+        let v = &f.stats;
         let p = v.port(port).unwrap();
         assert_eq!(p.stalled, 2);
         assert_eq!(p.starved, 1);

@@ -437,13 +437,9 @@ impl HomeAgent {
                     }
                 }
             }
-            MsgKind::SnpRespInv { dirty } => {
+            MsgKind::SnpRespInv { dirty } | MsgKind::SnpRespDown { dirty } => {
                 let t = now + self.cfg.refill_latency;
-                self.snoop_resp(msg, dirty, true, t, out)
-            }
-            MsgKind::SnpRespDown { dirty } => {
-                let t = now + self.cfg.refill_latency;
-                self.snoop_resp(msg, dirty, false, t, out)
+                self.snoop_resp(msg, dirty, t, out)
             }
             MsgKind::WbData => {
                 let t = now + self.cfg.refill_latency;
@@ -678,7 +674,7 @@ impl HomeAgent {
         }
     }
 
-    fn snoop_resp(&mut self, msg: Msg, dirty: bool, _inv: bool, t: Tick, out: &mut Sink<'_>) {
+    fn snoop_resp(&mut self, msg: Msg, dirty: bool, t: Tick, out: &mut Sink<'_>) {
         let key = msg.addr.raw();
         // One busy probe for both the countdown and the finish-removal:
         // an occupied entry is decremented in place and removed (with

@@ -51,7 +51,6 @@ pub mod config;
 pub mod engine;
 pub mod fault;
 pub mod funcmem;
-pub mod hierarchy;
 pub mod home;
 pub mod msg;
 pub(crate) mod pending;
@@ -62,7 +61,7 @@ pub mod topology;
 pub use config::{CacheConfig, HomeConfig};
 pub use engine::{Completion, ProtocolEngine, ProtocolEngineBuilder};
 pub use fault::{
-    FaultEvent, FaultKind, FaultPlan, FaultStatsView, LinkFaultStats, PortFaultStats, RehomeStats,
+    FaultKind, FaultPlan, FaultStatsView, LinkFaultStats, PortFaultStats, RehomeStats,
 };
 pub use funcmem::{AtomicKind, FuncMem};
 pub use home::{HomeStats, HomeStatsView};

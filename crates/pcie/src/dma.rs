@@ -9,16 +9,6 @@
 use crate::link::{PcieLink, PcieLinkConfig};
 use sim_core::Tick;
 
-/// Transfer direction (kept for statistics; timing is symmetric, as the
-/// paper notes PCIe PHY read/write performance is symmetric).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DmaDirection {
-    /// Host memory to device.
-    HostToDevice,
-    /// Device to host memory.
-    DeviceToHost,
-}
-
 /// Configuration of a [`DmaEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaConfig {

@@ -9,5 +9,5 @@
 pub mod dma;
 pub mod link;
 
-pub use dma::{DmaConfig, DmaDirection, DmaEngine};
+pub use dma::{DmaConfig, DmaEngine};
 pub use link::{PcieGen, PcieLink, PcieLinkConfig};
